@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from . import errors
 from .gcode import ForensicsReport, GcodeCommand, GcodeProgram, audit, filament_length, \
     metadata_claims, parse_gcode, z_profile
-from .meshcore import PointCloud, Rotation, SliceLoops, TriMesh, Vec3, mesh_volume, \
+from .meshcore import PointCloud, Rotation, SliceLoops, TriMesh, mesh_volume, \
     parse_stl, parse_xyz, polygon_area, rotate_mesh, signed_volume, slice_mesh, \
     write_stl_binary, write_xyz
 from .qr3d import BitGrid, DirectionSearchResult, EmbedParams, SphereCloud, basis_for, \
@@ -24,7 +24,7 @@ __all__ = [
     "errors",
     "ForensicsReport", "GcodeCommand", "GcodeProgram", "audit", "filament_length",
     "metadata_claims", "parse_gcode", "z_profile",
-    "PointCloud", "Rotation", "SliceLoops", "TriMesh", "Vec3", "mesh_volume",
+    "PointCloud", "Rotation", "SliceLoops", "TriMesh", "mesh_volume",
     "parse_stl", "parse_xyz", "polygon_area", "rotate_mesh", "signed_volume",
     "slice_mesh", "write_stl_binary", "write_xyz",
     "BitGrid", "DirectionSearchResult", "EmbedParams", "SphereCloud", "basis_for",

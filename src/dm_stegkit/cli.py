@@ -29,10 +29,6 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _read_text(path: str) -> str:
-    return _read_bytes(path).decode("utf-8")
-
-
 def _write_bytes(path: str, data: bytes):
     with open(path, "wb") as fh:
         fh.write(data)

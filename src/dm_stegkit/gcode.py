@@ -120,7 +120,16 @@ def _parse_float(number: str, lineno: int, letter: str) -> float:
 
 
 def _format_code_number(number: str, lineno: int, letter: str) -> str:
+    """Validate a command number and return its canonical spelling.
+
+    Leading zeros of the integer part are dropped (``01`` -> ``1``,
+    ``00`` -> ``0``, ``082`` -> ``82``); subcodes keep their fraction
+    (``92.1``).
+    """
     _parse_float(number, lineno, letter)
+    whole, dot, frac = number.partition(".")
+    if len(whole) > 1 and whole.isdigit():
+        number = (whole.lstrip("0") or "0") + dot + frac
     return number
 
 

@@ -25,16 +25,6 @@ _STL_HEADER_LEN = 80
 _STL_RECORD_LEN = 50
 
 
-@dataclass(frozen=True)
-class Vec3:
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-
 @dataclass
 class TriMesh:
     """Indexed triangle soup.

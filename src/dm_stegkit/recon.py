@@ -1,10 +1,10 @@
 """Point-cloud reconstruction and print-orientation defect scanning.
 
 Layered XYZ scans are grouped by z, traced into per-layer outlines, and
-lofted into a watertight mesh. The orientation scanner slices a mesh on a
-full Euler grid and ranks orientations by cross-section fragmentation,
-which is the printability signal: disconnected or open contours mean a
-broken toolpath.
+lofted into a watertight mesh. The orientation scanner slices a mesh once
+per distinct up-vector of a full Euler grid and ranks orientations by
+cross-section fragmentation, which is the printability signal:
+disconnected or open contours mean a broken toolpath.
 """
 
 from __future__ import annotations
@@ -319,6 +319,13 @@ def _slice_stats(tri_pts: np.ndarray, levels: np.ndarray, weld_tol: float):
     return loops_total, open_layers, max_open, bottom_area
 
 
+def _layer_count(height: float, layer_height: float) -> int:
+    """Layers that fit in ``height``; a height within 1e-9 layers of a whole
+    multiple counts as that multiple, so rotation float noise cannot drop
+    the top layer."""
+    return max(1, math.floor(height / layer_height + 1e-9))
+
+
 def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
                      layer_height: float = 0.2) -> OrientationReport:
     """Slice the mesh in every grid orientation and rank by fragmentation.
@@ -326,6 +333,11 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
     fragmentation_score = mean loops per layer + 10 x (fraction of layers
     with open chains). Lower is better; ties prefer the larger bottom
     layer, then the lexicographically smaller rotation.
+
+    Slicing depends only on a rotation's third row (the up-vector): an
+    in-plane spin about z leaves every layer's loops, open chains and area
+    unchanged. Grid rotations are therefore grouped by up-vector, and each
+    group is sliced once with its first rotation in (rx, ry, rz) order.
     """
     if not len(mesh.triangles):
         raise ValueError("cannot scan an empty mesh")
@@ -336,37 +348,35 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
     verts = mesh.vertices
     faces = mesh.triangles
 
-    axis_mats = {}
-    for axis in range(3):
-        mats = []
-        for a in steps:
-            mats.append(_axis_matrix(axis, math.radians(a)))
-        axis_mats[axis] = mats
+    groups = {}                             # up-vector -> (matrix, rotations)
+    for rx in steps:
+        for ry in steps:
+            for rz in steps:
+                rot = Rotation(rx, ry, rz)
+                mat = rot.matrix()
+                # + 0.0 folds -0.0 into +0.0
+                key = tuple((np.round(mat[2], 9) + 0.0).tolist())
+                groups.setdefault(key, (mat, []))[1].append(rot)
 
     candidates = []
-    for ix, rx in enumerate(steps):
-        mx = axis_mats[0][ix]
-        for iy, ry in enumerate(steps):
-            mxy = mx @ axis_mats[1][iy]
-            for iz, rz in enumerate(steps):
-                rot = mxy @ axis_mats[2][iz]
-                rv = verts @ rot.T
-                tri_pts = rv[faces]
-                gz0 = rv[:, 2].min()
-                gz1 = rv[:, 2].max()
-                nlayers = max(1, int((gz1 - gz0) / layer_height))
-                levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
-                loops_total, open_layers, max_open, bottom_area = _slice_stats(
-                    tri_pts, levels, weld_tol)
-                mean_loops = loops_total / nlayers
-                frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / nlayers)
-                candidates.append(OrientationCandidate(
-                    rotation=Rotation(rx, ry, rz),
-                    mean_loops_per_layer=mean_loops,
-                    max_open_chains=max_open,
-                    bottom_layer_area=bottom_area,
-                    fragmentation_score=frag,
-                ))
+    for mat, members in groups.values():
+        rv = verts @ mat.T
+        gz0 = rv[:, 2].min()
+        nlayers = _layer_count(rv[:, 2].max() - gz0, layer_height)
+        levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
+        loops_total, open_layers, max_open, bottom_area = _slice_stats(
+            rv[faces], levels, weld_tol)
+        mean_loops = loops_total / nlayers
+        frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / nlayers)
+        for rot in members:
+            candidates.append(OrientationCandidate(
+                rotation=rot,
+                mean_loops_per_layer=mean_loops,
+                max_open_chains=max_open,
+                bottom_layer_area=bottom_area,
+                fragmentation_score=frag,
+            ))
+
     def sig9(x: float) -> float:
         return float(f"{x:.9g}")
 
@@ -376,12 +386,3 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
                                    -sig9(c.bottom_layer_area),
                                    c.rotation.as_tuple()))
     return OrientationReport(angle_step_deg, layer_height, candidates)
-
-
-def _axis_matrix(axis: int, radians: float) -> np.ndarray:
-    c, s = math.cos(radians), math.sin(radians)
-    if axis == 0:
-        return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-    if axis == 1:
-        return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])

@@ -73,28 +73,39 @@ def unframe_payload(bits) -> bytes:
     """Locate and validate a frame inside a bit sequence.
 
     The magic is searched at bit offsets 0..7 and at byte-aligned offsets
-    thereafter; the first hit is committed to.
+    thereafter. A candidate whose version, length or CRC check fails is
+    skipped and the scan goes on; the first candidate that validates is
+    returned. If none does, the error of the candidate that got furthest
+    (CRC over length over version, earliest on ties) is raised, or
+    NoFrameFound when the magic occurs nowhere.
     """
     bits = [1 if b else 0 for b in bits]
     magic = bytes_to_bits(FRAME_MAGIC)
     min_bits = FRAME_OVERHEAD * 8
     offsets = [o for o in range(8) if o + min_bits <= len(bits)]
     offsets += list(range(8, len(bits) - min_bits + 1, 8))
+    best_error, best_stage = None, -1
     for off in offsets:
         if bits[off:off + 32] != magic:
             continue
         version = _bits_int(bits, off + 32, 8)
-        if version != FRAME_VERSION:
-            raise UnsupportedVersion(version)
         length = _bits_int(bits, off + 40, 16)
         end = off + (FRAME_OVERHEAD + length) * 8
-        if end > len(bits):
-            raise NoFrameFound(f"frame declares {length} payload bytes beyond input")
-        body = bits_to_bytes(bits[off + 32:off + 56 + length * 8])
-        crc = _bits_int(bits, off + 56 + length * 8, 32)
-        if zlib.crc32(body) != crc:
-            raise CrcMismatch("frame CRC check failed")
-        return body[3:]
+        if version != FRAME_VERSION:
+            stage, error = 0, UnsupportedVersion(version)
+        elif end > len(bits):
+            stage, error = 1, NoFrameFound(
+                f"frame declares {length} payload bytes beyond input")
+        else:
+            body = bits_to_bytes(bits[off + 32:off + 56 + length * 8])
+            crc = _bits_int(bits, off + 56 + length * 8, 32)
+            if zlib.crc32(body) == crc:
+                return body[3:]
+            stage, error = 2, CrcMismatch("frame CRC check failed")
+        if stage > best_stage:
+            best_error, best_stage = error, stage
+    if best_error is not None:
+        raise best_error
     raise NoFrameFound("no frame magic located")
 
 

@@ -42,6 +42,14 @@ def test_blank_lines_skipped_unknown_codes_kept():
     assert [c.code for c in program.commands] == ["M117", "T1"]
 
 
+def test_zero_padded_codes_are_canonical():
+    program = parse_gcode("G00 X1\nG01 X2 E5\nM082\nG092.1\nG0.5\nT01")
+    assert [c.code for c in program.commands] == ["G0", "G1", "M82", "G92.1", "G0.5", "T1"]
+    # G01 is the same linear move as G1 and must extrude the same filament
+    assert filament_length(parse_gcode("G01 X1 E5")) == pytest.approx(5.0)
+    assert filament_length(parse_gcode("M083\nG01 E3\nG001 E4")) == pytest.approx(7.0)
+
+
 def test_filament_absolute_deltas():
     assert filament_length(parse_gcode("M82\nG1 E5\nG1 E12")) == pytest.approx(12.0)
 

@@ -6,17 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dm_stegkit import (
+    EmbedParams,
     PointCloud,
     Rotation,
+    grid_to_spheres,
     group_layers,
     layer_outline,
     loft_layers,
     mesh_volume,
     orientation_scan,
     rotate_mesh,
+    spheres_to_mesh,
+    unit_vector,
 )
+from dm_stegkit import recon
 from dm_stegkit.errors import DegenerateLayer, EmptyCloud, TooFewPoints
-from conftest import box_mesh, two_tower_bridge
+from dm_stegkit.meshcore import default_weld_tol
+from conftest import box_mesh, boxes_mesh, random_code_grid, two_tower_bridge
 
 
 def circle_layer(z, radius=5.0, samples=128):
@@ -302,3 +308,113 @@ def test_bottom_layer_area_tiebreak():
     best = report.best()
     assert best.bottom_layer_area == pytest.approx(64.0)
     assert best.rotation.as_tuple() == (0.0, 0.0, 0.0)
+
+
+# --- up-vector grouping ------------------------------------------------------------------
+
+def _up_key(rotation):
+    return tuple((np.round(rotation.matrix()[2], 9) + 0.0).tolist())
+
+
+def _stats(cand):
+    return (cand.mean_loops_per_layer, cand.max_open_chains,
+            cand.bottom_layer_area, cand.fragmentation_score)
+
+
+def _per_rotation_scan(mesh, angle_step_deg, layer_height=0.2):
+    """Reference path: slice every grid rotation on its own.
+
+    Returns {rotation tuple: stats} plus the rotations whose truncated
+    layer count, int(height / layer_height), differs from the
+    noise-robust count the scan uses.
+    """
+    weld_tol = default_weld_tol(mesh)
+    steps = np.arange(0.0, 360.0, angle_step_deg)
+    out, corrected = {}, set()
+    for rx in steps:
+        for ry in steps:
+            for rz in steps:
+                rot = Rotation(rx, ry, rz)
+                rv = mesh.vertices @ rot.matrix().T
+                gz0, gz1 = rv[:, 2].min(), rv[:, 2].max()
+                nlayers = max(1, int((gz1 - gz0) / layer_height))
+                if nlayers != recon._layer_count(gz1 - gz0, layer_height):
+                    corrected.add(rot.as_tuple())
+                levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
+                loops, open_layers, max_open, area = recon._slice_stats(
+                    rv[mesh.triangles], levels, weld_tol)
+                mean_loops = loops / nlayers
+                out[rot.as_tuple()] = (mean_loops, max_open, area,
+                                       mean_loops + 10.0 * open_layers / nlayers)
+    return out, corrected
+
+
+def _sphere_code_mesh():
+    grid = random_code_grid(np.random.default_rng(4), n=5, density=0.5)
+    params = EmbedParams(pitch=2.0, direction=unit_vector((0.2, 0.3, 0.93)), seed=3)
+    return spheres_to_mesh(grid_to_spheres(grid, params), 1)
+
+
+@pytest.mark.parametrize("mesh_factory, step", [
+    (two_tower_bridge, 45.0),
+    (_sphere_code_mesh, 90.0),
+])
+def test_scan_matches_per_rotation_reference(mesh_factory, step):
+    mesh = mesh_factory()
+    report = orientation_scan(mesh, angle_step_deg=step, layer_height=0.2)
+    reference, corrected = _per_rotation_scan(mesh, step)
+    # neither fixture has a rotation whose height sits a float ulp below a
+    # whole number of layers, so every candidate must agree
+    assert corrected == set()
+    assert report.candidate_count == len(reference)
+    for cand in report.candidates:
+        loops, max_open, area, frag = reference[cand.rotation.as_tuple()]
+        assert cand.mean_loops_per_layer == loops
+        assert cand.max_open_chains == max_open
+        assert cand.fragmentation_score == frag
+        assert cand.bottom_layer_area == pytest.approx(area, rel=1e-9, abs=0.0)
+
+
+@st.composite
+def box_unions(draw):
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        x0, y0, z0 = (draw(st.floats(-5.0, 5.0)) for _ in range(3))
+        dx, dy, dz = (draw(st.floats(0.3, 4.0)) for _ in range(3))
+        boxes.append((x0, y0, z0, x0 + dx, y0 + dy, z0 + dz))
+    return boxes_mesh(boxes)
+
+
+@settings(max_examples=8, deadline=None)
+@given(box_unions(), st.sampled_from([90.0, 45.0, 30.0]))
+def test_scan_stats_depend_only_on_up_vector(mesh, step):
+    report = orientation_scan(mesh, angle_step_deg=step, layer_height=0.2)
+    assert report.candidate_count == round(360 / step) ** 3
+    by_up = {}
+    for cand in report.candidates:
+        by_up.setdefault(_up_key(cand.rotation), set()).add(_stats(cand))
+    assert all(len(stats) == 1 for stats in by_up.values())
+
+
+def test_layer_count_absorbs_float_noise():
+    assert recon._layer_count(9.999999999999998, 0.2) == 50
+    assert recon._layer_count(10.0, 0.2) == 50
+    assert recon._layer_count(9.9, 0.2) == 49
+    assert recon._layer_count(0.05, 0.2) == 1
+
+
+def test_scan_bridge_axis_group_shares_layer_count():
+    # rotated about the bridge axis (x) the towers are 10 mm = 50 layers
+    # tall; at (120, 270, 120) float noise puts the rotated height one ulp
+    # below 10, which truncation read as 49 layers (55/49 loops per layer
+    # against 56/50 for the other rotations of the group)
+    towers = two_tower_bridge()
+    rv = towers.vertices @ Rotation(120, 270, 120).matrix().T
+    assert int((rv[:, 2].max() - rv[:, 2].min()) / 0.2) == 49
+
+    report = orientation_scan(towers, angle_step_deg=30, layer_height=0.2)
+    bridge_up = [c for c in report.candidates
+                 if abs(abs(c.rotation.matrix()[2, 0]) - 1.0) < 1e-9]
+    assert (120.0, 270.0, 120.0) in {c.rotation.as_tuple() for c in bridge_up}
+    assert {c.mean_loops_per_layer for c in bridge_up} == {56 / 50}
+    assert {c.max_open_chains for c in bridge_up} == {0}

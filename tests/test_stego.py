@@ -25,7 +25,7 @@ from dm_stegkit.errors import (
     UnsupportedCharacter,
     UnsupportedVersion,
 )
-from dm_stegkit.stego import MORSE_TABLE, bits_to_bytes, frame_bytes
+from dm_stegkit.stego import MORSE_TABLE, bits_to_bytes, bytes_to_bits, frame_bytes
 from conftest import box_mesh
 
 # --- framing -----------------------------------------------------------------
@@ -65,6 +65,33 @@ def test_unframe_bad_version():
     frame[4] = 9
     with pytest.raises(UnsupportedVersion):
         unframe_payload([int(b) for byte in frame for b in f"{byte:08b}"])
+
+
+def test_unframe_skips_candidate_that_fails_validation():
+    # a stray magic with a bad version byte ahead of the real frame
+    bits = bytes_to_bits(b"xxH3D1\x07zz") + frame_payload(b"hello")
+    assert unframe_payload(bits) == b"hello"
+    # a corrupt frame ahead of a good one
+    bad = frame_payload(b"first")
+    bad[60] ^= 1
+    assert unframe_payload(bad + frame_payload(b"second")) == b"second"
+
+
+def test_unframe_raises_furthest_failure():
+    bad_crc = frame_payload(b"HELLO")
+    bad_crc[60] ^= 1
+    bad_version = bytes_to_bits(b"H3D1\x07") + [0] * 64
+    with pytest.raises(CrcMismatch):
+        unframe_payload(bad_version + bad_crc)
+    with pytest.raises(CrcMismatch):
+        unframe_payload(bad_crc + bad_version)
+    with pytest.raises(UnsupportedVersion) as err:
+        unframe_payload(bad_version)
+    assert err.value.version == 7
+    # a declared length past the end outranks a bad version
+    too_long = bytes_to_bits(b"H3D1\x01\xff\xff") + [0] * 64
+    with pytest.raises(NoFrameFound, match="beyond input"):
+        unframe_payload(bad_version + too_long)
 
 
 def test_unframe_finds_bit_shifted_frame():
