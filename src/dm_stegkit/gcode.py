@@ -216,7 +216,12 @@ def z_profile(program: GcodeProgram) -> tuple[list[float], int, float]:
     Returns (sorted levels, layer count, max level); all empty/zero for
     travel-only programs.
     """
-    keys = sorted(set(_replay(program).extruding_z))
+    return _z_levels(_replay(program))
+
+
+def _z_levels(state: _Toolpath) -> tuple[list[float], int, float]:
+    """z_profile's result from an already replayed toolpath."""
+    keys = sorted(set(state.extruding_z))
     levels = [round(k * _Z_QUANTUM, 6) for k in keys]
     return levels, len(levels), (levels[-1] if levels else 0.0)
 
@@ -260,7 +265,7 @@ def metadata_claims(program: GcodeProgram) -> float | None:
 def audit(program: GcodeProgram, mismatch_threshold: float = 0.02) -> ForensicsReport:
     """Cross-check declared filament use against the replayed toolpath."""
     state = _replay(program)
-    levels, layer_count, max_z = z_profile(program)
+    levels, layer_count, max_z = _z_levels(state)
     warnings = []
     try:
         declared = metadata_claims(program)

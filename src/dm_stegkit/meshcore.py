@@ -225,15 +225,29 @@ def _parse_stl_ascii(text: str) -> TriMesh:
 
 
 def _dedup_vertices(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge bit-identical positions, keeping first-occurrence order."""
+    """Merge bit-identical positions, keeping first-occurrence order.
+
+    Rows are compared as float64 bit patterns, so -0.0 and +0.0 stay
+    distinct. A stable lexsort groups equal rows with each group's first
+    occurrence at its head; the output never depends on the sort order.
+    """
     if not len(corners):
         return corners.reshape(0, 3), np.zeros(0, dtype=np.int64)
-    raw = np.ascontiguousarray(corners).view([("", corners.dtype)] * 3).ravel()
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return corners[first[order]], rank[inverse]
+    corners = np.ascontiguousarray(corners, dtype=np.float64)
+    bits = corners.view(np.uint64)
+    order = np.lexsort((bits[:, 2], bits[:, 1], bits[:, 0]))
+    head = np.zeros(len(order), dtype=bool)     # sorted row differs from the one before
+    head[0] = True
+    for k in range(3):
+        col = bits[order, k]
+        head[1:] |= col[1:] != col[:-1]
+    firsts = order[head]                        # first occurrence of each group
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[firsts] = True
+    index = np.cumsum(is_first) - 1             # vertex index, read at first occurrences
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = index[firsts][np.cumsum(head) - 1]
+    return corners[is_first], inverse
 
 
 # --- STL writing --------------------------------------------------------------

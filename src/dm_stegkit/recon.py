@@ -82,10 +82,82 @@ def group_layers(cloud: PointCloud, z_tol: float | None = None) -> LayerStack:
     return LayerStack(layers, mean_sp, median_sp)
 
 
+# Pairs of points compared per vectorized block: keeps the pairwise working
+# set of the nearest-neighbour search to a few hundred KB at any layer size.
+_PAIR_BLOCK = 1 << 12
+
+
+def _grid_cells(pts: np.ndarray, side: float) -> np.ndarray:
+    """(n, 2) integer cells of a grid of the given side anchored at the
+    lower-left corner of the points' bounding box."""
+    return np.floor((pts - pts.min(axis=0)) / side).astype(np.int64)
+
+
+def _brute_nearest_d2(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared distance from each of ``rows`` to its nearest other point,
+    comparing every pair, in row blocks of bounded size."""
+    out = np.empty(len(rows))
+    step = max(1, _PAIR_BLOCK // len(pts))
+    for s in range(0, len(rows), step):
+        block = rows[s:s + step]
+        d2 = ((pts[block, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(len(block)), block] = np.inf
+        out[s:s + step] = d2.min(axis=1)
+    return out
+
+
+def _nearest_d2(pts: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to its nearest other point.
+
+    Points are bucketed into a grid of about one point per cell (Bentley,
+    Stanat & Williams' fixed-radius search) and each point's nearest
+    neighbour is sought in its 3x3 block of cells. That block holds every
+    point within one cell side, so a nearest candidate at most one side
+    away is exact; only the points whose nearest candidate lies farther are
+    compared with all points. Working memory is O(n).
+    """
+    n = len(pts)
+    extent = np.ptp(pts, axis=0)
+    # about one point per cell, and at most n + 1 cells along either axis
+    side = max(math.sqrt(extent[0] * extent[1] / n), extent.max() / n)
+    best = np.full(n, np.inf)
+    if side > 0:
+        cells = _grid_cells(pts, side) + 1      # neighbour offsets stay >= 0
+        ncols = int(cells[:, 1].max()) + 2
+        key = cells[:, 0] * ncols + cells[:, 1]
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        offsets = (np.arange(-1, 2)[:, None] * ncols + np.arange(-1, 2)).ravel()
+        near = (key[:, None] + offsets).ravel()          # 9 cells per point
+        lo = np.searchsorted(sorted_key, near, side="left")
+        counts = np.searchsorted(sorted_key, near, side="right") - lo
+        # pairs of each point, from bounds[p] to bounds[p + 1]; >= 1 (itself)
+        bounds = np.concatenate([[0], np.cumsum(counts.reshape(n, 9).sum(axis=1))])
+        start = 0
+        while start < n:
+            # as many points as fit in one block of pairs, at least one
+            stop = max(start + 1, int(np.searchsorted(
+                bounds, bounds[start] + _PAIR_BLOCK, side="right")) - 1)
+            cnt = counts[9 * start:9 * stop]
+            head = np.cumsum(cnt) - cnt
+            pos = np.repeat(lo[9 * start:9 * stop] - head, cnt) + np.arange(cnt.sum())
+            i = np.repeat(np.arange(start, stop), np.diff(bounds[start:stop + 1]))
+            j = order[pos]
+            d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
+            d2[i == j] = np.inf
+            best[start:stop] = np.minimum.reduceat(d2, bounds[start:stop] - bounds[start])
+            start = stop
+    # a candidate within the block is nearest only if no cell outside the
+    # block can be closer; the margin absorbs rounding in the cell index
+    far = np.nonzero(~(best <= (side * (1.0 - 1e-6)) ** 2))[0]
+    if len(far):
+        best[far] = _brute_nearest_d2(pts, far)
+    return best
+
+
 def _nearest_neighbor_median(pts: np.ndarray) -> float:
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return float(np.sqrt(np.median(d2.min(axis=1))))
+    """Median distance from each point to its nearest other point."""
+    return float(np.sqrt(np.median(_nearest_d2(pts))))
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
@@ -108,6 +180,47 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def _greedy_chain(pts: np.ndarray, start: int, jump_limit: float) -> list:
+    """Nearest-neighbour walk from ``start``: step to the nearest unvisited
+    point (lowest index on equal squared distance) until it is farther than
+    ``jump_limit`` or none is left.
+
+    Unvisited points sit in grid buckets of side >= jump_limit, so every
+    point within jump_limit of the current one lies in its 3x3 block of
+    buckets and only those are searched; visited points leave their bucket.
+    """
+    extent = float(np.ptp(pts, axis=0).max())
+    # the margin absorbs rounding in the cell index; the extent term keeps
+    # the grid at most ~2**20 cells wide however small the jumps are
+    side = max(jump_limit * (1.0 + 1e-6), extent * 2.0 ** -20)
+    cells = _grid_cells(pts, side).tolist()
+    buckets = {}
+    for i, cell in enumerate(cells):
+        buckets.setdefault(tuple(cell), []).append(i)
+    xy = pts.tolist()
+    chain = []
+    cur = start
+    while True:
+        chain.append(cur)
+        cx, cy = cells[cur]
+        buckets[cx, cy].remove(cur)
+        x, y = xy[cur]
+        best_d2 = math.inf
+        nxt = -1
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for j in buckets.get((gx, gy), ()):
+                    dx = xy[j][0] - x
+                    dy = xy[j][1] - y
+                    d2 = dx * dx + dy * dy
+                    if d2 < best_d2 or (d2 == best_d2 and j < nxt):
+                        best_d2 = d2
+                        nxt = j
+        if nxt < 0 or math.sqrt(best_d2) > jump_limit:
+            return chain
+        cur = nxt
+
+
 def layer_outline(points: np.ndarray, z: float = 0.0) -> OutlinePolygon:
     """Trace one closed outline through a layer's points.
 
@@ -122,19 +235,7 @@ def layer_outline(points: np.ndarray, z: float = 0.0) -> OutlinePolygon:
     jump_limit = 2.0 * med_nn
 
     start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])
-    visited = np.zeros(len(pts), dtype=bool)
-    chain = [start]
-    visited[start] = True
-    cur = pts[start]
-    while True:
-        d2 = ((pts - cur) ** 2).sum(axis=1)
-        d2[visited] = np.inf
-        nxt = int(np.argmin(d2))
-        if not np.isfinite(d2[nxt]) or math.sqrt(d2[nxt]) > jump_limit:
-            break
-        visited[nxt] = True
-        chain.append(nxt)
-        cur = pts[nxt]
+    chain = _greedy_chain(pts, start, jump_limit)
 
     scale = max(np.ptp(pts, axis=0).max(), 1e-12)
     area_floor = 1e-12 * scale * scale
@@ -197,24 +298,23 @@ def loft_layers(stack: LayerStack, resample_count: int = 128) -> TriMesh:
         rings.append((z, _resample_ring(outline.ring, resample_count)))
 
     m = resample_count
-    verts = []
-    for z, ring in rings:
-        verts.append(np.column_stack([ring, np.full(len(ring), z)]))
-    verts = np.vstack(verts)
-    tris = []
-    for layer in range(len(rings) - 1):
-        base = layer * m
-        top = base + m
-        for i in range(m):
-            j = (i + 1) % m
-            p0, p1 = base + i, base + j
-            q0, q1 = top + i, top + j
-            d1 = np.linalg.norm(verts[p0] - verts[q1])
-            d2 = np.linalg.norm(verts[p1] - verts[q0])
-            if d1 <= d2:
-                tris += [(p0, p1, q1), (p0, q1, q0)]
-            else:
-                tris += [(p0, p1, q0), (p1, q1, q0)]
+    verts = np.vstack([np.column_stack([ring, np.full(len(ring), z)])
+                       for z, ring in rings])
+    i = np.arange(m)
+    j = (i + 1) % m
+    # quad (layer, i) joins p0, p1 on one ring to q0, q1 above them
+    base = (np.arange(len(rings) - 1) * m)[:, None]
+    p0, p1 = base + i, base + j
+    q0, q1 = p0 + m, p1 + m
+    # vecdot is the dot product np.linalg.norm takes of a single vector, so
+    # the diagonals match a per-quad norm bit for bit
+    e1 = verts[p0] - verts[q1]
+    e2 = verts[p1] - verts[q0]
+    short = (np.sqrt(np.vecdot(e1, e1)) <= np.sqrt(np.vecdot(e2, e2)))[..., None]
+    strips = np.stack([
+        np.where(short, np.stack([p0, p1, q1], axis=-1), np.stack([p0, p1, q0], axis=-1)),
+        np.where(short, np.stack([p0, q1, q0], axis=-1), np.stack([p1, q1, q0], axis=-1)),
+    ], axis=-2).reshape(-1, 3)
 
     bottom_center = len(verts)
     top_center = len(verts) + 1
@@ -226,11 +326,11 @@ def loft_layers(stack: LayerStack, resample_count: int = 128) -> TriMesh:
     ])
     verts = np.vstack([verts, centers])
     last = (len(rings) - 1) * m
-    for i in range(m):
-        j = (i + 1) % m
-        tris.append((bottom_center, j, i))
-        tris.append((top_center, last + i, last + j))
-    return TriMesh(verts, np.array(tris, dtype=np.int64))
+    caps = np.stack([
+        np.stack([np.full(m, bottom_center), j, i], axis=-1),
+        np.stack([np.full(m, top_center), last + i, last + j], axis=-1),
+    ], axis=-2).reshape(-1, 3)
+    return TriMesh(verts, np.vstack([strips, caps]).astype(np.int64))
 
 
 # --- orientation scanning ---------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dm_stegkit import gcode
 from dm_stegkit import audit, filament_length, metadata_claims, parse_gcode, z_profile
 from dm_stegkit.errors import AmbiguousClaims, MalformedNumber
 
@@ -163,6 +164,23 @@ def test_audit_report_json_fields():
                 "z_levels", "max_z_mm", "layer_count", "discrepancy_ratio", "verdict"):
         assert key in doc
 
+
+
+def test_audit_replays_once_and_agrees_with_z_profile(monkeypatch):
+    program = parse_gcode(";filament used = 3mm\nG1 Z0.2\nG1 X5 E1\nG1 Z0.4\nG1 X0 E2")
+    replays = []
+    replay = gcode._replay
+
+    def counting_replay(prog):
+        replays.append(prog)
+        return replay(prog)
+
+    monkeypatch.setattr(gcode, "_replay", counting_replay)
+    report = audit(program)
+    assert len(replays) == 1
+    assert report.z_levels == [0.2, 0.4]
+    levels, count, max_z = z_profile(program)
+    assert (report.z_levels, report.layer_count, report.max_z_mm) == (levels, count, max_z)
 
 def test_realistic_slicer_preamble_and_print():
     text = "\n".join([

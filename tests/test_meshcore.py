@@ -18,6 +18,7 @@ from dm_stegkit import (
     slice_mesh,
     write_stl_binary,
 )
+from dm_stegkit.meshcore import _dedup_vertices
 from dm_stegkit.errors import (
     BadLine,
     EmptyCloud,
@@ -135,6 +136,45 @@ def test_roundtrip_random_triangle_soup(ntri, seed):
     b = np.sort(again.triangle_points.astype(np.float32).reshape(ntri, -1), axis=0)
     assert np.array_equal(a, b)
 
+
+
+def test_negative_zero_corner_round_trips_byte_exact():
+    # -0.0 and +0.0 differ in their bits; dedup must not merge them, or the
+    # rewrite turns the -0.0 into +0.0 and changes bytes outside the header
+    mesh = TriMesh([[-0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0.0, 0, 0], [0, 0, 1]],
+                   [[0, 1, 2], [3, 1, 4]])
+    data = write_stl_binary(mesh)
+    again = parse_stl(data)
+    assert len(again.vertices) == 5
+    assert np.signbit(again.vertices[0, 0]) and not np.signbit(again.vertices[3, 0])
+    assert write_stl_binary(again) == data
+
+
+def _dedup_reference(corners):
+    """np.unique over a structured view: compares rows as floats."""
+    raw = np.ascontiguousarray(corners).view([("", corners.dtype)] * 3).ravel()
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return corners[first[order]], rank[inverse]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+       st.integers(1, 400), st.integers(0, 2 ** 31))
+def test_dedup_matches_unique_reference(pool, ncorners, seed):
+    # coordinates from a small pool, so rows repeat whole and in part;
+    # adding 0.0 turns -0.0 into +0.0, where the reference merges the two
+    rng = np.random.default_rng(seed)
+    values = np.array(pool) + 0.0
+    corners = values[rng.integers(0, len(values), size=(ncorners, 3))]
+    verts, inverse = _dedup_vertices(corners)
+    ref_verts, ref_inverse = _dedup_reference(corners)
+    assert verts.tobytes() == ref_verts.tobytes()
+    assert inverse.dtype == np.int64
+    assert np.array_equal(inverse, ref_inverse)
+    assert np.array_equal(verts[inverse], corners)
 
 def test_parse_xyz_separators_and_comments():
     cloud = parse_xyz("0 0 0\n1,2,3")

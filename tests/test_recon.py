@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dm_stegkit import (
@@ -21,6 +22,7 @@ from dm_stegkit import (
 )
 from dm_stegkit import recon
 from dm_stegkit.errors import DegenerateLayer, EmptyCloud, TooFewPoints
+from dm_stegkit.meshcore import TriMesh, polygon_area
 from dm_stegkit.meshcore import default_weld_tol
 from conftest import box_mesh, boxes_mesh, random_code_grid, two_tower_bridge
 
@@ -122,6 +124,147 @@ def test_outline_scattered_interior_falls_back_to_hull():
     assert o.area > 0
 
 
+
+# Brute-force references: every pair of points is compared, O(n^2) memory.
+
+def _nearest_d2_reference(pts):
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return d2.min(axis=1)
+
+
+def _nn_median_reference(pts):
+    return float(np.sqrt(np.median(_nearest_d2_reference(pts))))
+
+
+def _chain_reference(pts, start, jump_limit):
+    visited = np.zeros(len(pts), dtype=bool)
+    chain = [start]
+    visited[start] = True
+    cur = pts[start]
+    while True:
+        d2 = ((pts - cur) ** 2).sum(axis=1)
+        d2[visited] = np.inf
+        nxt = int(np.argmin(d2))
+        if not np.isfinite(d2[nxt]) or math.sqrt(d2[nxt]) > jump_limit:
+            return chain
+        visited[nxt] = True
+        chain.append(nxt)
+        cur = pts[nxt]
+
+
+def _outline_reference(points, z=0.0):
+    pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
+    jump_limit = 2.0 * _nn_median_reference(pts)
+    start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])
+    chain = _chain_reference(pts, start, jump_limit)
+
+    scale = max(np.ptp(pts, axis=0).max(), 1e-12)
+    area_floor = 1e-12 * scale * scale
+    closes = np.linalg.norm(pts[chain[-1]] - pts[chain[0]]) <= jump_limit
+    ring = pts[chain]
+    if not (closes and len(chain) >= 3 and len(chain) >= 0.9 * len(pts)
+            and abs(polygon_area(ring)) > area_floor):
+        ring = recon._convex_hull(pts)
+        method = "convex_hull"
+        if len(ring) < 3:
+            ring = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    else:
+        method = "chained"
+    if polygon_area(ring) < 0:
+        ring = ring[::-1]
+    keep = np.ones(len(ring), dtype=bool)
+    keep[1:] = np.any(ring[1:] != ring[:-1], axis=1)
+    ring = ring[keep]
+    return ring, method, abs(polygon_area(ring)) <= area_floor
+
+
+def _layer_points(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(-3, 3, size=(n, 2))
+    if kind == "rounded":                   # coarse grid: many equal distances
+        return np.round(rng.normal(scale=2.0, size=(n, 2)), 1)
+    if kind == "lattice":                   # equal distances everywhere
+        side = int(math.sqrt(n)) + 2
+        return rng.integers(0, side, size=(n, 2)).astype(np.float64)
+    if kind == "collinear":
+        t = rng.uniform(-5, 5, size=n)
+        return np.column_stack([t, 0.5 * t - 1.0])
+    t = rng.uniform(0, 2 * math.pi, size=n)
+    a, b = rng.uniform(0.5, 20.0, size=2)
+    ring = np.column_stack([a * np.cos(t), b * np.sin(t)])
+    return ring + rng.normal(scale=0.01 * min(a, b), size=(n, 2))
+
+
+_KINDS = ["uniform", "rounded", "lattice", "collinear", "ellipse"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(3, 600), st.integers(0, 2 ** 31))
+def test_outline_matches_brute_force_reference(kind, n, seed):
+    pts = _layer_points(kind, n, seed)
+    distinct = np.unique(pts, axis=0)
+    assume(len(distinct) >= 3)
+    nearest = recon._nearest_d2(distinct)
+    assert nearest.tobytes() == _nearest_d2_reference(distinct).tobytes()
+    assert recon._nearest_neighbor_median(distinct) == _nn_median_reference(distinct)
+    ring, method, degenerate = _outline_reference(pts)
+    o = layer_outline(pts)
+    assert o.ring.tobytes() == ring.tobytes()
+    assert (o.method, o.degenerate) == (method, degenerate)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_KINDS), st.integers(3, 400), st.integers(0, 2 ** 31),
+       st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+@example("lattice", 300, 0, 2.0)
+@example("lattice", 300, 1, 4.0)
+def test_greedy_chain_matches_brute_force_reference(kind, n, seed, reach):
+    # the chain itself, not only the outline it may fall back from; equal
+    # distances (lattice, rounded) must go to the lowest index
+    pts = np.unique(_layer_points(kind, n, seed), axis=0)
+    assume(len(pts) >= 3)
+    jump_limit = reach * _nn_median_reference(pts)
+    start = int(np.random.default_rng(seed).integers(len(pts)))
+    assert recon._greedy_chain(pts, start, jump_limit) == _chain_reference(pts, start, jump_limit)
+
+
+def test_nn_median_far_points_fall_back_exactly():
+    # cells of side 1 on this line: from x = 1.95 the nearest point in the
+    # 3x3 block is 1.45 away, but x = 3.1, two cells over, is nearer (1.15)
+    line = np.column_stack([[0.0, 0.5, 1.95, 3.1, 5.0], np.zeros(5)])
+    # a tight cluster plus points whose 3x3 blocks hold nothing else
+    rng = np.random.default_rng(11)
+    cluster = np.vstack([rng.uniform(0, 1, size=(200, 2)),
+                         [[500.0, 500.0], [500.0, 740.0], [-300.0, 90.0]]])
+    for pts in (line, cluster):
+        assert recon._nearest_d2(pts).tobytes() == _nearest_d2_reference(pts).tobytes()
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_nn_median_exact_across_pair_blocks(kind, monkeypatch):
+    # tiny blocks: many per call, and single points whose pairs overflow one
+    monkeypatch.setattr(recon, "_PAIR_BLOCK", 40)
+    pts = np.unique(_layer_points(kind, 500, 3), axis=0)
+    pts = np.vstack([pts, np.full((60, 2), 0.25) + np.arange(60)[:, None] * 1e-3,
+                     [[400.0, -300.0]]])
+    assert recon._nearest_d2(pts).tobytes() == _nearest_d2_reference(pts).tobytes()
+
+
+def test_outline_memory_is_linear_in_layer_size():
+    # the pairwise search held an (n, n, 2) float64 array: ~384 MB here
+    t = np.linspace(0, 2 * math.pi, 4000, endpoint=False)
+    ring = np.column_stack([50 * np.cos(t), 30 * np.sin(t)])
+    tracemalloc.start()
+    try:
+        o = layer_outline(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert o.method == "chained"
+    assert peak < 16 * 2 ** 20
+
 # --- lofting ------------------------------------------------------------------------
 
 def _watertight(mesh):
@@ -190,6 +333,62 @@ def test_loft_degenerate_layer_raises():
         loft_layers(stack)
     assert err.value.z == pytest.approx(0.0)
 
+
+
+def _loft_reference(stack, resample_count):
+    """Per-quad loop that splits each quad along its shorter diagonal."""
+    rings = [(z, recon._resample_ring(layer_outline(pts, z=z).ring, resample_count))
+             for z, pts in stack.layers]
+    m = resample_count
+    verts = np.vstack([np.column_stack([ring, np.full(m, z)]) for z, ring in rings])
+    tris = []
+    for layer in range(len(rings) - 1):
+        base = layer * m
+        for i in range(m):
+            j = (i + 1) % m
+            p0, p1, q0, q1 = base + i, base + j, base + m + i, base + m + j
+            if np.linalg.norm(verts[p0] - verts[q1]) <= np.linalg.norm(verts[p1] - verts[q0]):
+                tris += [(p0, p1, q1), (p0, q1, q0)]
+            else:
+                tris += [(p0, p1, q0), (p1, q1, q0)]
+    (z0, ring0), (z1, ring1) = rings[0], rings[-1]
+    centers = [[ring0[:, 0].mean(), ring0[:, 1].mean(), z0],
+               [ring1[:, 0].mean(), ring1[:, 1].mean(), z1]]
+    last = (len(rings) - 1) * m
+    for i in range(m):
+        j = (i + 1) % m
+        tris += [(len(verts), j, i), (len(verts) + 1, last + i, last + j)]
+    return TriMesh(np.vstack([verts, centers]), np.array(tris, dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("resample_count", [16, 128])
+def test_loft_matches_per_quad_reference(seed, resample_count):
+    rng = np.random.default_rng(seed)
+    layers = []
+    for k in range(int(rng.integers(2, 8))):
+        n = int(rng.integers(12, 300))
+        layer = _layer_points("ellipse", n, seed * 100 + k)
+        layers.append(np.column_stack([layer, np.full(n, 0.4 * k)]))
+    stack = group_layers(PointCloud(np.vstack(layers)))
+    mesh = loft_layers(stack, resample_count=resample_count)
+    ref = _loft_reference(stack, resample_count)
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.triangles.tobytes() == ref.triangles.tobytes()
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-16])
+def test_loft_cylinder_matches_per_quad_reference(jitter):
+    # aligned rings make both diagonals of every quad equal, and the tie
+    # keeps the first split; jitter in the last bits leaves near-ties that
+    # the rounding of the diagonal lengths decides
+    cloud = cylinder_cloud(samples=400).points
+    cloud[:, :2] += np.random.default_rng(0).normal(scale=jitter, size=(len(cloud), 2))
+    stack = group_layers(PointCloud(cloud))
+    for m in (128, 256):
+        mesh = loft_layers(stack, resample_count=m)
+        assert mesh.triangles.tobytes() == _loft_reference(stack, m).triangles.tobytes()
 
 # --- orientation scanning --------------------------------------------------------------
 
