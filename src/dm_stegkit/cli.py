@@ -100,10 +100,16 @@ def _cmd_stl_info(run: _Run, args) -> dict:
 
 
 def _cmd_header_embed(run: _Run, args) -> dict:
-    mesh = meshcore.parse_stl(run.read_bytes(args.file))
+    data = run.read_bytes(args.file)
+    mesh = meshcore.parse_stl(data)
     message = args.message.encode("utf-8")
     out = stego.embed_stl_header(mesh, message)
-    _write_bytes(args.output, meshcore.write_stl_binary(out))
+    # a binary cover keeps every byte after the header; ASCII is rewritten
+    if meshcore.is_binary_stl(data):
+        marked = out.header + data[len(out.header):]
+    else:
+        marked = meshcore.write_stl_binary(out)
+    _write_bytes(args.output, marked)
     return {"output": args.output, "message_bytes": len(message),
             "header_hex": out.header.hex()}
 
@@ -117,7 +123,7 @@ def _cmd_gcode_audit(run: _Run, args) -> dict:
     program = gcode.parse_gcode(run.read_text(args.file))
     report = gcode.audit(program, mismatch_threshold=args.threshold)
     run.warnings.extend(report.warnings)
-    doc = json.loads(report.to_json())
+    doc = report.to_dict()
     doc.pop("warnings")
     return doc
 
@@ -232,7 +238,7 @@ def _cmd_orient_scan(run: _Run, args) -> dict:
     mesh = meshcore.parse_stl(run.read_bytes(args.file))
     report = recon.orientation_scan(mesh, angle_step_deg=args.angle_step,
                                     layer_height=args.layer_height)
-    return json.loads(report.to_json(top=args.top))
+    return report.to_dict(top=args.top)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,8 +48,8 @@ class ForensicsReport:
     verdict: str                            # consistent | mismatch | no_claim
     warnings: list[str] = field(default_factory=list)
 
-    def to_json(self, pretty: bool = False) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "computed_filament_mm": self.computed_filament_mm,
             "declared_filament_mm": self.declared_filament_mm,
             "travel_mm": self.travel_mm,
@@ -60,7 +60,9 @@ class ForensicsReport:
             "verdict": self.verdict,
             "warnings": self.warnings,
         }
-        return json.dumps(doc, indent=2 if pretty else None)
+
+    def to_json(self, pretty: bool = False) -> str:
+        return json.dumps(self.to_dict(), indent=2 if pretty else None)
 
 
 def parse_gcode(text: str) -> GcodeProgram:

@@ -127,10 +127,8 @@ def parse_stl(data: bytes) -> TriMesh:
     length ("solid"-prefixed binary files exist in the wild, so the prefix
     alone is not trusted). Vertex dedup uses exact bit equality.
     """
-    if len(data) >= _STL_HEADER_LEN + 4:
-        (count,) = struct.unpack_from("<I", data, _STL_HEADER_LEN)
-        if len(data) == _STL_HEADER_LEN + 4 + _STL_RECORD_LEN * count:
-            return _parse_stl_binary(data, count)
+    if is_binary_stl(data):
+        return _parse_stl_binary(data)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -143,11 +141,20 @@ def parse_stl(data: bytes) -> TriMesh:
     raise MalformedAscii(1, "not an STL file (no solid keyword, too short for binary)")
 
 
+def is_binary_stl(data: bytes) -> bool:
+    """True when the declared triangle count matches the length of ``data``."""
+    if len(data) < _STL_HEADER_LEN + 4:
+        return False
+    (count,) = struct.unpack_from("<I", data, _STL_HEADER_LEN)
+    return len(data) == _STL_HEADER_LEN + 4 + _STL_RECORD_LEN * count
+
+
 _STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
 
 
-def _parse_stl_binary(data: bytes, count: int) -> TriMesh:
+def _parse_stl_binary(data: bytes) -> TriMesh:
     header = data[:_STL_HEADER_LEN]
+    (count,) = struct.unpack_from("<I", data, _STL_HEADER_LEN)
     rec = np.frombuffer(data, dtype=_STL_RECORD, count=count, offset=_STL_HEADER_LEN + 4)
     corners = rec["v"].reshape(count * 3, 3)  # stored normals ignored
     if not np.all(np.isfinite(corners)):
@@ -472,6 +479,39 @@ def _weld_and_chain(segments, weld_tol: float):
     return loops, chains
 
 
+def slice_levels(tri_pts: np.ndarray, levels, weld_tol: float) -> list[SliceLoops]:
+    """Slice triangles (k, 3, 3) with ascending planes; one SliceLoops each.
+
+    Every (triangle, level) pair whose z-range holds the level is crossed
+    in one batch; each level's segments are welded in triangle order.
+    """
+    levels = np.asarray(levels, dtype=np.float64).reshape(-1)
+    results = [SliceLoops(z=float(z)) for z in levels]
+    zmin = tri_pts[:, :, 2].min(axis=1)
+    zmax = tri_pts[:, :, 2].max(axis=1)
+    lo = np.searchsorted(levels, zmin, side="left")
+    counts = np.searchsorted(levels, zmax, side="right") - lo
+    total = int(counts.sum())
+    if total == 0:
+        return results
+    rep = np.repeat(np.arange(len(tri_pts)), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    lev = np.repeat(lo, counts) + np.arange(total) - starts
+    segs = _crossing_segments(tri_pts[rep], levels[lev])
+    valid = ~np.isnan(segs[:, 0])
+    lev = lev[valid]
+    order = np.argsort(lev, kind="stable")
+    segs = segs[valid][order].tolist()
+    bounds = np.searchsorted(lev[order], np.arange(len(levels) + 1))
+    for k, result in enumerate(results):
+        part = segs[bounds[k]:bounds[k + 1]]
+        if part:
+            loops, chains = _weld_and_chain(part, weld_tol)
+            result.loops = [np.array(lp) for lp in loops]
+            result.open_chains = [np.array(ch) for ch in chains]
+    return results
+
+
 def slice_mesh(mesh: TriMesh, z: float, weld_tol: float | None = None) -> SliceLoops:
     """Intersect the mesh with the plane Z=z and chain the result.
 
@@ -483,21 +523,7 @@ def slice_mesh(mesh: TriMesh, z: float, weld_tol: float | None = None) -> SliceL
         weld_tol = default_weld_tol(mesh)
     if weld_tol <= 0:
         raise ValueError("weld_tol must be positive")
-    result = SliceLoops(z=float(z))
-    if not len(mesh.triangles):
-        return result
-    pts = mesh.triangle_points
-    zmin = pts[:, :, 2].min(axis=1)
-    zmax = pts[:, :, 2].max(axis=1)
-    cand = (zmin <= z) & (zmax >= z)
-    if not cand.any():
-        return result
-    segs = _crossing_segments(pts[cand], np.full(int(cand.sum()), float(z)))
-    segs = segs[~np.isnan(segs[:, 0])]
-    loops, chains = _weld_and_chain(segs.tolist(), weld_tol)
-    result.loops = [np.array(lp) for lp in loops]
-    result.open_chains = [np.array(ch) for ch in chains]
-    return result
+    return slice_levels(mesh.triangle_points, [z], weld_tol)[0]
 
 
 def polygon_area(ring: np.ndarray) -> float:

@@ -20,10 +20,9 @@ from .meshcore import (
     PointCloud,
     Rotation,
     TriMesh,
-    _crossing_segments,
-    _weld_and_chain,
     default_weld_tol,
     polygon_area,
+    slice_levels,
 )
 
 _OPEN_CHAIN_PENALTY = 10.0
@@ -366,57 +365,27 @@ class OrientationReport:
     def best(self) -> OrientationCandidate:
         return self.candidates[0]
 
-    def to_json(self, top: int | None = None, pretty: bool = False) -> str:
-        doc = {
+    def to_dict(self, top: int | None = None) -> dict:
+        return {
             "angle_step_deg": self.angle_step_deg,
             "layer_height": self.layer_height,
             "candidate_count": self.candidate_count,
             "candidates": [c.to_dict() for c in
                            (self.candidates if top is None else self.candidates[:top])],
         }
-        return json.dumps(doc, indent=2 if pretty else None)
+
+    def to_json(self, top: int | None = None, pretty: bool = False) -> str:
+        return json.dumps(self.to_dict(top), indent=2 if pretty else None)
 
 
 def _slice_stats(tri_pts: np.ndarray, levels: np.ndarray, weld_tol: float):
-    """Loop/open-chain counts per level plus the level-0 loop area."""
-    zmin = tri_pts[:, :, 2].min(axis=1)
-    zmax = tri_pts[:, :, 2].max(axis=1)
-    lo = np.searchsorted(levels, zmin, side="left")
-    hi = np.searchsorted(levels, zmax, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    nlevels = len(levels)
-    if total == 0:
-        return 0, 0, 0, 0.0
-    rep = np.repeat(np.arange(len(tri_pts)), counts)
-    cum = np.cumsum(counts)
-    offsets = np.arange(total) - np.repeat(cum - counts, counts)
-    lev = np.repeat(lo, counts) + offsets
-    segs = _crossing_segments(tri_pts[rep], levels[lev])
-    valid = ~np.isnan(segs[:, 0])
-    segs = segs[valid]
-    lev = lev[valid]
-    order = np.argsort(lev, kind="stable")
-    segs = segs[order].tolist()
-    lev = lev[order]
-    bounds = np.searchsorted(lev, np.arange(nlevels + 1))
-
-    loops_total = 0
-    open_layers = 0
-    max_open = 0
-    bottom_area = 0.0
-    for k in range(nlevels):
-        part = segs[bounds[k]:bounds[k + 1]]
-        if not part:
-            continue
-        loops, chains = _weld_and_chain(part, weld_tol)
-        loops_total += len(loops)
-        if chains:
-            open_layers += 1
-            max_open = max(max_open, len(chains))
-        if k == 0:
-            bottom_area = sum(abs(polygon_area(np.asarray(lp))) for lp in loops)
-    return loops_total, open_layers, max_open, bottom_area
+    """Total loops, layers with open chains, the most open chains in one
+    layer, and the loop area of level 0 (always a float)."""
+    sections = slice_levels(tri_pts, levels, weld_tol)
+    open_counts = [len(s.open_chains) for s in sections if s.open_chains]
+    return (sum(len(s.loops) for s in sections), len(open_counts),
+            max(open_counts, default=0),
+            sum((abs(polygon_area(lp)) for lp in sections[0].loops), 0.0))
 
 
 def _layer_count(height: float, layer_height: float) -> int:

@@ -16,17 +16,20 @@ from .stego import frame_payload, unframe_payload
 
 VRML_HEADER = "#VRML V2.0"
 
+# separators (unnamed) first, any other character last; no DOTALL, so a
+# string escape never spans a newline
 _TOKEN_RE = re.compile(
     r"""
-    (?P<comment>\#[^\n]*)
+    [\s,]+
+  | (?P<comment>\#[^\n]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<number>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
   | (?P<punct>[{}\[\]])
   | (?P<keyword>[A-Za-z_][A-Za-z0-9_\-]*)
+  | (?P<other>[\s\S])
     """,
     re.VERBOSE,
 )
-_SKIP_RE = re.compile(r"[\s,]+")
 
 
 @dataclass(frozen=True)
@@ -87,23 +90,15 @@ def parse_vrml(text: str) -> VrmlTokenStream:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ws = _SKIP_RE.match(text, pos)
-        if ws:
-            pos = ws.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        m = _TOKEN_RE.match(text, pos)
-        if m:
-            kind = m.lastgroup
-            value = float(m.group()) if kind == "number" else None
-            tokens.append(Token(kind, m.start(), m.end(), m.group(), value))
-            pos = m.end()
-        else:
-            # unknown byte: keep as punct so nothing is ever dropped
-            tokens.append(Token("punct", pos, pos + 1, text[pos]))
-            pos += 1
+        if kind == "other":
+            kind = "punct"                  # unknown byte: kept so nothing is ever dropped
+        tok = m.group()
+        tokens.append(Token(kind, m.start(), m.end(), tok,
+                            float(tok) if kind == "number" else None))
     return tokens
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dm_stegkit import TriMesh, grid_to_pbm, write_stl_binary
 from dm_stegkit.qr3d import BitGrid
@@ -37,6 +38,17 @@ def boxes_mesh(boxes) -> TriMesh:
         verts.append(v)
         faces.append(f)
     return TriMesh(np.vstack(verts), np.vstack(faces))
+
+
+@st.composite
+def box_unions(draw):
+    """One to three overlapping or disjoint axis-aligned boxes as one mesh."""
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        x0, y0, z0 = (draw(st.floats(-5.0, 5.0)) for _ in range(3))
+        dx, dy, dz = (draw(st.floats(0.3, 4.0)) for _ in range(3))
+        boxes.append((x0, y0, z0, x0 + dx, y0 + dy, z0 + dz))
+    return boxes_mesh(boxes)
 
 
 def two_tower_bridge() -> TriMesh:

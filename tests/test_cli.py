@@ -1,9 +1,12 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from dm_stegkit import grid_from_pbm, mesh_volume, parse_stl, unit_vector, write_stl_binary
+from dm_stegkit import __version__, audit, grid_from_pbm, mesh_volume, orientation_scan, \
+    parse_gcode, parse_stl, unit_vector, write_stl_binary
 from dm_stegkit.cli import run
 from conftest import box_mesh, two_tower_bridge, vrml_scene
 
@@ -40,6 +43,71 @@ def test_header_embed_extract_cycle(capsys, tmp_path, cube_stl):
     assert doc["result"]["payload"]["text"] == "ip=10.0.0.7 user=ops"
     # geometry untouched
     assert mesh_volume(parse_stl(out.read_bytes())) == pytest.approx(1000.0)
+
+
+def test_header_embed_keeps_binary_body_bytes(capsys, tmp_path):
+    # stored normal (0, 0, 0.5) and a colour attribute: a rewrite would
+    # renormalize the one and zero the other
+    facet = struct.pack("<12fH", 0, 0, 0.5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0x7C1F)
+    cover = tmp_path / "cover.stl"
+    cover.write_bytes(b"exporter v1".ljust(80, b"\x00") + struct.pack("<I", 1) + facet)
+    out = tmp_path / "marked.stl"
+    status, _ = invoke(capsys, "header-embed", str(cover), "--message", "hi", "-o", str(out))
+    assert status == 0
+    data, marked = cover.read_bytes(), out.read_bytes()
+    assert len(marked) == len(data)
+    assert marked[80:] == data[80:]
+    assert marked[:80] != data[:80]
+    status, doc = invoke(capsys, "header-extract", str(out))
+    assert doc["result"]["payload"]["text"] == "hi"
+
+
+def test_header_embed_writes_ascii_cover_as_binary(capsys, tmp_path):
+    cover = tmp_path / "cover.stl"
+    cover.write_text("solid t\nfacet normal 0 0 1\nouter loop\nvertex 0 0 0\n"
+                     "vertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\nendsolid t\n")
+    out = tmp_path / "marked.stl"
+    status, doc = invoke(capsys, "header-embed", str(cover), "--message", "hi", "-o", str(out))
+    assert status == 0
+    mesh = parse_stl(out.read_bytes())
+    assert out.read_bytes() == write_stl_binary(mesh)
+    assert mesh.header.hex() == doc["result"]["header_hex"]
+
+
+def _legacy_envelope(subcommand, path, result, warnings=()):
+    """The envelope as the CLI printed it through report.to_json()."""
+    return json.dumps({
+        "tool": "dm-stegkit", "version": __version__, "subcommand": subcommand,
+        "inputs": {str(path): f"{zlib.crc32(path.read_bytes()):08x}"},
+        "result": result, "warnings": list(warnings),
+    }) + "\n"
+
+
+@pytest.mark.parametrize("text", [
+    ";filament used = 0mm\nM82\nG1 X5 Z0.2 E3.5\n",                      # ratio Infinity
+    ";filament used = 4mm\n;filament_used: 9\nG1 X5 Z0.2 E3.5\n",          # ambiguous
+    "G1 X5 Z0.2 E3.5\nG1 X9 Z0.4 E4\n",                                    # no claim
+])
+def test_gcode_audit_envelope_matches_to_json(capsys, tmp_path, text):
+    path = tmp_path / "part.gcode"
+    path.write_text(text)
+    report = audit(parse_gcode(text))
+    legacy = json.loads(report.to_json())
+    legacy.pop("warnings")
+    assert run(["gcode-audit", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == _legacy_envelope("gcode-audit", path, legacy, report.warnings)
+    if "= 0mm" in text:
+        assert '"discrepancy_ratio": Infinity' in out
+
+
+def test_orient_scan_envelope_matches_to_json(capsys, tmp_path):
+    path = tmp_path / "towers.stl"
+    path.write_bytes(write_stl_binary(two_tower_bridge()))
+    report = orientation_scan(parse_stl(path.read_bytes()), 90.0, 0.2)
+    assert run(["orient-scan", str(path), "--angle-step", "90", "--top", "5"]) == 0
+    legacy = json.loads(report.to_json(top=5))
+    assert capsys.readouterr().out == _legacy_envelope("orient-scan", path, legacy)
 
 
 def test_header_extract_pristine_is_domain_error(capsys, cube_stl):

@@ -18,7 +18,15 @@ from dm_stegkit import (
     slice_mesh,
     write_stl_binary,
 )
-from dm_stegkit.meshcore import _dedup_vertices
+from dm_stegkit.meshcore import (
+    SliceLoops,
+    _crossing_segments,
+    _dedup_vertices,
+    _weld_and_chain,
+    default_weld_tol,
+    slice_levels,
+)
+from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_vector
 from dm_stegkit.errors import (
     BadLine,
     EmptyCloud,
@@ -26,7 +34,7 @@ from dm_stegkit.errors import (
     NonFiniteCoordinate,
     TruncatedFile,
 )
-from conftest import box_mesh, boxes_mesh
+from conftest import box_mesh, box_unions, boxes_mesh, random_code_grid
 
 ASCII_ONE_FACET = """solid demo
   facet normal 0 0 1
@@ -263,6 +271,76 @@ def test_loops_are_closed_and_non_degenerate():
         steps = np.linalg.norm(np.diff(closed, axis=0), axis=1)
         assert (steps > 0).all()
         assert len(np.unique(loop, axis=0)) == len(loop)
+
+
+# --- batched slicer against the single-plane reference ------------------------------
+
+def _slice_reference(mesh, z, weld_tol):
+    """The single-plane slicer that slice_mesh ran before slice_levels."""
+    result = SliceLoops(z=float(z))
+    if not len(mesh.triangles):
+        return result
+    pts = mesh.triangle_points
+    zmin = pts[:, :, 2].min(axis=1)
+    zmax = pts[:, :, 2].max(axis=1)
+    cand = (zmin <= z) & (zmax >= z)
+    if not cand.any():
+        return result
+    segs = _crossing_segments(pts[cand], np.full(int(cand.sum()), float(z)))
+    segs = segs[~np.isnan(segs[:, 0])]
+    loops, chains = _weld_and_chain(segs.tolist(), weld_tol)
+    result.loops = [np.array(lp) for lp in loops]
+    result.open_chains = [np.array(ch) for ch in chains]
+    return result
+
+
+def _bits(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+def _probe_levels(mesh):
+    """Every vertex height, the midpoints between them and heights outside."""
+    zs = np.unique(mesh.vertices[:, 2])
+    lo, hi = (zs[0], zs[-1]) if len(zs) else (0.0, 1.0)
+    return np.unique(np.concatenate([zs, (zs[1:] + zs[:-1]) / 2,
+                                     [lo - 1.0, lo - 1e-12, hi + 1e-12, hi + 1.0]]))
+
+
+def _assert_batch_matches_reference(mesh):
+    weld_tol = default_weld_tol(mesh)
+    levels = _probe_levels(mesh)
+    batch = slice_levels(mesh.triangle_points, levels, weld_tol)
+    assert len(batch) == len(levels)
+    for z, got in zip(levels, batch):
+        want = _slice_reference(mesh, z, weld_tol)
+        for section in (got, slice_mesh(mesh, z)):
+            assert section.z == want.z
+            assert _bits(section.loops) == _bits(want.loops)
+            assert _bits(section.open_chains) == _bits(want.open_chains)
+
+
+@settings(max_examples=30, deadline=None)
+@given(box_unions(), st.sampled_from([0.0, 30.0, 45.0]), st.integers(0, 3),
+       st.integers(0, 2 ** 31))
+def test_slice_levels_matches_single_plane_reference(mesh, angle, holes, seed):
+    mesh = rotate_mesh(mesh, Rotation(angle, angle / 2, 0.0))
+    # dropping faces leaves open chains for the welder to report
+    keep = np.random.default_rng(seed).permutation(len(mesh.triangles))[holes:]
+    _assert_batch_matches_reference(TriMesh(mesh.vertices, mesh.triangles[np.sort(keep)]))
+
+
+def test_slice_levels_matches_reference_on_sphere_code():
+    grid = random_code_grid(np.random.default_rng(4), n=5, density=0.5)
+    params = EmbedParams(pitch=2.0, direction=unit_vector((0.2, 0.3, 0.93)), seed=3)
+    _assert_batch_matches_reference(spheres_to_mesh(grid_to_spheres(grid, params), 1))
+
+
+def test_slice_levels_empty_triangle_set():
+    empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    sections = slice_levels(empty.triangle_points, [-1.0, 0.0, 2.5], 1e-6)
+    assert [s.z for s in sections] == [-1.0, 0.0, 2.5]
+    assert all(s.loops == [] and s.open_chains == [] for s in sections)
+    _assert_batch_matches_reference(empty)
 
 
 def test_volume_unit_and_10mm_cube():

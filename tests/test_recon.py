@@ -24,7 +24,7 @@ from dm_stegkit import recon
 from dm_stegkit.errors import DegenerateLayer, EmptyCloud, TooFewPoints
 from dm_stegkit.meshcore import TriMesh, polygon_area
 from dm_stegkit.meshcore import default_weld_tol
-from conftest import box_mesh, boxes_mesh, random_code_grid, two_tower_bridge
+from conftest import box_mesh, box_unions, boxes_mesh, random_code_grid, two_tower_bridge
 
 
 def circle_layer(z, radius=5.0, samples=128):
@@ -509,6 +509,21 @@ def test_bottom_layer_area_tiebreak():
     assert best.rotation.as_tuple() == (0.0, 0.0, 0.0)
 
 
+def test_bottom_layer_area_is_float_without_closed_loops():
+    # a side face removed: the bottom layer has one open chain and no loop
+    box = box_mesh(0, 0, 0, 1, 1, 1)
+    open_box = TriMesh(box.vertices, np.delete(box.triangles, [4, 5], axis=0))
+    slab = box_mesh(0, 0, 0, 5, 5, 0.05)   # bottom level misses the mesh
+    for mesh in (open_box, slab):
+        report = orientation_scan(mesh, angle_step_deg=180, layer_height=0.2)
+        for cand in report.candidates:
+            assert type(cand.bottom_layer_area) is float
+            assert cand.bottom_layer_area == 0.0
+    assert '"bottom_layer_area": 0.0' in report.to_json(top=1)
+    assert report.best().max_open_chains == 0
+    assert orientation_scan(open_box, 180, 0.2).best().max_open_chains == 1
+
+
 # --- up-vector grouping ------------------------------------------------------------------
 
 def _up_key(rotation):
@@ -572,16 +587,6 @@ def test_scan_matches_per_rotation_reference(mesh_factory, step):
         assert cand.max_open_chains == max_open
         assert cand.fragmentation_score == frag
         assert cand.bottom_layer_area == pytest.approx(area, rel=1e-9, abs=0.0)
-
-
-@st.composite
-def box_unions(draw):
-    boxes = []
-    for _ in range(draw(st.integers(1, 3))):
-        x0, y0, z0 = (draw(st.floats(-5.0, 5.0)) for _ in range(3))
-        dx, dy, dz = (draw(st.floats(0.3, 4.0)) for _ in range(3))
-        boxes.append((x0, y0, z0, x0 + dx, y0 + dy, z0 + dz))
-    return boxes_mesh(boxes)
 
 
 @settings(max_examples=8, deadline=None)

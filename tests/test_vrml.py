@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from dm_stegkit.errors import (
     UnbalancedBrackets,
 )
 from dm_stegkit.stego import FRAME_OVERHEAD
+from dm_stegkit.vrml import Token, _tokenize
 from conftest import vrml_scene
 
 TWO_TRIPLES = """#VRML V2.0 utf8
@@ -195,3 +198,55 @@ def test_strings_and_comments_do_not_confuse_tokenizer():
     stream = parse_vrml(tricky)
     assert len(stream.color_green_slots) == 1
     assert stream.emit() == tricky
+
+
+# --- tokenizer against the two-regex reference -----------------------------------
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+    (?P<comment>\#[^\n]*)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<number>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
+  | (?P<punct>[{}\[\]])
+  | (?P<keyword>[A-Za-z_][A-Za-z0-9_\-]*)
+    """,
+    re.VERBOSE,
+)
+_REF_SKIP_RE = re.compile(r"[\s,]+")
+
+
+def _tokenize_reference(text):
+    """Separator match, then token match, then one unknown character."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        ws = _REF_SKIP_RE.match(text, pos)
+        if ws:
+            pos = ws.end()
+            continue
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m:
+            kind = m.lastgroup
+            value = float(m.group()) if kind == "number" else None
+            tokens.append(Token(kind, m.start(), m.end(), m.group(), value))
+            pos = m.end()
+        else:
+            tokens.append(Token("punct", pos, pos + 1, text[pos]))
+            pos += 1
+    return tokens
+
+
+# escapes next to newlines and quotes, exponents, signs, unknown bytes
+_VRML_ALPHABET = st.sampled_from(list('#"\\\n\r\t ,{}[]0123456789.eE+-_aZ~@\x00é'))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(_VRML_ALPHABET, max_size=60) | st.text(max_size=40))
+def test_tokenizer_matches_two_regex_reference(text):
+    assert _tokenize(text) == _tokenize_reference(text)
+
+
+def test_tokenizer_matches_reference_on_scenes():
+    for text in (vrml_scene(triples=2000, seed=4), TWO_TRIPLES,
+                 '"a\\\n" b "c\\"d" # e\n"unterminated \\\n'):
+        assert _tokenize(text) == _tokenize_reference(text)
