@@ -84,6 +84,9 @@ def grid_from_pbm(text: str) -> BitGrid:
         raise ValueError("expected plain PBM (P1)")
     if len(tokens) < 3:
         raise ValueError("PBM header truncated")
+    if not all(t.isascii() and t.isdigit() and int(t) > 0 for t in tokens[1:3]):
+        raise ValueError(f"PBM header: width and height must be positive integers, "
+                         f"got {tokens[1]!r} {tokens[2]!r}")
     w, h = int(tokens[1]), int(tokens[2])
     digits = "".join(tokens[3:])
     if len(digits) != w * h or set(digits) - {"0", "1"}:
@@ -394,17 +397,27 @@ def _polish_direction(points: np.ndarray, v: np.ndarray,
     return v
 
 
-def _canonical_direction(v: np.ndarray) -> np.ndarray:
-    """Resolve the v/-v ambiguity: nonnegative z, then y, then x."""
+def _canonical_rows(dirs: np.ndarray) -> np.ndarray:
+    """Resolve the v/-v ambiguity per row: nonnegative z, then y, then x."""
     tol = 1e-12
-    if v[2] < -tol:
-        return -v
-    if abs(v[2]) <= tol:
-        if v[1] < -tol:
-            return -v
-        if abs(v[1]) <= tol and v[0] < 0:
-            return -v
-    return v
+    x, y, z = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    flip = (z < -tol) | ((np.abs(z) <= tol)
+                         & ((y < -tol) | ((np.abs(y) <= tol) & (x < 0))))
+    return np.where(flip[:, None], -dirs, dirs)
+
+
+def _canonical_direction(v: np.ndarray) -> np.ndarray:
+    return _canonical_rows(v[None, :])[0]
+
+
+def _top_directions(scores: np.ndarray, dirs: np.ndarray, k: int) -> list[int]:
+    """Indices of the k smallest (score, canonical direction) keys, in order.
+
+    Equal keys keep index order, as a stable sort on the same keys would.
+    """
+    canon = _canonical_rows(dirs)
+    order = np.lexsort((canon[:, 2], canon[:, 1], canon[:, 0], scores))
+    return order[:k].tolist()
 
 
 def _sph_dir(theta_deg: float, phi_deg: float) -> np.ndarray:
@@ -414,6 +427,9 @@ def _sph_dir(theta_deg: float, phi_deg: float) -> np.ndarray:
 
 
 _COARSE_SUBSAMPLE = 128
+# direction x center-pair entries per coarse batch: at 128 centers a batch
+# of 128 directions keeps the float32 pairwise block at 8 MB
+_COARSE_BATCH_PAIRS = 1 << 21
 
 
 def search_direction(cloud: SphereCloud | np.ndarray,
@@ -421,14 +437,16 @@ def search_direction(cloud: SphereCloud | np.ndarray,
                      refine_to_deg: float = 0.05) -> DirectionSearchResult:
     """Find the viewing direction by hemisphere scan plus local refinement.
 
-    A coarse polar grid is scored (clouds beyond 128 centers are scored on
-    a seeded-shuffle subsample for speed), the 5 best candidates descend
-    3x3 step-halving pattern grids until the step drops below
-    ``refine_to_deg``, and the winner gets a regression polish before its
-    projection is returned. Ties break on the canonicalized direction, so
-    results do not depend on evaluation order. Pitch estimation relies on
-    adjacent occupied modules, so matrices missing much more than half
-    their modules may defeat it.
+    A coarse polar grid is scored in cache-sized batches (clouds beyond 128
+    centers are scored on a seeded-shuffle subsample for speed), the 5 best
+    candidates descend 3x3 step-halving pattern grids until the step drops
+    below ``refine_to_deg``, and the winner gets a regression polish before
+    its projection is returned. Each refine direction is scored once per
+    search; ``candidates_evaluated`` still counts every pattern point
+    visited. Ties break on the canonicalized direction, so results do not
+    depend on evaluation order. Pitch estimation relies on adjacent
+    occupied modules, so matrices missing much more than half their
+    modules may defeat it.
     """
     centers = cloud.centers if isinstance(cloud, SphereCloud) else np.asarray(cloud)
     centers = centers.reshape(-1, 3)
@@ -459,44 +477,52 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     dirs = np.array([_sph_dir(t, p) for t, p in angles])
     evaluated = len(dirs)
 
-    scores = np.empty(len(dirs))
-    chunk = max(1, int(2e7 / max(len(coarse_pts) ** 2, 1)))
-    for lo in range(0, len(dirs), chunk):
-        hi = min(lo + chunk, len(dirs))
-        scores[lo:hi], _ = _score_directions(coarse_pts, dirs[lo:hi], dtype=np.float32)
+    # near-equal batches, so none shrinks to the one-row matmul (see below)
+    batches = -(-len(dirs) * len(coarse_pts) ** 2 // _COARSE_BATCH_PAIRS)
+    scores = np.concatenate([_score_directions(coarse_pts, part, dtype=np.float32)[0]
+                             for part in np.array_split(dirs, batches)])
+    top = _top_directions(scores, dirs, 5)
 
-    def sort_key(i):
-        return (scores[i], tuple(_canonical_direction(dirs[i])))
+    # direction bytes -> ((score, canonical direction), pitch). A row's score
+    # does not depend on the rest of its batch, except that a one-row matmul
+    # takes BLAS's matrix-vector path, which rounds differently; a lone
+    # missing direction is therefore scored as a pair with itself.
+    memo: dict[bytes, tuple[tuple, float]] = {}
 
-    top = sorted(range(len(dirs)), key=sort_key)[:5]
+    def ring_keys(gdirs: list[np.ndarray]) -> list[bytes]:
+        keys = [d.tobytes() for d in gdirs]
+        todo = {key: d for key, d in zip(keys, gdirs) if key not in memo}
+        if todo:
+            batch = np.array(list(todo.values()) * (2 if len(todo) == 1 else 1))
+            gscores, gpitches = _score_directions(centers, batch)
+            canon = _canonical_rows(batch)
+            for k, key in enumerate(todo):
+                memo[key] = ((gscores[k], tuple(canon[k])), float(gpitches[k]))
+        return keys
 
     best_dir = None
     best_key = None
     best_pitch = None
     for i in top:
-        theta, phi = angles[i]
         step = coarse_step_deg / 2.0
-        cur = (theta, phi)
+        cur = angles[i]
         while True:
             # pattern search: walk the 3x3 ring at this step until the
             # center is the local argmin, then halve the step
             for _ in range(16):
                 grid_angles = [(cur[0] + dt * step, cur[1] + dp * step)
                                for dt in (-1, 0, 1) for dp in (-1, 0, 1)]
-                gdirs = np.array([_sph_dir(t, p) for t, p in grid_angles])
-                gscores, gpitches = _score_directions(centers, gdirs)
+                gdirs = [_sph_dir(t, p) for t, p in grid_angles]
+                keys = ring_keys(gdirs)
                 evaluated += len(gdirs)
-                order = sorted(range(len(gdirs)),
-                               key=lambda k: (gscores[k],
-                                              tuple(_canonical_direction(gdirs[k]))))
-                kbest = order[0]
+                kbest = min(range(len(gdirs)), key=lambda k: memo[keys[k]][0])
                 moved = grid_angles[kbest] != cur
                 cur = grid_angles[kbest]
-                cand_key = (gscores[kbest], tuple(_canonical_direction(gdirs[kbest])))
+                cand_key, cand_pitch = memo[keys[kbest]]
                 if best_key is None or cand_key < best_key:
                     best_key = cand_key
                     best_dir = gdirs[kbest]
-                    best_pitch = float(gpitches[kbest])
+                    best_pitch = cand_pitch
                 if not moved:
                     break
             if step < refine_to_deg:
@@ -529,9 +555,14 @@ def cloud_to_xyz(cloud: SphereCloud) -> str:
 
 def cloud_from_xyz(text: str) -> SphereCloud:
     radius = 0.0
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if s.startswith("#") and "radius=" in s:
-            radius = float(s.split("radius=", 1)[1].split()[0])
+            value = s.split("radius=", 1)[1].split()
+            try:
+                radius = float(value[0])
+            except (IndexError, ValueError):
+                raise ValueError(f"line {lineno}: radius comment needs a number, "
+                                 f"got {s!r}") from None
             break
     return SphereCloud(parse_xyz(text).points, radius)

@@ -268,6 +268,26 @@ def test_qr3d_project_degenerate_is_domain_error(capsys, tmp_path):
     assert doc["result"]["error"] == "DegenerateProjection"
 
 
+@pytest.mark.parametrize("comment", ["# radius=", "# radius=abc"])
+def test_qr3d_search_bad_radius_comment_is_domain_error(capsys, tmp_path, comment):
+    path = tmp_path / "cloud.xyz"
+    path.write_text("# sphere cloud\n" + comment + "\n0 0 0\n2 0 0\n0 2 0\n2 2 1\n")
+    status, doc = invoke(capsys, "qr3d-search", str(path))
+    assert status == 1
+    assert doc["result"]["error"] == "ValueError"
+    assert doc["result"]["message"].startswith("line 2: radius")
+
+
+def test_qr3d_embed_negative_pbm_size_is_domain_error(capsys, tmp_path):
+    pbm = tmp_path / "g.pbm"
+    pbm.write_text("P1\n-2 -2\n1 1 1 1\n")
+    status, doc = invoke(capsys, "qr3d-embed", "--grid", str(pbm), "--dir", "0,0,1",
+                         "--pitch", "1", "-o", str(tmp_path / "c.xyz"))
+    assert status == 1
+    assert doc["result"]["error"] == "ValueError"
+    assert "PBM header" in doc["result"]["message"]
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         run(["no-such-command"])

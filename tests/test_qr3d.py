@@ -22,6 +22,7 @@ from dm_stegkit import (
     unit_vector,
 )
 from dm_stegkit.errors import DegenerateProjection, TooFewSpheres
+from dm_stegkit import qr3d
 from dm_stegkit.qr3d import SplitMix64
 from conftest import random_code_grid, random_unit_direction
 
@@ -196,6 +197,17 @@ def test_pbm_roundtrip():
     assert grid_from_pbm(text) == grid
 
 
+@pytest.mark.parametrize("text", [
+    "P1\n-2 -2\n1 1 1 1\n",     # product matches the 4 pixels
+    "P1\n0 0\n",
+    "P1\n2 x\n1 1 1 1\n",
+    "P1\n2.0 2\n1 1 1 1\n",
+])
+def test_pbm_rejects_bad_size(text):
+    with pytest.raises(ValueError, match="PBM header"):
+        grid_from_pbm(text)
+
+
 # --- scoring ------------------------------------------------------------------------
 
 def _planted(seed, n=21, jitter_pitches=5.0, pitch=2.0):
@@ -316,3 +328,179 @@ def test_search_canonical_hemisphere():
     result = search_direction(cloud)
     d = result.direction
     assert d[2] > 0 or (abs(d[2]) <= 1e-12 and (d[1] > 0 or d[0] > 0))
+
+
+# --- search against the single-pass reference ----------------------------------------
+
+def _ref_canonical(v):
+    tol = 1e-12
+    if v[2] < -tol:
+        return -v
+    if abs(v[2]) <= tol:
+        if v[1] < -tol:
+            return -v
+        if abs(v[1]) <= tol and v[0] < 0:
+            return -v
+    return v
+
+
+def _reference_search_direction(centers, coarse_step_deg=2.0, refine_to_deg=0.05):
+    """The search as first written: coarse chunks of 2e7 / N^2 directions, a
+    Python sort for the top 5, and every pattern point rescored."""
+    if len(centers) > qr3d._COARSE_SUBSAMPLE:
+        order = list(range(len(centers)))
+        rng = SplitMix64(0x5EEDED5C0FFEE)
+        for i in range(len(order) - 1, 0, -1):
+            j = rng.next_u64() % (i + 1)
+            order[i], order[j] = order[j], order[i]
+        coarse_pts = centers[np.sort(order[:qr3d._COARSE_SUBSAMPLE])]
+    else:
+        coarse_pts = centers
+    angles = []
+    for t in np.arange(0.0, 90.0 + 1e-9, coarse_step_deg):
+        if t == 0.0:
+            angles.append((0.0, 0.0))
+            continue
+        for p in np.arange(0.0, 360.0, coarse_step_deg):
+            angles.append((float(t), float(p)))
+    dirs = np.array([qr3d._sph_dir(t, p) for t, p in angles])
+    evaluated = len(dirs)
+    scores = np.empty(len(dirs))
+    chunk = max(1, int(2e7 / max(len(coarse_pts) ** 2, 1)))
+    for lo in range(0, len(dirs), chunk):
+        hi = min(lo + chunk, len(dirs))
+        scores[lo:hi], _ = qr3d._score_directions(coarse_pts, dirs[lo:hi],
+                                                  dtype=np.float32)
+    top = sorted(range(len(dirs)),
+                 key=lambda i: (scores[i], tuple(_ref_canonical(dirs[i]))))[:5]
+    best_dir = best_key = best_pitch = None
+    for i in top:
+        step = coarse_step_deg / 2.0
+        cur = angles[i]
+        while True:
+            for _ in range(16):
+                grid_angles = [(cur[0] + dt * step, cur[1] + dp * step)
+                               for dt in (-1, 0, 1) for dp in (-1, 0, 1)]
+                gdirs = np.array([qr3d._sph_dir(t, p) for t, p in grid_angles])
+                gscores, gpitches = qr3d._score_directions(centers, gdirs)
+                evaluated += len(gdirs)
+                kbest = sorted(range(len(gdirs)),
+                               key=lambda k: (gscores[k],
+                                              tuple(_ref_canonical(gdirs[k]))))[0]
+                moved = grid_angles[kbest] != cur
+                cur = grid_angles[kbest]
+                cand_key = (gscores[kbest], tuple(_ref_canonical(gdirs[kbest])))
+                if best_key is None or cand_key < best_key:
+                    best_key, best_dir = cand_key, gdirs[kbest]
+                    best_pitch = float(gpitches[kbest])
+                if not moved:
+                    break
+            if step < refine_to_deg:
+                break
+            step /= 2.0
+    polished = qr3d._polish_direction(centers, unit_vector(best_dir))
+    pscore, ppitch = qr3d._score_directions(centers, polished[None, :])
+    evaluated += 1
+    pkey = (float(pscore[0]), tuple(_ref_canonical(polished)))
+    if pkey < best_key:
+        best_key, best_dir, best_pitch = pkey, polished, float(ppitch[0])
+    direction = _ref_canonical(unit_vector(best_dir))
+    return (direction, float(best_key[0]), best_pitch,
+            project_to_grid(centers, direction, best_pitch), evaluated)
+
+
+def _coplanar_cloud():
+    rng = np.random.default_rng(22)
+    grid = random_code_grid(rng, n=15)
+    return grid_to_spheres(grid, EmbedParams(pitch=2.0, direction=random_unit_direction(rng),
+                                             depth_jitter=0.0, seed=23))
+
+
+@pytest.mark.parametrize("make, centers", [
+    (lambda: _planted(seed=24, n=13)[2], (1, 128)),
+    (lambda: grid_to_spheres(random_code_grid(np.random.default_rng(31), n=21, density=0.2),
+                             EmbedParams(pitch=2.0, direction=unit_vector((0.3, -0.5, 0.8)),
+                                         seed=31)), (1, 128)),
+    (lambda: _planted(seed=21)[2], (129, 441)),
+    (_coplanar_cloud, (1, 441)),
+], ids=["n13", "n21-sparse", "n21-subsample", "coplanar"])
+def test_search_matches_reference(make, centers):
+    cloud = make()
+    assert centers[0] <= len(cloud.centers) <= centers[1]
+    direction, score, pitch, grid, evaluated = _reference_search_direction(cloud.centers)
+    result = search_direction(cloud)
+    assert result.direction.tobytes() == direction.tobytes()
+    assert result.score.hex() == score.hex()
+    assert result.estimated_pitch.hex() == pitch.hex()
+    assert result.candidates_evaluated == evaluated
+    assert result.grid == grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 60),
+       m=st.integers(2, 12), lattice=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_score_row_independent_of_batch(seed, n, m, lattice, dtype):
+    # the refine memo and the coarse batching both rely on this: a row's
+    # score and pitch are the same bits in any batch of two or more rows
+    rng = np.random.default_rng(seed)
+    if lattice:
+        v = random_unit_direction(rng)
+        points = grid_to_spheres(random_code_grid(rng, n=7), EmbedParams(
+            pitch=1.5, direction=v, seed=seed)).centers[:n]
+        dirs = v + 0.02 * rng.normal(size=(m, 3))
+    else:
+        points = rng.normal(scale=10.0, size=(n, 3))
+        dirs = rng.normal(size=(m, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    score, pitch = qr3d._score_directions(points, dirs, dtype=dtype)
+    rev_score, rev_pitch = qr3d._score_directions(points, dirs[::-1].copy(), dtype=dtype)
+    for k in range(m):
+        pair_score, pair_pitch = qr3d._score_directions(points, dirs[[k, k]], dtype=dtype)
+        for other in (pair_score[0], rev_score[m - 1 - k]):
+            assert other.tobytes() == score[k].tobytes()
+        for other in (pair_pitch[0], rev_pitch[m - 1 - k]):
+            assert other.tobytes() == pitch[k].tobytes()
+
+
+def test_top_directions_match_sorted_with_ties():
+    rng = np.random.default_rng(41)
+    grid_dirs = np.array([qr3d._sph_dir(t, p) for t in range(0, 91, 10)
+                          for p in range(0, 360, 30)])
+    edge = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0],
+                     [1.0, -0.0, -0.0], [0.0, -1.0, 1e-13], [0.6, -0.8, -1e-13],
+                     [-0.6, 0.8, 2e-12]])
+    dirs = np.concatenate([grid_dirs, -grid_dirs, edge, grid_dirs[:5]])
+    for trial in range(20):
+        # few distinct values, so most keys tie on score and fall to the direction
+        scores = rng.integers(0, 4, size=len(dirs)) / 4.0
+        scores[rng.random(len(dirs)) < 0.1] = np.inf
+        order = rng.permutation(len(dirs))
+        d, s = dirs[order], scores[order]
+        expected = sorted(range(len(d)), key=lambda i: (s[i], tuple(_ref_canonical(d[i]))))
+        assert qr3d._top_directions(s, d, 5) == expected[:5]
+        assert qr3d._top_directions(s, d, len(d)) == expected
+    for v in np.concatenate([dirs, -edge]):
+        assert qr3d._canonical_direction(v).tobytes() == _ref_canonical(v).tobytes()
+
+
+def test_search_scores_each_refine_direction_once(monkeypatch):
+    calls = []
+    score_directions = qr3d._score_directions
+
+    def spy(points, dirs, dtype=np.float64):
+        calls.append((np.dtype(dtype), np.array(dirs)))
+        return score_directions(points, dirs, dtype)
+
+    monkeypatch.setattr(qr3d, "_score_directions", spy)
+    result = search_direction(_planted(seed=26, n=13)[2])
+    coarse = sum(len(d) for t, d in calls if t == np.float32)
+    *rings, polish = [d for t, d in calls if t == np.float64]
+    assert len(polish) == 1
+    # a lone missing direction goes to BLAS as a pair with itself, never alone
+    assert all(len(d) >= 2 for d in rings)
+    pairs = sum(len(d) == 2 and d[0].tobytes() == d[1].tobytes() for d in rings)
+    assert pairs > 0
+    rows = [r.tobytes() for d in rings for r in d]
+    assert len(set(rows)) == len(rows) - pairs
+    assert len(set(rows)) < (result.candidates_evaluated - coarse - 1) / 2
