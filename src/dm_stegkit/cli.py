@@ -209,6 +209,10 @@ def _cmd_qr3d_search(run: _Run, args) -> dict:
     pbm = qr3d.grid_to_pbm(result.grid)
     if args.output:
         _write_bytes(args.output, pbm.encode("utf-8"))
+    if result.score >= qr3d.MISS_SCORE:
+        run.warnings.append(f"best lattice score {result.score:.3g} >= {qr3d.MISS_SCORE}: "
+                            "no lattice direction was found; direction and grid are "
+                            "unreliable")
     return {
         "direction": result.direction.tolist(),
         "score": result.score,

@@ -65,11 +65,16 @@ class ForensicsReport:
         return json.dumps(self.to_dict(), indent=2 if pretty else None)
 
 
+_PAREN_COMMENT = re.compile(r"\([^()]*\)")
+
+
 def parse_gcode(text: str) -> GcodeProgram:
     """Parse one command per nonempty line.
 
     Comment-only lines are kept as commands with an empty code; unknown
-    codes are preserved verbatim so later rewrites lose nothing.
+    codes are preserved verbatim so later rewrites lose nothing. As in
+    RS274/NGC and RepRap firmware, a leading ``N`` line number, a trailing
+    ``*`` checksum and ``( ... )`` comments are dropped.
     """
     commands = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -79,11 +84,22 @@ def parse_gcode(text: str) -> GcodeProgram:
         comment = None
         if ";" in line:
             line, comment = line.split(";", 1)
-            line = line.strip()
-        if not line:
+        if "(" in line or ")" in line:
+            line = _PAREN_COMMENT.sub(" ", line)
+            if "(" in line or ")" in line:
+                raise MalformedNumber(lineno, "unbalanced '(' comment")
+        if "*" in line:
+            line, _, checksum = line.rpartition("*")
+            if not checksum.strip().isdigit():
+                raise MalformedNumber(lineno, f"bad checksum {checksum.strip()!r}")
+        words = _split_words(line, lineno)
+        if words and words[0][0] == "N":
+            if not words[0][1].isdigit():
+                raise MalformedNumber(lineno, f"bad line number {words[0][1]!r}")
+            words = words[1:]
+        if not words:
             commands.append(GcodeCommand(lineno, "", {}, comment))
             continue
-        words = _split_words(line, lineno)
         letter, number = words[0]
         code = f"{letter}{_format_code_number(number, lineno, letter)}"
         args = {}

@@ -110,7 +110,10 @@ class SliceLoops:
     """Cross-section of a mesh at height z.
 
     ``loops`` are closed polylines (first point implicitly follows the
-    last); ``open_chains`` are leftovers that could not be welded shut.
+    last); ``open_chains`` are polylines that do not close, ending where
+    the surface has a boundary or at a point shared by an odd number of
+    segments. Each point is one mesh feature: an on-plane vertex or the
+    crossing of an edge.
     """
 
     z: float
@@ -235,26 +238,36 @@ def _dedup_vertices(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge bit-identical positions, keeping first-occurrence order.
 
     Rows are compared as float64 bit patterns, so -0.0 and +0.0 stay
-    distinct. A stable lexsort groups equal rows with each group's first
-    occurrence at its head; the output never depends on the sort order.
+    distinct.
     """
-    if not len(corners):
-        return corners.reshape(0, 3), np.zeros(0, dtype=np.int64)
-    corners = np.ascontiguousarray(corners, dtype=np.float64)
-    bits = corners.view(np.uint64)
-    order = np.lexsort((bits[:, 2], bits[:, 1], bits[:, 0]))
+    corners = np.ascontiguousarray(corners, dtype=np.float64).reshape(-1, 3)
+    firsts, inverse = _first_occurrence_ids(corners.view(np.uint64))
+    return corners[firsts], inverse
+
+
+def _first_occurrence_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of an integer array by first occurrence.
+
+    Returns (firsts, ids): the ascending row index of each number's first
+    occurrence, and each row's number. A stable lexsort groups equal rows
+    with each group's first occurrence at its head; the output never
+    depends on the sort order.
+    """
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.lexsort(rows.T[::-1])
     head = np.zeros(len(order), dtype=bool)     # sorted row differs from the one before
     head[0] = True
-    for k in range(3):
-        col = bits[order, k]
+    for k in range(rows.shape[1]):
+        col = rows[order, k]
         head[1:] |= col[1:] != col[:-1]
     firsts = order[head]                        # first occurrence of each group
     is_first = np.zeros(len(order), dtype=bool)
     is_first[firsts] = True
-    index = np.cumsum(is_first) - 1             # vertex index, read at first occurrences
-    inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = index[firsts][np.cumsum(head) - 1]
-    return corners[is_first], inverse
+    index = np.cumsum(is_first) - 1             # number, read at first occurrences
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = index[firsts][np.cumsum(head) - 1]
+    return np.nonzero(is_first)[0], ids
 
 
 # --- STL writing --------------------------------------------------------------
@@ -334,196 +347,137 @@ def mesh_volume(mesh: TriMesh) -> float:
     return abs(signed_volume(mesh))
 
 
-def default_weld_tol(mesh: TriMesh) -> float:
-    lo, hi = mesh.bounds()
-    diag = float(np.linalg.norm(hi - lo))
-    return 1e-6 * diag if diag > 0 else 1e-6
-
-
 # --- planar slicing -------------------------------------------------------------
 
-def _crossing_segments(tri_pts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Intersect triangles with horizontal planes.
+# triangle corners of each section feature: corners 0, 1, 2 (on the plane),
+# then edges (0, 1), (0, 2), (1, 2) (ends strictly on opposite sides)
+_FEATURE_CORNERS = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [0, 2], [1, 2]])
 
-    ``tri_pts`` is (k, 3, 3); ``z`` is a plane height per row. Returns
-    (k, 4) segments [x0, y0, x1, y1] with NaN rows for non-crossing pairs.
 
-    Triangles exactly coplanar with their plane are skipped; an on-plane
-    edge is emitted only when the third vertex lies strictly above, so the
-    shared edge of two coplanar-adjacent triangles is contributed once.
+def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarray):
+    """Sections of an indexed mesh with ascending planes, as node paths.
+
+    Nodes are mesh features, not welded coordinates (Minetto et al., "An
+    optimal algorithm for 3D triangle mesh slicing", CAD 2017): an
+    on-plane vertex, or an edge whose ends lie strictly on opposite sides
+    of the plane, each at one level. A (triangle, level) pair with exactly
+    two features is one segment between them, except an on-plane edge
+    whose third vertex lies below, so the shared edge of two coplanar
+    neighbours is contributed once. Nodes are numbered by first appearance
+    in (level, triangle) order and walked by ``_walk``.
+
+    Returns (xy, node_level, loops, chains): node coordinates (n, 2), each
+    node's level index, and the loops and open chains as node lists.
     """
-    d = tri_pts[:, :, 2] - z[:, None]
-    s = np.sign(d).astype(np.int8)
-    nzero = (s == 0).sum(axis=1)
-    ssum = s.sum(axis=1)
-    out = np.full((len(tri_pts), 4), np.nan)
-
-    # two vertices on the plane, third strictly above
-    m = (nzero == 2) & (ssum == 1)
-    if m.any():
-        pts = tri_pts[m]
-        on = s[m] == 0
-        sel = pts[on].reshape(-1, 2, 3)
-        out[m, 0:2] = sel[:, 0, :2]
-        out[m, 2:4] = sel[:, 1, :2]
-
-    # one vertex on the plane, other two on opposite sides
-    m = (nzero == 1) & (ssum == 0)
-    if m.any():
-        pts, dd, sm = tri_pts[m], d[m], s[m]
-        k = len(pts)
-        onidx = np.argmax(sm == 0, axis=1)
-        rows = np.arange(k)
-        others = np.array([[1, 2], [0, 2], [0, 1]])[onidx]
-        a = pts[rows, others[:, 0]]
-        b = pts[rows, others[:, 1]]
-        da = dd[rows, others[:, 0]]
-        db = dd[rows, others[:, 1]]
-        t = da / (da - db)
-        cross = a + (b - a) * t[:, None]
-        out[m, 0:2] = pts[rows, onidx][:, :2]
-        out[m, 2:4] = cross[:, :2]
-
-    # plain crossing: one vertex alone on its side of the plane
-    m = (nzero == 0) & (np.abs(ssum) == 1)
-    if m.any():
-        pts, dd, sm = tri_pts[m], d[m], s[m]
-        k = len(pts)
-        lone = np.argmax(sm == -ssum[m, None], axis=1)
-        rows = np.arange(k)
-        others = np.array([[1, 2], [0, 2], [0, 1]])[lone]
-        a = pts[rows, lone]
-        da = dd[rows, lone]
-        for j in (0, 1):
-            b = pts[rows, others[:, j]]
-            db = dd[rows, others[:, j]]
-            t = da / (da - db)
-            cross = a + (b - a) * t[:, None]
-            out[m, 2 * j:2 * j + 2] = cross[:, :2]
-    return out
+    z = vertices[:, 2]
+    tz = z[triangles]
+    first = np.searchsorted(levels, tz.min(axis=1), side="left")
+    counts = np.searchsorted(levels, tz.max(axis=1), side="right") - first
+    # every (triangle, level) pair whose z-range holds the level, level-major
+    lev = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    order = np.argsort(lev, kind="stable")
+    lev = lev[order]
+    tri = np.repeat(np.arange(len(triangles)), counts)[order]
+    s = np.sign(tz[tri] - levels[lev, None]).astype(np.int8)
+    on = s == 0
+    feature = np.concatenate([on, s[:, [0, 0, 1]] * s[:, [1, 2, 2]] < 0], axis=1)
+    seg = (feature.sum(axis=1) == 2) & ~((on.sum(axis=1) == 2) & (s.sum(axis=1) < 0))
+    rows, cols = np.nonzero(feature[seg])               # two per segment, in order
+    ends = np.sort(triangles[tri[seg]][rows[:, None], _FEATURE_CORNERS[cols]], axis=1)
+    # node key: (level, lower vertex, higher vertex); a vertex feature is (v, v)
+    keys = np.column_stack([lev[seg][rows], ends])
+    firsts, node = _first_occurrence_ids(keys)
+    node_level, lo, hi = keys[firsts].T
+    # an edge is crossed from its end below the plane, so every triangle
+    # that shares it gives the same bits
+    below = np.where(z[lo] < levels[node_level], lo, hi)
+    above = np.where(below == lo, hi, lo)
+    xy = vertices[below, :2]
+    edge = below != above
+    d0 = z[below[edge]] - levels[node_level[edge]]
+    d1 = z[above[edge]] - levels[node_level[edge]]
+    xy[edge] = xy[edge] + (vertices[above[edge], :2] - xy[edge]) * (d0 / (d0 - d1))[:, None]
+    node = node.reshape(-1, 2)
+    node = node[node[:, 0] != node[:, 1]]               # a feature joined to itself
+    loops, chains = _walk(node[:, 0], node[:, 1], len(xy))
+    return xy, node_level.tolist(), loops, chains
 
 
-def _weld_and_chain(segments, weld_tol: float):
-    """Weld segment endpoints within tolerance and walk loops/chains.
+def _walk(a: np.ndarray, b: np.ndarray, nodes: int) -> tuple[list, list]:
+    """Loops and open chains through the segments (a[e], b[e]), as node lists.
 
-    ``segments`` is an iterable of (x0, y0, x1, y1). Returns
-    (loops, open_chains) as lists of coordinate-tuple lists.
+    A walk leaves each node by its first unused segment in segment order,
+    and stops back at its start or where no unused segment is left.
+    Odd-degree nodes start walks first, in node order, then any node with
+    an unused segment; a walk back to its start through more than two
+    nodes is a loop, every other walk an open chain.
     """
-    inv = 1.0 / weld_tol
-    tol2 = weld_tol * weld_tol
-    cells: dict[tuple[int, int], int] = {}
-    coords: list[tuple[float, float]] = []
-    adj: list[list[tuple[int, int]]] = []
+    # half-edges j by node, then segment: node[j] leaves by seg[j] to other[j]
+    ends = np.column_stack([a, b]).ravel()
+    order = np.argsort(ends, kind="stable")
+    node = ends[order]
+    other = np.column_stack([b, a]).ravel()[order].tolist()
+    seg = (order // 2).tolist()
+    first = np.searchsorted(node, np.arange(nodes + 1))
+    odd = np.nonzero(np.diff(first) % 2)[0].tolist()
+    first = first.tolist()
+    used = [False] * len(a)
 
-    def node(x, y):
-        kx = round(x * inv)
-        ky = round(y * inv)
-        for dx in (0, -1, 1):
-            for dy in (0, -1, 1):
-                i = cells.get((kx + dx, ky + dy))
-                if i is not None:
-                    cx, cy = coords[i]
-                    if (cx - x) ** 2 + (cy - y) ** 2 <= tol2:
-                        return i
-        i = len(coords)
-        cells[(kx, ky)] = i
-        coords.append((x, y))
-        adj.append([])
-        return i
-
-    nedges = 0
-    for x0, y0, x1, y1 in segments:
-        a = node(x0, y0)
-        b = node(x1, y1)
-        if a == b:
-            continue
-        adj[a].append((b, nedges))
-        adj[b].append((a, nedges))
-        nedges += 1
-
-    used = [False] * nedges
-
-    def walk(start, eidx, nxt):
-        used[eidx] = True
-        path = [start, nxt]
-        cur = nxt
-        while cur != start:
-            step = None
-            for other, e in adj[cur]:
-                if not used[e]:
-                    step = (other, e)
-                    break
-            if step is None:
-                break
-            used[step[1]] = True
-            cur = step[0]
+    def walk(start, j):
+        path = [start]
+        while True:
+            used[seg[j]] = True
+            cur = other[j]
             path.append(cur)
-        return path
+            if cur == start:
+                return path
+            for j in range(first[cur], first[cur + 1]):
+                if not used[seg[j]]:
+                    break
+            else:
+                return path
 
     loops, chains = [], []
-    for start in range(len(coords)):
-        if len(adj[start]) % 2 == 0:
-            continue
-        for nxt, e in adj[start]:
-            if not used[e]:
-                path = walk(start, e, nxt)
-                chains.append([coords[i] for i in path])
-    for start in range(len(coords)):
-        for nxt, e in adj[start]:
-            if not used[e]:
-                path = walk(start, e, nxt)
-                if path[0] == path[-1] and len(path) > 3:
-                    loops.append([coords[i] for i in path[:-1]])
-                else:
-                    chains.append([coords[i] for i in path])
+    for start in odd:
+        for j in range(first[start], first[start + 1]):
+            if not used[seg[j]]:
+                chains.append(walk(start, j))
+    for j, start in enumerate(node.tolist()):
+        if not used[seg[j]]:
+            path = walk(start, j)
+            if path[-1] == start and len(path) > 3:
+                loops.append(path[:-1])
+            else:
+                chains.append(path)
     return loops, chains
 
 
-def slice_levels(tri_pts: np.ndarray, levels, weld_tol: float) -> list[SliceLoops]:
-    """Slice triangles (k, 3, 3) with ascending planes; one SliceLoops each.
+def slice_levels(vertices: np.ndarray, triangles: np.ndarray, levels) -> list[SliceLoops]:
+    """Slice an indexed mesh with ascending planes z = level; one SliceLoops each.
 
-    Every (triangle, level) pair whose z-range holds the level is crossed
-    in one batch; each level's segments are welded in triangle order.
+    Segments join only at shared mesh features, so corners with equal
+    coordinates must share a vertex index, as ``_dedup_vertices`` output
+    does.
     """
     levels = np.asarray(levels, dtype=np.float64).reshape(-1)
     results = [SliceLoops(z=float(z)) for z in levels]
-    zmin = tri_pts[:, :, 2].min(axis=1)
-    zmax = tri_pts[:, :, 2].max(axis=1)
-    lo = np.searchsorted(levels, zmin, side="left")
-    counts = np.searchsorted(levels, zmax, side="right") - lo
-    total = int(counts.sum())
-    if total == 0:
-        return results
-    rep = np.repeat(np.arange(len(tri_pts)), counts)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    lev = np.repeat(lo, counts) + np.arange(total) - starts
-    segs = _crossing_segments(tri_pts[rep], levels[lev])
-    valid = ~np.isnan(segs[:, 0])
-    lev = lev[valid]
-    order = np.argsort(lev, kind="stable")
-    segs = segs[valid][order].tolist()
-    bounds = np.searchsorted(lev[order], np.arange(len(levels) + 1))
-    for k, result in enumerate(results):
-        part = segs[bounds[k]:bounds[k + 1]]
-        if part:
-            loops, chains = _weld_and_chain(part, weld_tol)
-            result.loops = [np.array(lp) for lp in loops]
-            result.open_chains = [np.array(ch) for ch in chains]
+    xy, node_level, loops, chains = _section_paths(vertices, triangles, levels)
+    for path in loops:
+        results[node_level[path[0]]].loops.append(xy[path])
+    for path in chains:
+        results[node_level[path[0]]].open_chains.append(xy[path])
     return results
 
 
-def slice_mesh(mesh: TriMesh, z: float, weld_tol: float | None = None) -> SliceLoops:
+def slice_mesh(mesh: TriMesh, z: float) -> SliceLoops:
     """Intersect the mesh with the plane Z=z and chain the result.
 
     Returns closed loops (one per cross-section connected component for
-    well-formed solids) plus any chains that failed to close within
-    ``weld_tol`` (default: 1e-6 x bounding-box diagonal).
+    well-formed solids) plus open chains where the surface has holes.
+    Corners with bit-identical coordinates are joined first.
     """
-    if weld_tol is None:
-        weld_tol = default_weld_tol(mesh)
-    if weld_tol <= 0:
-        raise ValueError("weld_tol must be positive")
-    return slice_levels(mesh.triangle_points, [z], weld_tol)[0]
+    vertices, index = _dedup_vertices(mesh.vertices)
+    return slice_levels(vertices, index[mesh.triangles], [z])[0]
 
 
 def polygon_area(ring: np.ndarray) -> float:

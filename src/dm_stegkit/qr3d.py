@@ -20,6 +20,10 @@ from .meshcore import TriMesh, parse_xyz, write_xyz
 
 _U64 = (1 << 64) - 1
 
+# Lattice scores at or above this lie outside the basin where each center
+# snaps to one site: a search that ends there has found no lattice.
+MISS_SCORE = 0.25
+
 
 class SplitMix64:
     """Deterministic 64-bit generator (SplitMix64), identical on any host."""
@@ -88,6 +92,8 @@ def grid_from_pbm(text: str) -> BitGrid:
         raise ValueError(f"PBM header: width and height must be positive integers, "
                          f"got {tokens[1]!r} {tokens[2]!r}")
     w, h = int(tokens[1]), int(tokens[2])
+    if w != h:
+        raise ValueError(f"PBM header: bit grid must be square, got width {w} height {h}")
     digits = "".join(tokens[3:])
     if len(digits) != w * h or set(digits) - {"0", "1"}:
         raise ValueError("PBM pixel data does not match declared size")
@@ -370,7 +376,7 @@ def _polish_direction(points: np.ndarray, v: np.ndarray,
     """
     for _ in range(iterations):
         score, pitch, phi, au, aw = _score_frames(points, v[None, :])
-        if not np.isfinite(score[0]) or score[0] >= 0.25:
+        if not np.isfinite(score[0]) or score[0] >= MISS_SCORE:
             return v
         u, w = _basis_many(v[None, :])
         u, w = u[0], w[0]
@@ -438,7 +444,7 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     """Find the viewing direction by hemisphere scan plus local refinement.
 
     A coarse polar grid is scored in cache-sized batches (clouds beyond 128
-    centers are scored on a seeded-shuffle subsample for speed), the 5 best
+    centers are scored on the 128 nearest their centroid), the 5 best
     candidates descend 3x3 step-halving pattern grids until the step drops
     below ``refine_to_deg``, and the winner gets a regression polish before
     its projection is returned. Each refine direction is scored once per
@@ -454,14 +460,11 @@ def search_direction(cloud: SphereCloud | np.ndarray,
         raise TooFewSpheres(f"need at least 4 centers, got {len(centers)}")
 
     if len(centers) > _COARSE_SUBSAMPLE:
-        # seeded shuffle, not a strided pick: regular subsets of a regular
-        # lattice alias into false low-score directions
-        order = list(range(len(centers)))
-        rng = SplitMix64(0x5EEDED5C0FFEE)
-        for i in range(len(order) - 1, 0, -1):
-            j = rng.next_u64() % (i + 1)
-            order[i], order[j] = order[j], order[i]
-        coarse_pts = centers[np.sort(order[:_COARSE_SUBSAMPLE])]
+        # one coherent patch, the centers nearest the centroid: modules keep
+        # their lattice neighbours, so the median neighbour distance stays
+        # the pitch (a scattered subset has almost no adjacent modules)
+        d2 = ((centers - centers.mean(axis=0)) ** 2).sum(axis=1)
+        coarse_pts = centers[np.sort(np.argsort(d2, kind="stable")[:_COARSE_SUBSAMPLE])]
     else:
         coarse_pts = centers
 

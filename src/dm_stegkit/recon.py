@@ -20,9 +20,9 @@ from .meshcore import (
     PointCloud,
     Rotation,
     TriMesh,
-    default_weld_tol,
+    _dedup_vertices,
+    _section_paths,
     polygon_area,
-    slice_levels,
 )
 
 _OPEN_CHAIN_PENALTY = 10.0
@@ -378,14 +378,13 @@ class OrientationReport:
         return json.dumps(self.to_dict(top), indent=2 if pretty else None)
 
 
-def _slice_stats(tri_pts: np.ndarray, levels: np.ndarray, weld_tol: float):
+def _slice_stats(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarray):
     """Total loops, layers with open chains, the most open chains in one
     layer, and the loop area of level 0 (always a float)."""
-    sections = slice_levels(tri_pts, levels, weld_tol)
-    open_counts = [len(s.open_chains) for s in sections if s.open_chains]
-    return (sum(len(s.loops) for s in sections), len(open_counts),
-            max(open_counts, default=0),
-            sum((abs(polygon_area(lp)) for lp in sections[0].loops), 0.0))
+    xy, node_level, loops, chains = _section_paths(vertices, triangles, levels)
+    open_counts = np.bincount([node_level[ch[0]] for ch in chains], minlength=1)
+    return (len(loops), int(np.count_nonzero(open_counts)), int(open_counts.max()),
+            sum((abs(polygon_area(xy[lp])) for lp in loops if node_level[lp[0]] == 0), 0.0))
 
 
 def _layer_count(height: float, layer_height: float) -> int:
@@ -413,9 +412,8 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
     if angle_step_deg <= 0 or 360.0 % angle_step_deg != 0:
         raise ValueError("angle_step_deg must divide 360")
     steps = np.arange(0.0, 360.0, angle_step_deg)
-    weld_tol = default_weld_tol(mesh)
-    verts = mesh.vertices
-    faces = mesh.triangles
+    verts, index = _dedup_vertices(mesh.vertices)
+    faces = index[mesh.triangles]
 
     groups = {}                             # up-vector -> (matrix, rotations)
     for rx in steps:
@@ -433,8 +431,7 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
         gz0 = rv[:, 2].min()
         nlayers = _layer_count(rv[:, 2].max() - gz0, layer_height)
         levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
-        loops_total, open_layers, max_open, bottom_area = _slice_stats(
-            rv[faces], levels, weld_tol)
+        loops_total, open_layers, max_open, bottom_area = _slice_stats(rv, faces, levels)
         mean_loops = loops_total / nlayers
         frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / nlayers)
         for rot in members:

@@ -192,6 +192,18 @@ def test_qr3d_search_recovers_diagonal_direction(capsys, tmp_path):
     found = np.array(doc["result"]["direction"])
     angle = np.degrees(np.arccos(min(1.0, abs(float(np.dot(found, planted))))))
     assert angle <= 0.1
+    assert doc["warnings"] == []
+
+
+def test_qr3d_search_warns_on_lattice_free_cloud(capsys, tmp_path):
+    path = tmp_path / "noise.xyz"
+    points = np.random.default_rng(34).uniform(-10.0, 10.0, size=(60, 3))
+    path.write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in points.tolist()))
+    status, doc = invoke(capsys, "qr3d-search", str(path))
+    assert status == 0
+    assert doc["result"]["score"] >= 0.25
+    (warning,) = doc["warnings"]
+    assert "no lattice direction was found" in warning
 
 
 def test_qr3d_embed_writes_sphere_mesh(capsys, tmp_path):

@@ -38,6 +38,38 @@ def test_spaceless_words_parse():
     assert program.commands[0].args == {"X": 10.0, "Y": -2.5, "E": 0.4}
 
 
+@pytest.mark.parametrize("line", [
+    "N10 G1 X1 E5",                 # RS274 line number
+    "N10 G1 X1 E5*45",              # RepRap line number and checksum
+    "G1 X1 E5 (move)",              # RS274 comment
+    "n7G1(a)X1(b c)E5*3 ; tail",
+])
+def test_line_numbers_checksums_and_paren_comments_are_dropped(line):
+    (cmd,) = parse_gcode(line).commands
+    assert (cmd.code, cmd.args) == ("G1", {"X": 1.0, "E": 5.0})
+    report = audit(parse_gcode(";filament used = 5mm\n" + line))
+    assert report.computed_filament_mm == pytest.approx(5.0)
+    assert report.verdict == "consistent"
+
+
+def test_numbered_comment_only_line_is_retained():
+    program = parse_gcode("N5 (start) ;filament used = 3mm\nN6")
+    assert [(c.code, c.args, c.comment) for c in program.commands] == [
+        ("", {}, "filament used = 3mm"), ("", {}, None)]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("G1 X1 (move", "unbalanced"),
+    ("G1 X1) E5", "unbalanced"),
+    ("N10 G1 X1 E5*4x", "checksum"),
+    ("N1.5 G1 X1", "line number"),
+])
+def test_malformed_line_words_report_line(line, message):
+    with pytest.raises(MalformedNumber, match=message) as err:
+        parse_gcode("G21\n" + line)
+    assert err.value.line == 2
+
+
 def test_blank_lines_skipped_unknown_codes_kept():
     program = parse_gcode("\nM117 X0\n\nT1\n")
     assert [c.code for c in program.commands] == ["M117", "T1"]

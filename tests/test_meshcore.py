@@ -18,14 +18,7 @@ from dm_stegkit import (
     slice_mesh,
     write_stl_binary,
 )
-from dm_stegkit.meshcore import (
-    SliceLoops,
-    _crossing_segments,
-    _dedup_vertices,
-    _weld_and_chain,
-    default_weld_tol,
-    slice_levels,
-)
+from dm_stegkit.meshcore import SliceLoops, _dedup_vertices, slice_levels
 from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_vector
 from dm_stegkit.errors import (
     BadLine,
@@ -273,29 +266,183 @@ def test_loops_are_closed_and_non_degenerate():
         assert len(np.unique(loop, axis=0)) == len(loop)
 
 
-# --- batched slicer against the single-plane reference ------------------------------
+# --- topological slicer against the coordinate welder it replaced ---------------------
 
-def _slice_reference(mesh, z, weld_tol):
-    """The single-plane slicer that slice_mesh ran before slice_levels."""
+def _crossing_segments(tri_pts: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Intersect triangles with horizontal planes.
+
+    ``tri_pts`` is (k, 3, 3); ``z`` is a plane height per row. Returns
+    (k, 4) segments [x0, y0, x1, y1] with NaN rows for non-crossing pairs.
+
+    Triangles exactly coplanar with their plane are skipped; an on-plane
+    edge is emitted only when the third vertex lies strictly above, so the
+    shared edge of two coplanar-adjacent triangles is contributed once.
+    """
+    d = tri_pts[:, :, 2] - z[:, None]
+    s = np.sign(d).astype(np.int8)
+    nzero = (s == 0).sum(axis=1)
+    ssum = s.sum(axis=1)
+    out = np.full((len(tri_pts), 4), np.nan)
+
+    # two vertices on the plane, third strictly above
+    m = (nzero == 2) & (ssum == 1)
+    if m.any():
+        pts = tri_pts[m]
+        on = s[m] == 0
+        sel = pts[on].reshape(-1, 2, 3)
+        out[m, 0:2] = sel[:, 0, :2]
+        out[m, 2:4] = sel[:, 1, :2]
+
+    # one vertex on the plane, other two on opposite sides
+    m = (nzero == 1) & (ssum == 0)
+    if m.any():
+        pts, dd, sm = tri_pts[m], d[m], s[m]
+        k = len(pts)
+        onidx = np.argmax(sm == 0, axis=1)
+        rows = np.arange(k)
+        others = np.array([[1, 2], [0, 2], [0, 1]])[onidx]
+        a = pts[rows, others[:, 0]]
+        b = pts[rows, others[:, 1]]
+        da = dd[rows, others[:, 0]]
+        db = dd[rows, others[:, 1]]
+        t = da / (da - db)
+        cross = a + (b - a) * t[:, None]
+        out[m, 0:2] = pts[rows, onidx][:, :2]
+        out[m, 2:4] = cross[:, :2]
+
+    # plain crossing: one vertex alone on its side of the plane
+    m = (nzero == 0) & (np.abs(ssum) == 1)
+    if m.any():
+        pts, dd, sm = tri_pts[m], d[m], s[m]
+        k = len(pts)
+        lone = np.argmax(sm == -ssum[m, None], axis=1)
+        rows = np.arange(k)
+        others = np.array([[1, 2], [0, 2], [0, 1]])[lone]
+        a = pts[rows, lone]
+        da = dd[rows, lone]
+        for j in (0, 1):
+            b = pts[rows, others[:, j]]
+            db = dd[rows, others[:, j]]
+            t = da / (da - db)
+            cross = a + (b - a) * t[:, None]
+            out[m, 2 * j:2 * j + 2] = cross[:, :2]
+    return out
+
+
+def _weld_and_chain(segments, weld_tol: float):
+    """Weld segment endpoints within tolerance and walk loops/chains.
+
+    ``segments`` is an iterable of (x0, y0, x1, y1). Returns
+    (loops, open_chains, nodes): coordinate-tuple lists, and the welded
+    node of every endpoint in input order.
+    """
+    inv = 1.0 / weld_tol
+    tol2 = weld_tol * weld_tol
+    cells: dict[tuple[int, int], int] = {}
+    coords: list[tuple[float, float]] = []
+    adj: list[list[tuple[int, int]]] = []
+    nodes = []
+
+    def node(x, y):
+        kx = round(x * inv)
+        ky = round(y * inv)
+        for dx in (0, -1, 1):
+            for dy in (0, -1, 1):
+                i = cells.get((kx + dx, ky + dy))
+                if i is not None:
+                    cx, cy = coords[i]
+                    if (cx - x) ** 2 + (cy - y) ** 2 <= tol2:
+                        return i
+        i = len(coords)
+        cells[(kx, ky)] = i
+        coords.append((x, y))
+        adj.append([])
+        return i
+
+    nedges = 0
+    for x0, y0, x1, y1 in segments:
+        a = node(x0, y0)
+        b = node(x1, y1)
+        nodes += [a, b]
+        if a == b:
+            continue
+        adj[a].append((b, nedges))
+        adj[b].append((a, nedges))
+        nedges += 1
+
+    used = [False] * nedges
+
+    def walk(start, eidx, nxt):
+        used[eidx] = True
+        path = [start, nxt]
+        cur = nxt
+        while cur != start:
+            step = None
+            for other, e in adj[cur]:
+                if not used[e]:
+                    step = (other, e)
+                    break
+            if step is None:
+                break
+            used[step[1]] = True
+            cur = step[0]
+            path.append(cur)
+        return path
+
+    loops, chains = [], []
+    for start in range(len(coords)):
+        if len(adj[start]) % 2 == 0:
+            continue
+        for nxt, e in adj[start]:
+            if not used[e]:
+                path = walk(start, e, nxt)
+                chains.append([coords[i] for i in path])
+    for start in range(len(coords)):
+        for nxt, e in adj[start]:
+            if not used[e]:
+                path = walk(start, e, nxt)
+                if path[0] == path[-1] and len(path) > 3:
+                    loops.append([coords[i] for i in path[:-1]])
+                else:
+                    chains.append([coords[i] for i in path])
+    return loops, chains, nodes
+
+
+def _reference_features(corners: np.ndarray, d: np.ndarray) -> list:
+    """The mesh feature at each endpoint of ``_crossing_segments``' rows, in
+    its endpoint order: ("v", vertex) on the plane, ("e", lo, hi) crossed."""
+    out = []
+    for ids, dist in zip(corners.tolist(), np.sign(d).tolist()):
+        on = [i for i in range(3) if dist[i] == 0]
+        if len(on) == 2 and sum(dist) == 1:
+            out += [("v", ids[on[0]]), ("v", ids[on[1]])]
+        elif len(on) == 1 and sum(dist) == 0:
+            a, b = (i for i in range(3) if i != on[0])
+            out += [("v", ids[on[0]]), ("e", *sorted((ids[a], ids[b])))]
+        elif not on and abs(sum(dist)) == 1:
+            lone = next(i for i in range(3) if dist[i] == -sum(dist))
+            out += [("e", *sorted((ids[lone], ids[i]))) for i in range(3) if i != lone]
+    return out
+
+
+def _slice_reference(tri_pts, tri_ids, z, weld_tol):
+    """The coordinate-welding slicer at one plane, and whether its welds
+    matched mesh features one to one (no two features joined, none split)."""
     result = SliceLoops(z=float(z))
-    if not len(mesh.triangles):
-        return result
-    pts = mesh.triangle_points
-    zmin = pts[:, :, 2].min(axis=1)
-    zmax = pts[:, :, 2].max(axis=1)
+    zmin = tri_pts[:, :, 2].min(axis=1, initial=np.inf)
+    zmax = tri_pts[:, :, 2].max(axis=1, initial=-np.inf)
     cand = (zmin <= z) & (zmax >= z)
     if not cand.any():
-        return result
-    segs = _crossing_segments(pts[cand], np.full(int(cand.sum()), float(z)))
+        return result, True
+    segs = _crossing_segments(tri_pts[cand], np.full(int(cand.sum()), float(z)))
     segs = segs[~np.isnan(segs[:, 0])]
-    loops, chains = _weld_and_chain(segs.tolist(), weld_tol)
+    loops, chains, nodes = _weld_and_chain(segs.tolist(), weld_tol)
+    features = _reference_features(tri_ids[cand], tri_pts[cand, :, 2] - z)
+    assert len(features) == len(nodes)
+    one_to_one = len(set(nodes)) == len(set(features)) == len(set(zip(nodes, features)))
     result.loops = [np.array(lp) for lp in loops]
     result.open_chains = [np.array(ch) for ch in chains]
-    return result
-
-
-def _bits(arrays):
-    return [(a.shape, a.tobytes()) for a in arrays]
+    return result, one_to_one
 
 
 def _probe_levels(mesh):
@@ -306,41 +453,118 @@ def _probe_levels(mesh):
                                      [lo - 1.0, lo - 1e-12, hi + 1e-12, hi + 1.0]]))
 
 
-def _assert_batch_matches_reference(mesh):
-    weld_tol = default_weld_tol(mesh)
+def _assert_same_polylines(got, want, atol):
+    assert [a.shape for a in got] == [a.shape for a in want]
+    if got:
+        assert np.abs(np.concatenate(got) - np.concatenate(want)).max() <= atol
+
+
+def _assert_matches_welder(mesh) -> int:
+    """Compare the topological slicer with the welder at every probe level.
+
+    Where the welder saw each mesh feature as one node, both give the same
+    loops and chains, point for point within a few ulps of the mesh
+    extent (a crossing may be computed from the other end of its edge).
+    Returns the number of levels where the welder joined or split
+    features, which are not compared.
+    """
+    vertices, index = _dedup_vertices(mesh.vertices)
+    triangles = index[mesh.triangles]
+    lo, hi = mesh.bounds()
+    diag = float(np.linalg.norm(hi - lo))
+    weld_tol = 1e-6 * diag if diag > 0 else 1e-6
+    atol = 16 * np.finfo(float).eps * float(np.abs(vertices).max(initial=1.0))
     levels = _probe_levels(mesh)
-    batch = slice_levels(mesh.triangle_points, levels, weld_tol)
+    batch = slice_levels(vertices, triangles, levels)
     assert len(batch) == len(levels)
+    welded_apart = 0
     for z, got in zip(levels, batch):
-        want = _slice_reference(mesh, z, weld_tol)
+        want, one_to_one = _slice_reference(mesh.triangle_points, triangles, z, weld_tol)
+        if not one_to_one:
+            welded_apart += 1
+            continue
         for section in (got, slice_mesh(mesh, z)):
             assert section.z == want.z
-            assert _bits(section.loops) == _bits(want.loops)
-            assert _bits(section.open_chains) == _bits(want.open_chains)
+            _assert_same_polylines(section.loops, want.loops, atol)
+            _assert_same_polylines(section.open_chains, want.open_chains, atol)
+    return welded_apart
 
 
 @settings(max_examples=30, deadline=None)
 @given(box_unions(), st.sampled_from([0.0, 30.0, 45.0]), st.integers(0, 3),
        st.integers(0, 2 ** 31))
-def test_slice_levels_matches_single_plane_reference(mesh, angle, holes, seed):
+def test_slice_levels_matches_welder(mesh, angle, holes, seed):
     mesh = rotate_mesh(mesh, Rotation(angle, angle / 2, 0.0))
-    # dropping faces leaves open chains for the welder to report
+    # dropping faces leaves open chains for both slicers to report
     keep = np.random.default_rng(seed).permutation(len(mesh.triangles))[holes:]
-    _assert_batch_matches_reference(TriMesh(mesh.vertices, mesh.triangles[np.sort(keep)]))
+    _assert_matches_welder(TriMesh(mesh.vertices, mesh.triangles[np.sort(keep)]))
 
 
-def test_slice_levels_matches_reference_on_sphere_code():
+def test_slice_levels_matches_welder_on_sphere_code():
     grid = random_code_grid(np.random.default_rng(4), n=5, density=0.5)
     params = EmbedParams(pitch=2.0, direction=unit_vector((0.2, 0.3, 0.93)), seed=3)
-    _assert_batch_matches_reference(spheres_to_mesh(grid_to_spheres(grid, params), 1))
+    assert _assert_matches_welder(spheres_to_mesh(grid_to_spheres(grid, params), 1)) == 0
+
+
+def test_slice_levels_matches_welder_on_fixtures(fixture_corpus):
+    for path in fixture_corpus["stl"]:
+        _assert_matches_welder(rotate_mesh(parse_stl(path.read_bytes()),
+                                           Rotation(30.0, 15.0, 0.0)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(box_unions(), st.sampled_from([0.0, 30.0, 45.0]), st.integers(0, 2 ** 31))
+def test_section_nodes_do_not_depend_on_triangle_order(mesh, angle, seed):
+    mesh = rotate_mesh(mesh, Rotation(angle, angle / 2, 0.0))
+    rng = np.random.default_rng(seed)
+    # shuffle triangles and vertex numbering, and roll each triangle's corners
+    perm = rng.permutation(len(mesh.vertices))
+    inverse = np.argsort(perm)
+    tris = inverse[mesh.triangles][rng.permutation(len(mesh.triangles))]
+    tris = np.array([np.roll(t, k) for t, k in zip(tris, rng.integers(0, 3, len(tris)))])
+    shuffled = TriMesh(mesh.vertices[perm], tris)
+
+    def node_sets(m):
+        v, index = _dedup_vertices(m.vertices)
+        return [{p.tobytes() for poly in s.loops + s.open_chains for p in poly}
+                for s in slice_levels(v, index[m.triangles], _probe_levels(mesh))]
+
+    assert node_sets(shuffled) == node_sets(mesh)
+
+
+def test_coincident_vertex_indices_make_no_self_loop():
+    # vertex 8 repeats vertex 0 and replaces it in the y = 0 face; the sliver
+    # (0, 8, 4) has two corners at one point, so each of its section
+    # segments joins one feature to itself
+    cube = box_mesh(0, 0, 0, 1, 1, 1)
+    vertices = np.vstack([cube.vertices, cube.vertices[:1]])
+    triangles = np.vstack([cube.triangles, [[0, 8, 4]]])
+    triangles[4:6][triangles[4:6] == 0] = 8
+    mesh = TriMesh(vertices, triangles)
+    for z, points in ((0.0, 4), (0.5, 8)):
+        section = slice_mesh(mesh, z)
+        assert section.open_chains == []
+        assert [len(lp) for lp in section.loops] == [points]
+        closed = np.vstack([section.loops[0], section.loops[0][:1]])
+        assert (np.linalg.norm(np.diff(closed, axis=0), axis=1) > 0).all()
+
+
+def test_two_segment_cycle_is_an_open_chain():
+    # a pillow of one triangle and its reverse: both faces cross the same two
+    # edges, and a walk back to its start through only two points is no loop
+    pillow = TriMesh([[0, 0, 0], [2, 0, 1], [0, 2, 2]], [[0, 1, 2], [0, 2, 1]])
+    section = slice_mesh(pillow, 0.5)
+    assert section.loops == []
+    assert [len(ch) for ch in section.open_chains] == [3]
+    assert _assert_matches_welder(pillow) == 0
 
 
 def test_slice_levels_empty_triangle_set():
     empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
-    sections = slice_levels(empty.triangle_points, [-1.0, 0.0, 2.5], 1e-6)
+    sections = slice_levels(empty.vertices, empty.triangles, [-1.0, 0.0, 2.5])
     assert [s.z for s in sections] == [-1.0, 0.0, 2.5]
     assert all(s.loops == [] and s.open_chains == [] for s in sections)
-    _assert_batch_matches_reference(empty)
+    assert _assert_matches_welder(empty) == 0
 
 
 def test_volume_unit_and_10mm_cube():

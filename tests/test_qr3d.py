@@ -202,6 +202,7 @@ def test_pbm_roundtrip():
     "P1\n0 0\n",
     "P1\n2 x\n1 1 1 1\n",
     "P1\n2.0 2\n1 1 1 1\n",
+    "P1\n2 3\n1 1 1 1 1 1\n",   # not square
 ])
 def test_pbm_rejects_bad_size(text):
     with pytest.raises(ValueError, match="PBM header"):
@@ -330,6 +331,36 @@ def test_search_canonical_hemisphere():
     assert d[2] > 0 or (abs(d[2]) <= 1e-12 and (d[1] > 0 or d[0] > 0))
 
 
+def _hollow(bits):
+    """Clear the middle half of a code; its corner modules stay."""
+    n = len(bits)
+    bits[n // 4:n - n // 4, n // 4:n - n // 4] = False
+    return bits
+
+
+def _ring(bits):
+    """Keep the modules of an annulus and the four corners."""
+    n = len(bits)
+    r = np.hypot(*(np.indices(bits.shape) - (n - 1) / 2.0))
+    corners = np.zeros_like(bits)
+    corners[0, 0] = corners[0, -1] = corners[-1, 0] = corners[-1, -1] = True
+    return bits & (r >= n / 4.0) & (r <= n / 2.0 - 1.0) | corners
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 31), n=st.integers(29, 41),
+       shape=st.sampled_from([lambda b: b, _hollow, _ring]))
+def test_search_recovers_codes_beyond_the_coarse_subsample(seed, n, shape):
+    rng = np.random.default_rng(seed)
+    grid = BitGrid(shape(random_code_grid(rng, n=n, density=0.45).bits))
+    v = random_unit_direction(rng)
+    cloud = grid_to_spheres(grid, EmbedParams(pitch=2.0, direction=v, seed=seed))
+    assert len(cloud.centers) > qr3d._COARSE_SUBSAMPLE
+    result = search_direction(cloud)
+    assert angle_between_deg(result.direction, v) <= 0.1
+    assert result.score < qr3d.MISS_SCORE
+
+
 # --- search against the single-pass reference ----------------------------------------
 
 def _ref_canonical(v):
@@ -346,14 +377,13 @@ def _ref_canonical(v):
 
 def _reference_search_direction(centers, coarse_step_deg=2.0, refine_to_deg=0.05):
     """The search as first written: coarse chunks of 2e7 / N^2 directions, a
-    Python sort for the top 5, and every pattern point rescored."""
+    Python sort for the top 5, and every pattern point rescored. Clouds
+    beyond 128 centers are scored coarsely on the 128 nearest the
+    centroid, ties to the lower index."""
     if len(centers) > qr3d._COARSE_SUBSAMPLE:
-        order = list(range(len(centers)))
-        rng = SplitMix64(0x5EEDED5C0FFEE)
-        for i in range(len(order) - 1, 0, -1):
-            j = rng.next_u64() % (i + 1)
-            order[i], order[j] = order[j], order[i]
-        coarse_pts = centers[np.sort(order[:qr3d._COARSE_SUBSAMPLE])]
+        d2 = [float(((c - centers.mean(axis=0)) ** 2).sum()) for c in centers]
+        nearest = sorted(range(len(centers)), key=lambda i: (d2[i], i))
+        coarse_pts = centers[sorted(nearest[:qr3d._COARSE_SUBSAMPLE])]
     else:
         coarse_pts = centers
     angles = []

@@ -22,8 +22,7 @@ from dm_stegkit import (
 )
 from dm_stegkit import recon
 from dm_stegkit.errors import DegenerateLayer, EmptyCloud, TooFewPoints
-from dm_stegkit.meshcore import TriMesh, polygon_area
-from dm_stegkit.meshcore import default_weld_tol
+from dm_stegkit.meshcore import TriMesh, _dedup_vertices, polygon_area
 from conftest import box_mesh, box_unions, boxes_mesh, random_code_grid, two_tower_bridge
 
 
@@ -542,21 +541,21 @@ def _per_rotation_scan(mesh, angle_step_deg, layer_height=0.2):
     layer count, int(height / layer_height), differs from the
     noise-robust count the scan uses.
     """
-    weld_tol = default_weld_tol(mesh)
+    vertices, index = _dedup_vertices(mesh.vertices)
+    triangles = index[mesh.triangles]
     steps = np.arange(0.0, 360.0, angle_step_deg)
     out, corrected = {}, set()
     for rx in steps:
         for ry in steps:
             for rz in steps:
                 rot = Rotation(rx, ry, rz)
-                rv = mesh.vertices @ rot.matrix().T
+                rv = vertices @ rot.matrix().T
                 gz0, gz1 = rv[:, 2].min(), rv[:, 2].max()
                 nlayers = max(1, int((gz1 - gz0) / layer_height))
                 if nlayers != recon._layer_count(gz1 - gz0, layer_height):
                     corrected.add(rot.as_tuple())
                 levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
-                loops, open_layers, max_open, area = recon._slice_stats(
-                    rv[mesh.triangles], levels, weld_tol)
+                loops, open_layers, max_open, area = recon._slice_stats(rv, triangles, levels)
                 mean_loops = loops / nlayers
                 out[rot.as_tuple()] = (mean_loops, max_open, area,
                                        mean_loops + 10.0 * open_layers / nlayers)
