@@ -354,10 +354,7 @@ def run(argv=None) -> int:
     try:
         result = args.handler(runctx, args)
         status = 0
-    except StegkitError as exc:
-        result = {"error": type(exc).__name__, "message": str(exc)}
-        status = 1
-    except (OSError, ValueError) as exc:
+    except (StegkitError, OSError, ValueError) as exc:
         result = {"error": type(exc).__name__, "message": str(exc)}
         status = 1
     envelope = runctx.envelope(result)

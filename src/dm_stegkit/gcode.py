@@ -66,6 +66,9 @@ class ForensicsReport:
 
 
 _PAREN_COMMENT = re.compile(r"\([^()]*\)")
+# the optional N word and the code word of an M117 (display) or M118 (echo)
+# message, whose free text follows
+_MESSAGE_HEAD = re.compile(r"\s*(?:N\d*\s*)?M0*11[78](?=\s|$|[^\W\d_])", re.IGNORECASE)
 
 
 def parse_gcode(text: str) -> GcodeProgram:
@@ -74,7 +77,8 @@ def parse_gcode(text: str) -> GcodeProgram:
     Comment-only lines are kept as commands with an empty code; unknown
     codes are preserved verbatim so later rewrites lose nothing. As in
     RS274/NGC and RepRap firmware, a leading ``N`` line number, a trailing
-    ``*`` checksum and ``( ... )`` comments are dropped.
+    ``*`` checksum and ``( ... )`` comments are dropped. The text after an
+    ``M117`` or ``M118`` code word is a message, not arguments.
     """
     commands = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -92,6 +96,9 @@ def parse_gcode(text: str) -> GcodeProgram:
             line, _, checksum = line.rpartition("*")
             if not checksum.strip().isdigit():
                 raise MalformedNumber(lineno, f"bad checksum {checksum.strip()!r}")
+        message = _MESSAGE_HEAD.match(line)
+        if message:
+            line = message[0]
         words = _split_words(line, lineno)
         if words and words[0][0] == "N":
             if not words[0][1].isdigit():

@@ -162,7 +162,7 @@ def _parse_stl_binary(data: bytes) -> TriMesh:
     corners = rec["v"].reshape(count * 3, 3)  # stored normals ignored
     if not np.all(np.isfinite(corners)):
         raise NonFiniteCoordinate("binary STL contains non-finite vertex")
-    verts, tris = _dedup_vertices(corners.astype(np.float64))
+    verts, tris = _dedup_vertices(corners)
     return TriMesh(verts, tris.reshape(count, 3), header)
 
 
@@ -237,12 +237,15 @@ def _parse_stl_ascii(text: str) -> TriMesh:
 def _dedup_vertices(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge bit-identical positions, keeping first-occurrence order.
 
-    Rows are compared as float64 bit patterns, so -0.0 and +0.0 stay
-    distinct.
+    Rows are compared as bit patterns of their own width (float32 corners
+    of a binary STL as u4, anything else as float64 and u8), so -0.0 and
+    +0.0 stay distinct; only the kept rows are widened to float64, which
+    is exact.
     """
-    corners = np.ascontiguousarray(corners, dtype=np.float64).reshape(-1, 3)
-    firsts, inverse = _first_occurrence_ids(corners.view(np.uint64))
-    return corners[firsts], inverse
+    dtype = np.float32 if corners.dtype == np.float32 else np.float64
+    corners = np.ascontiguousarray(corners, dtype=dtype).reshape(-1, 3)
+    firsts, inverse = _first_occurrence_ids(corners.view(f"u{corners.itemsize}"))
+    return corners[firsts].astype(np.float64, copy=False), inverse
 
 
 def _first_occurrence_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

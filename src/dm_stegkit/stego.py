@@ -13,6 +13,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CrcMismatch,
     MessageTooLong,
@@ -42,26 +44,16 @@ def frame_bytes(payload: bytes) -> bytes:
 
 def bytes_to_bits(data: bytes) -> list[int]:
     """MSB-first bit expansion."""
-    out = []
-    for b in data:
-        for k in range(7, -1, -1):
-            out.append((b >> k) & 1)
-    return out
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tolist()
 
 
 def bits_to_bytes(bits) -> bytes:
     """MSB-first bit packing; trailing partial byte is dropped."""
-    out = bytearray()
-    acc = 0
-    n = 0
-    for bit in bits:
-        acc = (acc << 1) | (1 if bit else 0)
-        n += 1
-        if n == 8:
-            out.append(acc)
-            acc = 0
-            n = 0
-    return bytes(out)
+    return _pack(np.fromiter(map(bool, bits), dtype=bool))
+
+
+def _pack(bits: np.ndarray) -> bytes:
+    return np.packbits(bits[:len(bits) - len(bits) % 8]).tobytes()
 
 
 def frame_payload(payload: bytes) -> list[int]:
@@ -79,28 +71,20 @@ def unframe_payload(bits) -> bytes:
     (CRC over length over version, earliest on ties) is raised, or
     NoFrameFound when the magic occurs nowhere.
     """
-    bits = [1 if b else 0 for b in bits]
-    magic = bytes_to_bits(FRAME_MAGIC)
-    min_bits = FRAME_OVERHEAD * 8
-    offsets = [o for o in range(8) if o + min_bits <= len(bits)]
-    offsets += list(range(8, len(bits) - min_bits + 1, 8))
+    bits = np.fromiter(map(bool, bits), dtype=bool)
     best_error, best_stage = None, -1
-    for off in offsets:
-        if bits[off:off + 32] != magic:
-            continue
-        version = _bits_int(bits, off + 32, 8)
-        length = _bits_int(bits, off + 40, 16)
-        end = off + (FRAME_OVERHEAD + length) * 8
+    for data, k in _frame_starts([_pack(bits[o:]) for o in range(8)]):
+        version = data[k + 4]
+        length = int.from_bytes(data[k + 5:k + 7], "big")
+        end = k + FRAME_OVERHEAD + length
         if version != FRAME_VERSION:
             stage, error = 0, UnsupportedVersion(version)
-        elif end > len(bits):
+        elif end > len(data):
             stage, error = 1, NoFrameFound(
                 f"frame declares {length} payload bytes beyond input")
+        elif zlib.crc32(data[k + 4:end - 4]) == int.from_bytes(data[end - 4:end], "big"):
+            return data[k + 7:end - 4]
         else:
-            body = bits_to_bytes(bits[off + 32:off + 56 + length * 8])
-            crc = _bits_int(bits, off + 56 + length * 8, 32)
-            if zlib.crc32(body) == crc:
-                return body[3:]
             stage, error = 2, CrcMismatch("frame CRC check failed")
         if stage > best_stage:
             best_error, best_stage = error, stage
@@ -109,11 +93,18 @@ def unframe_payload(bits) -> bytes:
     raise NoFrameFound("no frame magic located")
 
 
-def _bits_int(bits, off, n) -> int:
-    val = 0
-    for b in bits[off:off + n]:
-        val = (val << 1) | b
-    return val
+def _frame_starts(shifted):
+    """(bytes, index) of each magic that has a full frame header behind it:
+    the start of each bit-shifted stream, then the unshifted stream's
+    later bytes."""
+    for data in shifted:
+        if len(data) >= FRAME_OVERHEAD and data.startswith(FRAME_MAGIC):
+            yield data, 0
+    data = shifted[0]
+    k = data.find(FRAME_MAGIC, 1)
+    while 0 < k <= len(data) - FRAME_OVERHEAD:
+        yield data, k
+        k = data.find(FRAME_MAGIC, k + 1)
 
 
 # --- STL header channel --------------------------------------------------------
@@ -233,34 +224,16 @@ def segments_to_text(segments, params: MorseParams = MorseParams()) -> str:
     if any(b < a for a, b in zip(xs, xs[1:])):
         raise UnsortedSegments("segments must be sorted by x")
     d = _estimate_unit(segments, params)
-
-    words: list[list[str]] = [[]]
-    symbol = ""
-    position = 0
-
-    def close_symbol():
-        nonlocal symbol, position
-        if not symbol:
-            return
-        ch = _MORSE_REVERSE.get(symbol)
-        if ch is None:
+    gaps = [b.x - (a.x + a.length) for a, b in zip(segments, segments[1:])]
+    marks = ["." if s.length < 2.0 * d else "-" for s in segments]
+    seps = ["" if g < 2.0 * d else "/" if g >= 5.0 * d else " " for g in gaps]
+    code = "".join(m + s for m, s in zip(marks, seps + [""]))
+    symbols = code.replace("/", " ").split(" ")
+    for position, symbol in enumerate(symbols):
+        if symbol not in _MORSE_REVERSE:
             raise UnknownMorseSequence(position, symbol)
-        words[-1].append(ch)
-        symbol = ""
-        position += 1
-
-    for i, seg in enumerate(segments):
-        symbol += "." if seg.length < 2.0 * d else "-"
-        if i + 1 == len(segments):
-            break
-        gap = segments[i + 1].x - (seg.x + seg.length)
-        if gap < 2.0 * d:
-            continue
-        close_symbol()
-        if gap >= 5.0 * d:
-            words.append([])
-    close_symbol()
-    return " ".join("".join(w) for w in words)
+    return " ".join("".join(map(_MORSE_REVERSE.get, word.split(" ")))
+                    for word in code.split("/"))
 
 
 def segments_to_json(segments) -> list[dict]:

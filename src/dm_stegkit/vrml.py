@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import InsufficientSlots, MissingHeader, UnbalancedBrackets
-from .stego import frame_payload, unframe_payload
+from .stego import FRAME_OVERHEAD, frame_payload, unframe_payload
 
 VRML_HEADER = "#VRML V2.0"
 
@@ -30,6 +30,8 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+# a number's fraction: the binary digits that lead it, then the rest
+_BINARY_FRACTION_RE = re.compile(r"[^.]*\.([01]*)(.*)")
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,6 @@ def _slot_capacity_bits(stream: VrmlTokenStream, params: ChannelParams) -> int:
 
 def channel_capacity_bytes(stream: VrmlTokenStream, params: ChannelParams = ChannelParams()) -> int:
     """Largest payload (bytes) the stream can carry after frame overhead."""
-    from .stego import FRAME_OVERHEAD
-
     return max(0, (_slot_capacity_bits(stream, params) - FRAME_OVERHEAD * 8) // 8)
 
 
@@ -200,21 +200,12 @@ def extract_green_digits(text: str, params: ChannelParams = ChannelParams()) -> 
     an embedded region is contiguous.
     """
     stream = parse_vrml(text)
-    bits = []
+    digits = []
     for idx in stream.color_green_slots[params.start_slot:]:
-        tok = stream.tokens[idx]
-        _, dot, frac = tok.text.partition(".")
-        if not dot:
+        m = _BINARY_FRACTION_RE.match(stream.tokens[idx].text)
+        if m is None:
             break
-        stop = False
-        for ch in frac:
-            if ch == "0":
-                bits.append(0)
-            elif ch == "1":
-                bits.append(1)
-            else:
-                stop = True
-                break
-        if stop:
+        digits.append(m[1])
+        if m[2]:
             break
-    return unframe_payload(bits)
+    return unframe_payload([ch == "1" for ch in "".join(digits)])

@@ -292,3 +292,33 @@ def test_audit_verdict_monotone_in_threshold(declared, t1, t2):
     verdict_hi = audit(program, mismatch_threshold=hi).verdict
     if verdict_lo == "consistent":
         assert verdict_hi == "consistent"
+
+
+# --- M117/M118 messages ------------------------------------------------------------
+
+_MESSAGES = ["M117 Printing layer 1", "M117 Hello", "N3 M117 50% done*12"]
+
+
+@pytest.mark.parametrize("line", _MESSAGES + ["m118 X0 echo", "N4M117E5 filament used = 9mm"])
+def test_message_text_is_not_arguments(line):
+    (cmd,) = parse_gcode(line).commands
+    assert cmd.code in ("M117", "M118")
+    assert cmd.args == {}
+
+
+def test_message_lines_leave_audit_unchanged():
+    base = ["; filament used = 30.0mm", "M82", "G1 Z0.2 X10 E10", "G1 X20 E30"]
+    text = "\n".join(base[:2] + _MESSAGES + base[2:] + ["M117 Done ; end"])
+    report, plain = audit(parse_gcode(text)), audit(parse_gcode("\n".join(base)))
+    assert report.computed_filament_mm == pytest.approx(plain.computed_filament_mm)
+    assert report.declared_filament_mm == plain.declared_filament_mm == pytest.approx(30.0)
+    assert report.verdict == plain.verdict == "consistent"
+
+
+def test_message_lines_still_check_line_number_and_checksum():
+    for line, message in [("N M117 hi", "line number"), ("M117 hi*x", "checksum")]:
+        with pytest.raises(MalformedNumber, match=message):
+            parse_gcode(line)
+    # a longer code or a subcode is not a message
+    assert parse_gcode("M1170 X1").commands[0].args == {"X": 1.0}
+    assert parse_gcode("M117.5 X1").commands[0].args == {"X": 1.0}

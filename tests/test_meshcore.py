@@ -603,3 +603,54 @@ def test_write_xyz_parse_xyz_roundtrip():
     assert text.startswith("# unit test\n")
     again = parse_xyz(text)
     assert np.allclose(again.points, pts)
+
+
+# --- binary parse memory ---------------------------------------------------------
+
+def _torus_stl(nu, nv):
+    u, v = np.meshgrid(np.linspace(0, 2 * np.pi, nu, endpoint=False),
+                       np.linspace(0, 2 * np.pi, nv, endpoint=False), indexing="ij")
+    pts = np.stack([(3 + np.cos(v)) * np.cos(u), (3 + np.cos(v)) * np.sin(u), np.sin(v)], -1)
+    i, j = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
+    a, b = i * nv + j, (i + 1) % nu * nv + j
+    c, d = (i + 1) % nu * nv + (j + 1) % nv, i * nv + (j + 1) % nv
+    tris = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)]).reshape(-1, 3)
+    return write_stl_binary(TriMesh(pts.reshape(-1, 3), tris))
+
+
+def test_binary_parse_peak_memory_is_bounded():
+    import tracemalloc
+
+    data = _torus_stl(200, 100)                 # 40k triangles, 2 MB
+    tracemalloc.start()
+    try:
+        mesh = parse_stl(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mesh.vertices) == 20000
+    assert peak < 4.5 * len(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(width=32, allow_nan=False), min_size=1, max_size=6),
+       st.integers(1, 60), st.integers(0, 2 ** 31))
+def test_binary_parse_matches_float64_dedup(pool, ntris, seed):
+    # float32 corners from a small pool, -0.0 and infinities included
+    rng = np.random.default_rng(seed)
+    corners = np.array(pool, dtype=np.float32)[rng.integers(0, len(pool), size=(ntris * 3, 3))]
+    rec = np.zeros(ntris, dtype=[("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
+    rec["v"] = corners.reshape(ntris, 3, 3)
+    data = b"\x00" * 80 + struct.pack("<I", ntris) + rec.tobytes()
+    verts, inverse = _dedup_vertices(corners.astype(np.float64))
+    from dm_stegkit.errors import InvalidMesh
+
+    def outcome(build):
+        try:
+            mesh = build()
+        except (InvalidMesh, NonFiniteCoordinate) as exc:
+            return type(exc).__name__
+        return mesh.vertices.tobytes(), mesh.triangles.tobytes()
+
+    assert (outcome(lambda: parse_stl(data))
+            == outcome(lambda: TriMesh(verts, inverse.reshape(-1, 3))))
