@@ -67,8 +67,10 @@ class ForensicsReport:
 
 _PAREN_COMMENT = re.compile(r"\([^()]*\)")
 # the optional N word and the code word of an M117 (display) or M118 (echo)
-# message, whose free text follows
-_MESSAGE_HEAD = re.compile(r"\s*(?:N\d*\s*)?M0*11[78](?=\s|$|[^\W\d_])", re.IGNORECASE)
+# message, whose free text follows; ( ... ) comments may come before the code
+_GAP = r"(?:\s|\([^()]*\))*"
+_MESSAGE_HEAD = re.compile(rf"{_GAP}(?:N\d*{_GAP})?M0*11[78](?=[\s()]|$|[^\W\d_])",
+                           re.IGNORECASE)
 
 
 def parse_gcode(text: str) -> GcodeProgram:
@@ -78,7 +80,8 @@ def parse_gcode(text: str) -> GcodeProgram:
     codes are preserved verbatim so later rewrites lose nothing. As in
     RS274/NGC and RepRap firmware, a leading ``N`` line number, a trailing
     ``*`` checksum and ``( ... )`` comments are dropped. The text after an
-    ``M117`` or ``M118`` code word is a message, not arguments.
+    ``M117`` or ``M118`` code word is a message, not arguments; parentheses
+    in it are text, but a trailing ``*`` still starts a checksum.
     """
     commands = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -88,17 +91,17 @@ def parse_gcode(text: str) -> GcodeProgram:
         comment = None
         if ";" in line:
             line, comment = line.split(";", 1)
+        message = _MESSAGE_HEAD.match(line)
+        if message:
+            # message text may hold parentheses; only a *checksum is cut
+            _cut_checksum(line[message.end():], lineno)
+            line = message[0]
         if "(" in line or ")" in line:
             line = _PAREN_COMMENT.sub(" ", line)
             if "(" in line or ")" in line:
                 raise MalformedNumber(lineno, "unbalanced '(' comment")
-        if "*" in line:
-            line, _, checksum = line.rpartition("*")
-            if not checksum.strip().isdigit():
-                raise MalformedNumber(lineno, f"bad checksum {checksum.strip()!r}")
-        message = _MESSAGE_HEAD.match(line)
-        if message:
-            line = message[0]
+        if "*" in line and not message:
+            line = _cut_checksum(line, lineno)
         words = _split_words(line, lineno)
         if words and words[0][0] == "N":
             if not words[0][1].isdigit():
@@ -116,6 +119,15 @@ def parse_gcode(text: str) -> GcodeProgram:
             args[letter] = _parse_float(number, lineno, letter)
         commands.append(GcodeCommand(lineno, code, args, comment))
     return GcodeProgram(commands)
+
+
+def _cut_checksum(text: str, lineno: int) -> str:
+    """``text`` without a trailing ``*`` checksum, which must be digits."""
+    if "*" in text:
+        text, _, checksum = text.rpartition("*")
+        if not checksum.strip().isdigit():
+            raise MalformedNumber(lineno, f"bad checksum {checksum.strip()!r}")
+    return text
 
 
 def _split_words(body: str, lineno: int) -> list[tuple[str, str]]:

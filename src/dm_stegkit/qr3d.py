@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProjection, TooFewSpheres
-from .meshcore import TriMesh, parse_xyz, write_xyz
+from .meshcore import TriMesh, _first_occurrence_ids, parse_xyz, write_xyz
 
 _U64 = (1 << 64) - 1
 
@@ -45,6 +45,8 @@ class SplitMix64:
 
 def unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(3)
+    if not np.isfinite(v).all():
+        raise ValueError("direction must be finite")
     n = float(np.linalg.norm(v))
     if n == 0:
         raise ValueError("zero direction vector")
@@ -123,8 +125,8 @@ class EmbedParams:
         if self.depth_jitter < 0:
             raise ValueError("depth jitter must be >= 0")
         self.direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector (use unit_vector)")
+        if not abs(np.linalg.norm(self.direction) - 1.0) <= 1e-9:    # NaN fails too
+            raise ValueError("direction must be a finite unit vector (use unit_vector)")
         if not 0 <= int(self.seed) <= _U64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -168,8 +170,8 @@ def _basis_many(dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def basis_for(v) -> tuple[np.ndarray, np.ndarray]:
     """In-plane orthonormal pair (u, w) for a unit viewing direction."""
     v = np.asarray(v, dtype=np.float64).reshape(3)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:     # NaN fails too
+        raise ValueError("direction must be a finite unit vector")
     u, w = _basis_many(v[None, :])
     return u[0], w[0]
 
@@ -212,28 +214,17 @@ _ICO_FACES = np.array([
 def _unit_icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
     verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
     faces = _ICO_FACES
-    verts = [tuple(v) for v in verts]
     for _ in range(subdivisions):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            idx = cache.get(key)
-            if idx is None:
-                a, b = verts[i], verts[j]
-                m = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-                norm = math.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2)
-                verts.append((m[0] / norm, m[1] / norm, m[2] / norm))
-                idx = len(verts) - 1
-                cache[key] = idx
-            return idx
-
-        new_faces = []
-        for i, j, k in faces:
-            ij, jk, ki = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            new_faces += [(i, ij, ki), (j, jk, ij), (k, ki, jk), (ij, jk, ki)]
-        faces = np.array(new_faces, dtype=np.int64)
-    return np.array(verts), faces
+        # each face's edges ij, jk, ki; a midpoint is numbered at its edge's
+        # first appearance
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        firsts, ids = _first_occurrence_ids(edges)
+        mid = verts[edges[firsts, 0]] + verts[edges[firsts, 1]]
+        ij, jk, ki = (len(verts) + ids).reshape(-1, 3).T
+        verts = np.vstack([verts, mid / np.linalg.norm(mid, axis=1, keepdims=True)])
+        i, j, k = faces.T
+        faces = np.stack([i, ij, ki, j, jk, ij, k, ki, jk, ij, jk, ki], axis=1).reshape(-1, 3)
+    return verts, faces
 
 
 def spheres_to_mesh(cloud: SphereCloud, subdivisions: int = 2) -> TriMesh:
@@ -289,8 +280,9 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
     the fourth-harmonic circular mean of nearest-neighbor headings, anchor
     at the projected point nearest the centroid. Scores are RMS distance to
     the nearest lattice site in pitch units (lower is better; inf marks a
-    degenerate collapsed projection). Returns (score, pitch, phi,
-    anchor_u, anchor_w); the anchors live in the phi-rotated frame.
+    degenerate collapsed projection). Returns (score, pitch, phi, res_u,
+    res_w): the residuals are each center's offset from its snapped site in
+    pitch units, per direction row, in the phi-rotated frame.
     """
     u, w = _basis_many(dirs)
     pts = points.astype(dtype)
@@ -350,8 +342,7 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
     extent = max(np.ptp(pts, axis=0).max(), 1.0)
     score = np.where(pitch > 1e-9 * extent, score, np.inf)
     return (score.astype(np.float64), pitch.astype(np.float64),
-            phi.astype(np.float64), au[:, 0].astype(np.float64),
-            aw[:, 0].astype(np.float64))
+            phi.astype(np.float64), fu, fw)
 
 
 def lattice_score(cloud: SphereCloud | np.ndarray, v) -> tuple[float, float]:
@@ -375,31 +366,20 @@ def _polish_direction(points: np.ndarray, v: np.ndarray,
     snapping is ambiguous) are returned unchanged.
     """
     for _ in range(iterations):
-        score, pitch, phi, au, aw = _score_frames(points, v[None, :])
+        score, pitch, phi, res_u, res_w = _score_frames(points, v[None, :])
         if not np.isfinite(score[0]) or score[0] >= MISS_SCORE:
             return v
-        u, w = _basis_many(v[None, :])
-        u, w = u[0], w[0]
-        cu = points @ u
-        cw = points @ w
         depth = points @ v
         if np.ptp(depth) < 1e-9 * max(np.ptp(points), 1.0):
             return v     # coplanar cloud: no depth leverage, nothing to fit
-        c, s = math.cos(-phi[0]), math.sin(-phi[0])
-        ru = c * cu - s * cw
-        rw = s * cu + c * cw
-        fu = (ru - au[0]) / pitch[0]
-        fw = (rw - aw[0]) / pitch[0]
-        res_u = (fu - np.rint(fu)) * pitch[0]
-        res_w = (fw - np.rint(fw)) * pitch[0]
         design = np.column_stack([depth, np.ones_like(depth)])
-        slope_u = np.linalg.lstsq(design, res_u, rcond=None)[0][0]
-        slope_w = np.linalg.lstsq(design, res_w, rcond=None)[0][0]
+        slope_u = np.linalg.lstsq(design, res_u[0] * pitch[0], rcond=None)[0][0]
+        slope_w = np.linalg.lstsq(design, res_w[0] * pitch[0], rcond=None)[0][0]
         # slopes live in the phi-rotated frame; rotate back before applying
         cb, sb = math.cos(phi[0]), math.sin(phi[0])
-        du = cb * slope_u - sb * slope_w
-        dw = sb * slope_u + cb * slope_w
-        v = unit_vector(v + du * u + dw * w)
+        u, w = _basis_many(v[None, :])
+        v = unit_vector(v + (cb * slope_u - sb * slope_w) * u[0]
+                        + (sb * slope_u + cb * slope_w) * w[0])
     return v
 
 
@@ -454,6 +434,9 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     occupied modules, so matrices missing much more than half their
     modules may defeat it.
     """
+    for name, value in (("coarse_step_deg", coarse_step_deg), ("refine_to_deg", refine_to_deg)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     centers = cloud.centers if isinstance(cloud, SphereCloud) else np.asarray(cloud)
     centers = centers.reshape(-1, 3)
     if len(centers) < 4:

@@ -289,6 +289,8 @@ def loft_layers(stack: LayerStack, resample_count: int = 128) -> TriMesh:
     """
     if stack.layer_count < 2:
         raise ValueError("lofting needs at least 2 layers")
+    if resample_count < 3:
+        raise ValueError(f"resample_count must be at least 3, got {resample_count}")
     rings = []
     for z, pts in stack.layers:
         outline = layer_outline(pts, z=z)
@@ -411,6 +413,8 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
         raise ValueError("cannot scan an empty mesh")
     if angle_step_deg <= 0 or 360.0 % angle_step_deg != 0:
         raise ValueError("angle_step_deg must divide 360")
+    if not 0 < layer_height < math.inf:
+        raise ValueError(f"layer_height must be positive and finite, got {layer_height}")
     steps = np.arange(0.0, 360.0, angle_step_deg)
     verts, index = _dedup_vertices(mesh.vertices)
     faces = index[mesh.triangles]

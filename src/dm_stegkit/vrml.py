@@ -82,9 +82,7 @@ def parse_vrml(text: str) -> VrmlTokenStream:
     if not text.startswith(VRML_HEADER):
         raise MissingHeader(f"expected a {VRML_HEADER!r} header line")
     tokens = _tokenize(text)
-    _check_brackets(tokens)
-    stream = VrmlTokenStream(text=text, tokens=tokens)
-    stream.color_green_slots = _find_green_slots(tokens)
+    stream = VrmlTokenStream(text=text, tokens=tokens, color_green_slots=_walk_brackets(tokens))
     if not stream.color_green_slots:
         stream.warnings.append("no Color node with usable RGB triples found")
     return stream
@@ -107,58 +105,39 @@ def _tokenize(text: str) -> list[Token]:
 _BRACKET_PAIR = {"}": "{", "]": "["}
 
 
-def _check_brackets(tokens):
-    stack: list[Token] = []
-    for tok in tokens:
-        if tok.kind != "punct":
-            continue
-        if tok.text in "{[":
-            stack.append(tok)
-        elif tok.text in "}]":
-            if not stack or stack[-1].text != _BRACKET_PAIR[tok.text]:
+def _walk_brackets(tokens: list[Token]) -> list[int]:
+    """Check bracket nesting and return the green slots, in one pass.
+
+    A slot is the second number of each triple of numbers that are direct
+    children of a ``[`` opened right after the keyword ``color``, where that
+    ``[`` sits directly inside a ``{`` opened right after the keyword
+    ``Color``, and whose value lies in [0, 1]. Comments are skipped, so one
+    may sit between a keyword and its bracket.
+    """
+    slots = []
+    stack = []      # (open token, opens a Color node, color list's partial triple or None)
+    prev = ""       # text of the previous non-comment token
+    for i, tok in enumerate(tokens):
+        if tok.kind == "number":
+            triple = stack[-1][2] if stack else None
+            if triple is not None:
+                triple.append(i)
+                if len(triple) == 3:
+                    if 0.0 <= tokens[triple[1]].value <= 1.0:
+                        slots.append(triple[1])
+                    triple.clear()
+        elif tok.kind == "punct" and tok.text in "{[":
+            in_node = bool(stack) and stack[-1][1]
+            stack.append((tok, tok.text == "{" and prev == "Color",
+                          [] if tok.text == "[" and prev == "color" and in_node else None))
+        elif tok.kind == "punct" and tok.text in "}]":
+            if not stack or stack[-1][0].text != _BRACKET_PAIR[tok.text]:
                 raise UnbalancedBrackets(tok.start, f"unexpected {tok.text!r}")
             stack.pop()
+        if tok.kind != "comment":
+            prev = tok.text
     if stack:
-        raise UnbalancedBrackets(stack[-1].start, f"unclosed {stack[-1].text!r}")
-
-
-def _find_green_slots(tokens) -> list[int]:
-    """Indices of the 2nd number of each RGB triple in Color color lists."""
-    slots = []
-    sig = [i for i, t in enumerate(tokens) if t.kind != "comment"]
-    for si, ti in enumerate(sig):
-        tok = tokens[ti]
-        if tok.kind != "keyword" or tok.text != "Color":
-            continue
-        if si + 1 >= len(sig) or tokens[sig[si + 1]].text != "{":
-            continue
-        depth = 0
-        j = si + 1
-        while j < len(sig):
-            t = tokens[sig[j]]
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif t.kind == "keyword" and t.text == "color" and depth == 1:
-                if j + 1 < len(sig) and tokens[sig[j + 1]].text == "[":
-                    j += 1
-                    triple = []
-                    while j + 1 < len(sig):
-                        j += 1
-                        t = tokens[sig[j]]
-                        if t.text == "]":
-                            break
-                        if t.kind == "number":
-                            triple.append(sig[j])
-                            if len(triple) == 3:
-                                green = tokens[triple[1]]
-                                if green.value is not None and 0.0 <= green.value <= 1.0:
-                                    slots.append(triple[1])
-                                triple = []
-            j += 1
+        raise UnbalancedBrackets(stack[-1][0].start, f"unclosed {stack[-1][0].text!r}")
     return slots
 
 

@@ -310,3 +310,43 @@ def test_missing_file_is_domain_error(capsys):
     status, doc = invoke(capsys, "stl-info", "/nonexistent/path.stl")
     assert status == 1
     assert "error" in doc["result"]
+
+
+def _sphere_code_xyz(capsys, tmp_path):
+    grid = tmp_path / "g.pbm"
+    grid.write_text("P1\n3 3\n1 0 1\n0 1 1\n1 1 1\n")
+    out = tmp_path / "g.xyz"
+    status, _ = invoke(capsys, "qr3d-embed", "--grid", str(grid), "--dir", "0.3,-0.5,0.8",
+                       "--pitch", "2", "--seed", "7", "-o", str(out))
+    assert status == 0
+    return grid, out
+
+
+def _layered_xyz(tmp_path):
+    t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    rows = [f"{5 * np.cos(a):.6f} {5 * np.sin(a):.6f} {z:.1f}"
+            for z in (0.0, 0.5, 1.0) for a in t]
+    path = tmp_path / "layers.xyz"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    ("qr3d-search", "--refine-to", "inf"), ("qr3d-search", "--coarse-step", "0"),
+    ("orient-scan", "--layer-height", "0"), ("orient-scan", "--layer-height", "-0.2"),
+    ("qr3d-embed", "--dir", "nan,0,1"), ("recon", "--resample", "2"),
+])
+def test_bad_numeric_arguments_are_envelope_errors(capsys, tmp_path, cube_stl, case):
+    verb, flag, value = case
+    grid, xyz = _sphere_code_xyz(capsys, tmp_path)
+    out = tmp_path / "out"
+    argv = {
+        "qr3d-search": ["qr3d-search", str(xyz)],
+        "orient-scan": ["orient-scan", str(cube_stl), "--angle-step", "90"],
+        "qr3d-embed": ["qr3d-embed", "--grid", str(grid), "--pitch", "2", "-o", str(out)],
+        "recon": ["recon", str(_layered_xyz(tmp_path)), "-o", str(out)],
+    }[verb]
+    status, doc = invoke(capsys, *argv, f"{flag}={value}")
+    assert status == 1
+    assert doc["result"]["error"] == "ValueError"
+    assert not out.exists()

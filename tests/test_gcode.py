@@ -322,3 +322,17 @@ def test_message_lines_still_check_line_number_and_checksum():
     # a longer code or a subcode is not a message
     assert parse_gcode("M1170 X1").commands[0].args == {"X": 1.0}
     assert parse_gcode("M117.5 X1").commands[0].args == {"X": 1.0}
+
+
+@pytest.mark.parametrize("line", ["M117 Hello (x", "M117 a) b", "M117 (x*12",
+                                  "M118 (50%) done", "N3 (x) M117 hi", "M117(x) hi"])
+def test_message_parentheses_are_text(line):
+    (cmd,) = parse_gcode(line).commands
+    assert cmd.code in ("M117", "M118")
+    assert cmd.args == {}
+
+
+def test_message_text_still_ends_at_a_checksum():
+    for line in ("M117 (x*1x", "M117 5 * 3 = 15"):
+        with pytest.raises(MalformedNumber, match="checksum"):
+            parse_gcode(line)

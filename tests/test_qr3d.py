@@ -534,3 +534,24 @@ def test_search_scores_each_refine_direction_once(monkeypatch):
     rows = [r.tobytes() for d in rings for r in d]
     assert len(set(rows)) == len(rows) - pairs
     assert len(set(rows)) < (result.candidates_evaluated - coarse - 1) / 2
+
+
+# a refine step of 0, -1 or NaN would hang a search that skips the check, so
+# those values go through the same comparison as the coarse step instead
+@pytest.mark.parametrize("name, value", [
+    ("coarse_step_deg", 0.0), ("coarse_step_deg", -1.0), ("coarse_step_deg", math.nan),
+    ("coarse_step_deg", math.inf), ("refine_to_deg", math.inf)])
+def test_search_steps_must_be_positive_and_finite(name, value):
+    cloud = _planted(seed=24, n=7)[2]
+    with pytest.raises(ValueError, match=name):
+        search_direction(cloud, **{name: value})
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0, 1.0), (0.0, math.inf, 0.0)])
+def test_direction_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        unit_vector(bad)
+    with pytest.raises(ValueError, match="finite"):
+        basis_for(bad)
+    with pytest.raises(ValueError, match="finite"):
+        EmbedParams(pitch=2.0, direction=bad)

@@ -621,3 +621,16 @@ def test_scan_bridge_axis_group_shares_layer_count():
     assert (120.0, 270.0, 120.0) in {c.rotation.as_tuple() for c in bridge_up}
     assert {c.mean_loops_per_layer for c in bridge_up} == {56 / 50}
     assert {c.max_open_chains for c in bridge_up} == {0}
+
+
+@pytest.mark.parametrize("layer_height", [0.0, -0.2, math.nan, math.inf])
+def test_orientation_scan_layer_height_must_be_positive_and_finite(layer_height):
+    with pytest.raises(ValueError, match="layer_height"):
+        orientation_scan(box_mesh(0, 0, 0, 1, 1, 1), angle_step_deg=90, layer_height=layer_height)
+
+
+@pytest.mark.parametrize("count", [2, 0, -5])
+def test_loft_needs_at_least_three_samples_per_ring(count):
+    stack = group_layers(cylinder_cloud(height=2.0))
+    with pytest.raises(ValueError, match="resample_count"):
+        loft_layers(stack, resample_count=count)

@@ -250,3 +250,29 @@ def test_tokenizer_matches_reference_on_scenes():
     for text in (vrml_scene(triples=2000, seed=4), TWO_TRIPLES,
                  '"a\\\n" b "c\\"d" # e\n"unterminated \\\n'):
         assert _tokenize(text) == _tokenize_reference(text)
+
+
+# --- slots of malformed nesting ------------------------------------------------------
+
+_ROWS = ", ".join(["0.1 0.5 0.1"] * 40)
+# a Color node inside another Color node's color list (not VRML97: a color
+# list holds RGB triples only)
+NESTED_COLOR = ("#VRML V2.0 utf8\nShape { geometry IndexedFaceSet { color Color { color [ "
+                + _ROWS + ", 0.1 0.5 0.1, Color { color [ " + _ROWS
+                + " ] }, 0.2 0.5 0.2 ] } } }\n")
+
+
+def test_color_node_nested_in_a_color_list_is_counted_once():
+    stream = parse_vrml(NESTED_COLOR)
+    # 42 triples directly in the outer list, 40 in the inner one
+    assert len(stream.color_green_slots) == len(set(stream.color_green_slots)) == 82
+    assert channel_capacity_bytes(stream) == 50
+    with pytest.raises(InsufficientSlots):
+        embed_green_digits(stream, bytes(range(60)))
+
+
+def test_numbers_in_a_bracket_nested_in_a_color_list_are_not_colours():
+    text = ("#VRML V2.0 utf8\nColor { color [ 0.1 0.5 0.1, [ 0.9 0.9 0.9 ], "
+            "{ 0.8 0.8 0.8 } 0.2 0.4 0.2 ] }\n")
+    stream = parse_vrml(text)
+    assert [stream.tokens[i].text for i in stream.color_green_slots] == ["0.5", "0.4"]
