@@ -24,6 +24,10 @@ _U64 = (1 << 64) - 1
 # snaps to one site: a search that ends there has found no lattice.
 MISS_SCORE = 0.25
 
+# Largest module grid side a projection may allocate (16 MB of bits), so a
+# tiny pitch fails fast instead of asking for terabytes.
+MAX_GRID_SIDE = 4096
+
 
 class SplitMix64:
     """Deterministic 64-bit generator (SplitMix64), identical on any host."""
@@ -43,13 +47,25 @@ class SplitMix64:
         return lo + (hi - lo) * u
 
 
+# norms inside this range come from squares that neither overflow nor lose
+# bits to underflow
+_SAFE_NORM = (1e-150, 1e150)
+
+
 def unit_vector(v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(3)
     if not np.isfinite(v).all():
         raise ValueError("direction must be finite")
-    n = float(np.linalg.norm(v))
-    if n == 0:
-        raise ValueError("zero direction vector")
+    with np.errstate(over="ignore", under="ignore"):
+        n = float(np.linalg.norm(v))
+    if not _SAFE_NORM[0] < n < _SAFE_NORM[1]:
+        # the squared components may have over- or underflowed: rescale by
+        # the largest first (only here, so ordinary directions keep their bits)
+        big = float(np.abs(v).max())
+        if big == 0:
+            raise ValueError("zero direction vector")
+        v = v / big
+        n = float(np.linalg.norm(v))
     return v / n
 
 
@@ -251,14 +267,18 @@ def project_to_grid(cloud: SphereCloud | np.ndarray, v, pitch: float) -> BitGrid
     rectangular result is padded with empty modules to stay square.
     """
     centers = cloud.centers if isinstance(cloud, SphereCloud) else np.asarray(cloud)
-    if pitch <= 0:
+    if not pitch > 0:
         raise ValueError("pitch must be positive")
     u, w = basis_for(unit_vector(v))
     cu = centers @ u
     cw = centers @ w
-    cols = np.rint((cu - cu.min()) / pitch).astype(int)
-    rows = np.rint((cw.max() - cw) / pitch).astype(int)
+    cols = np.rint((cu - cu.min()) / pitch)
+    rows = np.rint((cw.max() - cw) / pitch)
     n = max(rows.max(), cols.max()) + 1
+    if n > MAX_GRID_SIDE:
+        raise DegenerateProjection(f"pitch {pitch:g} would need a grid side of {n:.4g} "
+                                   f"modules, above the limit of {MAX_GRID_SIDE}")
+    rows, cols, n = rows.astype(int), cols.astype(int), int(n)
     if n < 2:
         raise DegenerateProjection("projection collapses below a 2x2 grid")
     bits = np.zeros((n, n), dtype=bool)
@@ -272,6 +292,35 @@ def _score_directions(points: np.ndarray, dirs: np.ndarray,
     return score, pitch
 
 
+def _nearest_neighbours(points: np.ndarray, dirs: np.ndarray,
+                        cu: np.ndarray, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each projected center's nearest other center, in the precision of
+    (cu, cw): index and squared distance, (M, N) each."""
+    m, n = cu.shape
+    if cu.dtype == np.float32:
+        # |d|^2 - (d.v)^2 over the 3-D pair differences d, formed in float64
+        p = np.asarray(points, dtype=np.float64)
+        diff = (p[:, None, :] - p[None, :, :]).reshape(-1, 3).astype(np.float32)
+        diff_sq = (diff * diff).sum(axis=1)
+        diff_sq[::n + 1] = np.inf
+        d2 = np.asarray(dirs, np.float32) @ np.ascontiguousarray(diff.T)   # (M, N^2)
+        d2 *= d2
+        np.subtract(diff_sq, d2, out=d2)
+        d2 = d2.reshape(m, n, n)
+    else:
+        # |p_i - p_j|^2 per direction via one batched gram matmul
+        proj = np.stack([cu, cw], axis=2)                    # (M, N, 2)
+        d2 = proj @ proj.transpose(0, 2, 1)
+        sq = (proj ** 2).sum(axis=2)
+        d2 *= -2.0
+        d2 += sq[:, :, None]
+        d2 += sq[:, None, :]
+        idx = np.arange(n)
+        d2[:, idx, idx] = np.inf
+    nn_idx = np.argmin(d2, axis=2)
+    return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0]
+
+
 def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
     """Lattice residual score and fitted frame for each direction row.
 
@@ -283,25 +332,20 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
     degenerate collapsed projection). Returns (score, pitch, phi, res_u,
     res_w): the residuals are each center's offset from its snapped site in
     pitch units, per direction row, in the phi-rotated frame.
+
+    The two precisions find nearest neighbors differently. float32 (the
+    coarse scan) takes each 3-D pair difference d, formed in float64, and
+    its projected squared length |d|^2 - (d.v)^2: one K=3 matmul per batch,
+    and no dependence on where the cloud sits. Expanding |p_i - p_j|^2
+    around the origin in float32 instead loses the neighbors of a cloud
+    far from it. float64 (refine and polish, whose values are the outputs)
+    keeps the expanded gram form from the projected points, bit for bit.
     """
     u, w = _basis_many(dirs)
     pts = points.astype(dtype)
     cu = np.ascontiguousarray((pts @ u.T.astype(dtype)).T)   # (M, N)
     cw = np.ascontiguousarray((pts @ w.T.astype(dtype)).T)
-    m, n = cu.shape
-
-    # pairwise |p_i - p_j|^2 per direction via one batched matmul
-    proj = np.stack([cu, cw], axis=2)                        # (M, N, 2)
-    gram = proj @ proj.transpose(0, 2, 1)
-    sq = (proj ** 2).sum(axis=2)
-    d2 = gram
-    d2 *= -2.0
-    d2 += sq[:, :, None]
-    d2 += sq[:, None, :]
-    idx = np.arange(n)
-    d2[:, idx, idx] = np.inf
-    nn_idx = np.argmin(d2, axis=2)
-    nn_d2 = np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0]
+    nn_idx, nn_d2 = _nearest_neighbours(points, dirs, cu, cw)
     pitch = np.sqrt(np.maximum(np.median(nn_d2, axis=1), 0.0))
 
     dx = np.take_along_axis(cu, nn_idx, axis=1) - cu
@@ -328,7 +372,7 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
     centroid_u = ru.mean(axis=1, keepdims=True)
     centroid_w = rw.mean(axis=1, keepdims=True)
     anchor = np.argmin((ru - centroid_u) ** 2 + (rw - centroid_w) ** 2, axis=1)
-    rows = np.arange(m)
+    rows = np.arange(len(cu))
     au = ru[rows, anchor][:, None]
     aw = rw[rows, anchor][:, None]
 
@@ -412,10 +456,39 @@ def _sph_dir(theta_deg: float, phi_deg: float) -> np.ndarray:
     return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
 
 
+def _polar_grid(thetas: list[float], phis: list[float]) -> np.ndarray:
+    """The pole, then ``_sph_dir(t, p)`` for each theta after the first and
+    each phi, bit for bit, from one sine and cosine per angle."""
+    st, ct = (np.array([f(math.radians(t)) for t in thetas[1:]]) for f in (math.sin, math.cos))
+    sp, cp = (np.array([f(math.radians(p)) for p in phis]) for f in (math.sin, math.cos))
+    ring = np.empty((len(st), len(sp), 3))
+    ring[:, :, 0] = st[:, None] * cp
+    ring[:, :, 1] = st[:, None] * sp
+    ring[:, :, 2] = ct[:, None]
+    return np.vstack([_sph_dir(0.0, 0.0), ring.reshape(-1, 3)])
+
+
 _COARSE_SUBSAMPLE = 128
 # direction x center-pair entries per coarse batch: at 128 centers a batch
 # of 128 directions keeps the float32 pairwise block at 8 MB
 _COARSE_BATCH_PAIRS = 1 << 21
+
+
+def _coarse_scores(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """float32 lattice scores of the direction rows, in cache-sized batches."""
+    if len(centers) > _COARSE_SUBSAMPLE:
+        # one coherent patch, the centers nearest the centroid: modules keep
+        # their lattice neighbours, so the median neighbour distance stays
+        # the pitch (a scattered subset has almost no adjacent modules)
+        d2 = ((centers - centers.mean(axis=0)) ** 2).sum(axis=1)
+        coarse_pts = centers[np.sort(np.argsort(d2, kind="stable")[:_COARSE_SUBSAMPLE])]
+    else:
+        coarse_pts = centers
+    # near-equal batches, so none shrinks to the one-row matmul (see the
+    # refine memo in search_direction)
+    batches = -(-len(dirs) * len(coarse_pts) ** 2 // _COARSE_BATCH_PAIRS)
+    return np.concatenate([_score_directions(coarse_pts, part, dtype=np.float32)[0]
+                           for part in np.array_split(dirs, batches)])
 
 
 def search_direction(cloud: SphereCloud | np.ndarray,
@@ -430,9 +503,12 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     its projection is returned. Each refine direction is scored once per
     search; ``candidates_evaluated`` still counts every pattern point
     visited. Ties break on the canonicalized direction, so results do not
-    depend on evaluation order. Pitch estimation relies on adjacent
-    occupied modules, so matrices missing much more than half their
-    modules may defeat it.
+    depend on evaluation order. The coarse scan only ranks directions, so it
+    finds projected neighbours in float32 from 3-D pair differences, which
+    is fast and holds wherever the cloud sits; refine and polish produce
+    the outputs and keep the float64 gram form (see ``_score_frames``).
+    Pitch estimation relies on adjacent occupied modules, so matrices
+    missing much more than half their modules may defeat it.
     """
     for name, value in (("coarse_step_deg", coarse_step_deg), ("refine_to_deg", refine_to_deg)):
         if not 0 < value < math.inf:
@@ -442,31 +518,11 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     if len(centers) < 4:
         raise TooFewSpheres(f"need at least 4 centers, got {len(centers)}")
 
-    if len(centers) > _COARSE_SUBSAMPLE:
-        # one coherent patch, the centers nearest the centroid: modules keep
-        # their lattice neighbours, so the median neighbour distance stays
-        # the pitch (a scattered subset has almost no adjacent modules)
-        d2 = ((centers - centers.mean(axis=0)) ** 2).sum(axis=1)
-        coarse_pts = centers[np.sort(np.argsort(d2, kind="stable")[:_COARSE_SUBSAMPLE])]
-    else:
-        coarse_pts = centers
-
-    angles = []
-    thetas = np.arange(0.0, 90.0 + 1e-9, coarse_step_deg)
-    phis = np.arange(0.0, 360.0, coarse_step_deg)
-    for t in thetas:
-        if t == 0.0:
-            angles.append((0.0, 0.0))
-            continue
-        for p in phis:
-            angles.append((float(t), float(p)))
-    dirs = np.array([_sph_dir(t, p) for t, p in angles])
+    thetas = np.arange(0.0, 90.0 + 1e-9, coarse_step_deg).tolist()
+    phis = np.arange(0.0, 360.0, coarse_step_deg).tolist()
+    dirs = _polar_grid(thetas, phis)
     evaluated = len(dirs)
-
-    # near-equal batches, so none shrinks to the one-row matmul (see below)
-    batches = -(-len(dirs) * len(coarse_pts) ** 2 // _COARSE_BATCH_PAIRS)
-    scores = np.concatenate([_score_directions(coarse_pts, part, dtype=np.float32)[0]
-                             for part in np.array_split(dirs, batches)])
+    scores = _coarse_scores(centers, dirs)
     top = _top_directions(scores, dirs, 5)
 
     # direction bytes -> ((score, canonical direction), pitch). A row's score
@@ -491,7 +547,11 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     best_pitch = None
     for i in top:
         step = coarse_step_deg / 2.0
-        cur = angles[i]
+        if i == 0:
+            cur = (0.0, 0.0)
+        else:
+            row, col = divmod(i - 1, len(phis))
+            cur = (thetas[row + 1], phis[col])
         while True:
             # pattern search: walk the 3x3 ring at this step until the
             # center is the local argmin, then halve the step

@@ -350,3 +350,24 @@ def test_bad_numeric_arguments_are_envelope_errors(capsys, tmp_path, cube_stl, c
     assert status == 1
     assert doc["result"]["error"] == "ValueError"
     assert not out.exists()
+
+
+def test_qr3d_directions_at_extreme_scales(capsys, tmp_path):
+    # squaring these components over- or underflows; the direction is (1, 1, 0)
+    grid, xyz = tmp_path / "g.pbm", tmp_path / "g.xyz"
+    grid.write_text("P1\n3 3\n1 0 1\n0 1 1\n1 1 1\n")
+    status, doc = invoke(capsys, "qr3d-embed", "--grid", str(grid), "--dir", "1e-200,1e-200,0",
+                         "--pitch", "2", "--seed", "7", "-o", str(xyz))
+    assert status == 0, doc
+    status, doc = invoke(capsys, "qr3d-project", str(xyz), "--dir", "1e200,1e200,0",
+                         "--pitch", "2")
+    assert status == 0, doc
+    assert doc["result"]["pbm"] == grid.read_text()
+
+
+def test_qr3d_project_grid_above_side_limit_is_domain_error(capsys, tmp_path):
+    _, xyz = _sphere_code_xyz(capsys, tmp_path)
+    status, doc = invoke(capsys, "qr3d-project", str(xyz), "--dir", "0,0,1", "--pitch", "1e-6")
+    assert status == 1
+    assert doc["result"]["error"] == "DegenerateProjection"
+    assert "pitch 1e-06" in doc["result"]["message"]

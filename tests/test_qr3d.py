@@ -375,17 +375,48 @@ def _ref_canonical(v):
     return v
 
 
-def _reference_search_direction(centers, coarse_step_deg=2.0, refine_to_deg=0.05):
-    """The search as first written: coarse chunks of 2e7 / N^2 directions, a
-    Python sort for the top 5, and every pattern point rescored. Clouds
-    beyond 128 centers are scored coarsely on the 128 nearest the
+def _gram_nearest_neighbours(points, dirs, cu, cw):
+    """Nearest projected neighbours from |p_i - p_j|^2 expanded around the
+    origin, the form the coarse pass used in float32 before it moved to
+    3-D pair differences (refine and polish still use it in float64)."""
+    m, n = cu.shape
+    proj = np.stack([cu, cw], axis=2)
+    d2 = proj @ proj.transpose(0, 2, 1)
+    sq = (proj ** 2).sum(axis=2)
+    d2 *= -2.0
+    d2 += sq[:, :, None]
+    d2 += sq[:, None, :]
+    idx = np.arange(n)
+    d2[:, idx, idx] = np.inf
+    nn_idx = np.argmin(d2, axis=2)
+    return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0]
+
+
+def _gram_coarse_scores(points, dirs):
+    """float32 lattice scores with the gram neighbour search."""
+    pair_form = qr3d._nearest_neighbours
+    qr3d._nearest_neighbours = _gram_nearest_neighbours
+    try:
+        return qr3d._score_directions(points, dirs, dtype=np.float32)[0]
+    finally:
+        qr3d._nearest_neighbours = pair_form
+
+
+def _reference_coarse_points(centers):
+    """Clouds beyond 128 centers are scored coarsely on the 128 nearest the
     centroid, ties to the lower index."""
-    if len(centers) > qr3d._COARSE_SUBSAMPLE:
-        d2 = [float(((c - centers.mean(axis=0)) ** 2).sum()) for c in centers]
-        nearest = sorted(range(len(centers)), key=lambda i: (d2[i], i))
-        coarse_pts = centers[sorted(nearest[:qr3d._COARSE_SUBSAMPLE])]
-    else:
-        coarse_pts = centers
+    if len(centers) <= qr3d._COARSE_SUBSAMPLE:
+        return centers
+    d2 = [float(((c - centers.mean(axis=0)) ** 2).sum()) for c in centers]
+    nearest = sorted(range(len(centers)), key=lambda i: (d2[i], i))
+    return centers[sorted(nearest[:qr3d._COARSE_SUBSAMPLE])]
+
+
+def _reference_search_direction(centers, coarse_step_deg=2.0, refine_to_deg=0.05):
+    """The search as first written: coarse chunks of 2e7 / N^2 directions
+    scored with the gram neighbour search, a Python sort for the top 5,
+    and every pattern point rescored."""
+    coarse_pts = _reference_coarse_points(centers)
     angles = []
     for t in np.arange(0.0, 90.0 + 1e-9, coarse_step_deg):
         if t == 0.0:
@@ -399,8 +430,7 @@ def _reference_search_direction(centers, coarse_step_deg=2.0, refine_to_deg=0.05
     chunk = max(1, int(2e7 / max(len(coarse_pts) ** 2, 1)))
     for lo in range(0, len(dirs), chunk):
         hi = min(lo + chunk, len(dirs))
-        scores[lo:hi], _ = qr3d._score_directions(coarse_pts, dirs[lo:hi],
-                                                  dtype=np.float32)
+        scores[lo:hi] = _gram_coarse_scores(coarse_pts, dirs[lo:hi])
     top = sorted(range(len(dirs)),
                  key=lambda i: (scores[i], tuple(_ref_canonical(dirs[i]))))[:5]
     best_dir = best_key = best_pitch = None
@@ -464,6 +494,74 @@ def test_search_matches_reference(make, centers):
     assert result.estimated_pitch.hex() == pitch.hex()
     assert result.candidates_evaluated == evaluated
     assert result.grid == grid
+
+
+def _coarse_grid(step=2.0):
+    return qr3d._polar_grid(np.arange(0.0, 90.0 + 1e-9, step).tolist(),
+                            np.arange(0.0, 360.0, step).tolist())
+
+
+@pytest.mark.parametrize("n", [13, 21, 33])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_coarse_top5_matches_gram_reference(seed, n):
+    cloud = _planted(seed, n=n)[2]
+    dirs = _coarse_grid()
+    coarse_pts = _reference_coarse_points(cloud.centers)
+    parts = -(-len(dirs) * len(coarse_pts) ** 2 // qr3d._COARSE_BATCH_PAIRS)
+    expected = np.concatenate([_gram_coarse_scores(coarse_pts, part)
+                               for part in np.array_split(dirs, parts)])
+    scores = qr3d._coarse_scores(cloud.centers, dirs)
+    assert qr3d._top_directions(scores, dirs, 5) == qr3d._top_directions(expected, dirs, 5)
+
+
+def test_polar_grid_matches_sph_dir():
+    for step in (0.5, 1.0, 2.0, 3.7):
+        thetas = np.arange(0.0, 90.0 + 1e-9, step).tolist()
+        phis = np.arange(0.0, 360.0, step).tolist()
+        angles = [(0.0, 0.0)] + [(t, p) for t in thetas[1:] for p in phis]
+        expected = np.array([qr3d._sph_dir(t, p) for t, p in angles])
+        assert qr3d._polar_grid(thetas, phis).tobytes() == expected.tobytes()
+
+
+def _float32_neighbour_d2(points, dirs, nearest):
+    p32 = points.astype(np.float32)
+    u, w = qr3d._basis_many(dirs)
+    cu = np.ascontiguousarray((p32 @ u.T.astype(np.float32)).T)
+    cw = np.ascontiguousarray((p32 @ w.T.astype(np.float32)).T)
+    return nearest(points, dirs, cu, cw)[1]
+
+
+@pytest.mark.parametrize("seed, n", [(1, 13), (2, 21), (3, 21)])
+def test_coarse_neighbour_distances_within_float32_tolerance(seed, n):
+    _, v, cloud = _planted(seed, n=n)
+    dirs = np.vstack([_coarse_grid()[::37], v])
+    # float64 truth from the projected coordinates' differences
+    u, w = qr3d._basis_many(dirs)
+    pu, pw = (cloud.centers @ u.T).T, (cloud.centers @ w.T).T
+    d2 = (pu[:, :, None] - pu[:, None, :]) ** 2 + (pw[:, :, None] - pw[:, None, :]) ** 2
+    k = np.arange(len(cloud.centers))
+    d2[:, k, k] = np.inf
+    exact = d2.min(axis=2)
+    diff = cloud.centers[:, None] - cloud.centers[None]
+    tol = 4 * np.finfo(np.float32).eps * (diff ** 2).sum(axis=2).max()
+    gram = _float32_neighbour_d2(cloud.centers, dirs, _gram_nearest_neighbours)
+    assert np.abs(gram - exact).max() <= tol
+    # the pair form holds the same bound wherever the cloud sits
+    for offset in (0.0, 1e4, 1e6):
+        pair = _float32_neighbour_d2(cloud.centers + offset, dirs, qr3d._nearest_neighbours)
+        assert np.abs(pair - exact).max() <= tol
+
+
+def test_search_recovers_cloud_far_from_origin():
+    # criterion-3 cloud 9001; expanding |p_i - p_j|^2 in float32 around the
+    # origin lost its coarse neighbours at this offset (82.6 degrees off)
+    rng = np.random.default_rng(9001)
+    grid = random_code_grid(rng, n=21)
+    v = random_unit_direction(rng)
+    cloud = grid_to_spheres(grid, EmbedParams(pitch=2.0, direction=v, depth_jitter=10.0, seed=1))
+    result = search_direction(cloud.centers + 1e4)
+    assert angle_between_deg(result.direction, v) <= 0.1
+    assert result.score < qr3d.MISS_SCORE
 
 
 @settings(max_examples=40, deadline=None)
@@ -545,6 +643,40 @@ def test_search_steps_must_be_positive_and_finite(name, value):
     cloud = _planted(seed=24, n=7)[2]
     with pytest.raises(ValueError, match=name):
         search_direction(cloud, **{name: value})
+
+
+@pytest.mark.parametrize("v, expected", [
+    ((1e308, 1e308, 0.0), (0.5 ** 0.5, 0.5 ** 0.5, 0.0)),
+    ((1e-200, 1e-200, 0.0), (0.5 ** 0.5, 0.5 ** 0.5, 0.0)),
+    ((1e-160, 3e-160, 0.0), (0.1 ** 0.5, 0.9 ** 0.5, 0.0)),
+])
+def test_unit_vector_survives_overflow_and_underflow(v, expected):
+    u = unit_vector(v)
+    assert np.allclose(u, expected, rtol=1e-15, atol=0)
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+    EmbedParams(pitch=2.0, direction=u)
+
+
+def test_unit_vector_keeps_bits_of_ordinary_directions():
+    rng = np.random.default_rng(42)
+    for v in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-100, 100, size=(200, 1)):
+        assert unit_vector(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+    with pytest.raises(ValueError, match="zero"):
+        unit_vector((0.0, -0.0, 0.0))
+
+
+def test_project_refuses_grid_above_side_limit():
+    cloud = _planted(seed=24, n=13)[2]
+    z = (0.0, 0.0, 1.0)
+    with pytest.raises(DegenerateProjection, match=r"pitch 1e-06 .* limit of 4096"):
+        project_to_grid(cloud, z, 1e-6)
+    side = qr3d.MAX_GRID_SIDE
+    extent = np.ptp(cloud.centers @ np.array(basis_for(z)).T, axis=0).max()
+    assert project_to_grid(cloud, z, extent / (side - 1)).n == side
+    with pytest.raises(DegenerateProjection):
+        project_to_grid(cloud, z, extent / side)
+    with pytest.raises(ValueError, match="positive"):
+        project_to_grid(cloud, z, math.nan)
 
 
 @pytest.mark.parametrize("bad", [(math.nan, 0.0, 1.0), (0.0, math.inf, 0.0)])
