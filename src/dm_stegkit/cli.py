@@ -101,22 +101,25 @@ def _cmd_stl_info(run: _Run, args) -> dict:
 
 def _cmd_header_embed(run: _Run, args) -> dict:
     data = run.read_bytes(args.file)
-    mesh = meshcore.parse_stl(data)
     message = args.message.encode("utf-8")
-    out = stego.embed_stl_header(mesh, message)
-    # a binary cover keeps every byte after the header; ASCII is rewritten
+    # a binary cover is validated, not parsed, and keeps every byte after
+    # the header; an ASCII cover is parsed and rewritten as binary
     if meshcore.is_binary_stl(data):
-        marked = out.header + data[len(out.header):]
+        meshcore.stl_header(data)
+        header = stego.stl_header_frame(message)
+        marked = header + data[len(header):]
     else:
+        out = stego.embed_stl_header(meshcore.parse_stl(data), message)
+        header = out.header
         marked = meshcore.write_stl_binary(out)
     _write_bytes(args.output, marked)
     return {"output": args.output, "message_bytes": len(message),
-            "header_hex": out.header.hex()}
+            "header_hex": header.hex()}
 
 
 def _cmd_header_extract(run: _Run, args) -> dict:
-    mesh = meshcore.parse_stl(run.read_bytes(args.file))
-    return {"payload": _payload_repr(stego.extract_stl_header(mesh))}
+    header = meshcore.stl_header(run.read_bytes(args.file))
+    return {"payload": _payload_repr(stego.stl_header_payload(header))}
 
 
 def _cmd_gcode_audit(run: _Run, args) -> dict:

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import AmbiguousClaims, MalformedNumber
+from .meshcore import parse_decimal
 
 _Z_QUANTUM = 1e-3  # mm; Z levels closer than this merge into one layer
 
@@ -71,6 +72,20 @@ _PAREN_COMMENT = re.compile(r"\([^()]*\)")
 _GAP = r"(?:\s|\([^()]*\))*"
 _MESSAGE_HEAD = re.compile(rf"{_GAP}(?:N\d*{_GAP})?M0*11[78](?=[\s()]|$|[^\W\d_])",
                            re.IGNORECASE)
+_MESSAGE_CODES = {"M117", "M118"}
+# the plain line: a line number, a code word other than N with an integer
+# number, letter-and-decimal arguments, a checksum and a comment, each
+# optional. A decimal has one spelling per parse, and so does a line, so a
+# match that fails takes time linear in the line. The arguments are matched
+# atomically (a lookahead, then a backreference to what it took): what may
+# follow them (spaces, '*', ';' or the end) cannot continue a word, so a
+# shorter run never helps.
+_ARG_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_ARG_WORD = re.compile(rf"([A-Za-z])({_ARG_NUMBER})")
+_PLAIN_LINE = re.compile(r"(?:[Nn][0-9]+)?"
+                         r"(?:[ \t]*([A-MO-Za-mo-z])([0-9]+)"
+                         rf"(?=((?:[ \t]*[A-Za-z]{_ARG_NUMBER})*))\3)?"
+                         r"[ \t]*(?:\*[ \t]*[0-9]+[ \t]*)?(?:;(.*))?")
 
 
 def parse_gcode(text: str) -> GcodeProgram:
@@ -81,53 +96,83 @@ def parse_gcode(text: str) -> GcodeProgram:
     RS274/NGC and RepRap firmware, a leading ``N`` line number, a trailing
     ``*`` checksum and ``( ... )`` comments are dropped. The text after an
     ``M117`` or ``M118`` code word is a message, not arguments; parentheses
-    in it are text, but a trailing ``*`` still starts a checksum.
+    in it are text, but a trailing ``*`` still starts a checksum. Numbers
+    are ASCII decimals.
+
+    A plain line (an integer code word and ASCII letter-and-decimal
+    arguments each given once, with an optional line number, checksum and
+    ``;`` comment) is read by one regex match; every other line goes through
+    ``_parse_line``.
     """
     commands = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        comment = None
-        if ";" in line:
-            line, comment = line.split(";", 1)
-        message = _MESSAGE_HEAD.match(line)
-        if message:
-            # message text may hold parentheses; only a *checksum is cut
-            _cut_checksum(line[message.end():], lineno)
-            line = message[0]
-        if "(" in line or ")" in line:
-            line = _PAREN_COMMENT.sub(" ", line)
-            if "(" in line or ")" in line:
-                raise MalformedNumber(lineno, "unbalanced '(' comment")
-        if "*" in line and not message:
-            line = _cut_checksum(line, lineno)
-        words = _split_words(line, lineno)
-        if words and words[0][0] == "N":
-            if not words[0][1].isdigit():
-                raise MalformedNumber(lineno, f"bad line number {words[0][1]!r}")
-            words = words[1:]
-        if not words:
-            commands.append(GcodeCommand(lineno, "", {}, comment))
-            continue
-        letter, number = words[0]
-        code = f"{letter}{_format_code_number(number, lineno, letter)}"
-        args = {}
-        for letter, number in words[1:]:
-            if letter in args:
-                raise MalformedNumber(lineno, f"duplicate argument letter {letter}")
-            args[letter] = _parse_float(number, lineno, letter)
-        commands.append(GcodeCommand(lineno, code, args, comment))
+        # a ( comment is never plain; the test is cheaper than a failed match
+        plain = "(" not in line and _PLAIN_LINE.fullmatch(line)
+        if plain:
+            letter, number, argtext, comment = plain.groups()
+            if letter is None:
+                commands.append(GcodeCommand(lineno, "", {}, comment))
+                continue
+            code = letter.upper() + (number.lstrip("0") or "0")
+            words = _ARG_WORD.findall(argtext)
+            args = {a.upper(): float(v) for a, v in words}
+            # a repeated letter, a message code or a number too large for a
+            # float (or a sum that overflows) sends the line to _parse_line
+            if len(args) == len(words) and code not in _MESSAGE_CODES \
+                    and math.isfinite(sum(args.values(), float(number))):
+                commands.append(GcodeCommand(lineno, code, args, comment))
+                continue
+        commands.append(_parse_line(line, lineno))
     return GcodeProgram(commands)
 
 
+def _parse_line(line: str, lineno: int) -> GcodeCommand:
+    """One stripped, nonempty line, word by word; errors name ``lineno``."""
+    comment = None
+    if ";" in line:
+        line, comment = line.split(";", 1)
+    message = _MESSAGE_HEAD.match(line)
+    if message:
+        # message text may hold parentheses; only a *checksum is cut
+        _cut_checksum(line[message.end():], lineno)
+        line = message[0]
+    if "(" in line or ")" in line:
+        line = _PAREN_COMMENT.sub(" ", line)
+        if "(" in line or ")" in line:
+            raise MalformedNumber(lineno, "unbalanced '(' comment")
+    if "*" in line and not message:
+        line = _cut_checksum(line, lineno)
+    words = _split_words(line, lineno)
+    if words and words[0][0] == "N":
+        if not _is_ascii_digits(words[0][1]):
+            raise MalformedNumber(lineno, f"bad line number {words[0][1]!r}")
+        words = words[1:]
+    if not words:
+        return GcodeCommand(lineno, "", {}, comment)
+    letter, number = words[0]
+    code = f"{letter}{_format_code_number(number, lineno, letter)}"
+    args = {}
+    for letter, number in words[1:]:
+        if letter in args:
+            raise MalformedNumber(lineno, f"duplicate argument letter {letter}")
+        args[letter] = _parse_float(number, lineno, letter)
+    return GcodeCommand(lineno, code, args, comment)
+
+
 def _cut_checksum(text: str, lineno: int) -> str:
-    """``text`` without a trailing ``*`` checksum, which must be digits."""
+    """``text`` without a trailing ``*`` checksum, which must be ASCII digits."""
     if "*" in text:
         text, _, checksum = text.rpartition("*")
-        if not checksum.strip().isdigit():
+        if not _is_ascii_digits(checksum.strip()):
             raise MalformedNumber(lineno, f"bad checksum {checksum.strip()!r}")
     return text
+
+
+def _is_ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
 
 
 def _split_words(body: str, lineno: int) -> list[tuple[str, str]]:
@@ -148,7 +193,7 @@ def _split_words(body: str, lineno: int) -> list[tuple[str, str]]:
 
 def _parse_float(number: str, lineno: int, letter: str) -> float:
     try:
-        value = float(number)
+        value = parse_decimal(number)
     except ValueError:
         raise MalformedNumber(lineno, f"bad number for {letter}: {number!r}") from None
     if not math.isfinite(value):

@@ -7,6 +7,7 @@ arrays and are treated as immutable after construction.
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -23,6 +24,23 @@ from .errors import (
 
 _STL_HEADER_LEN = 80
 _STL_RECORD_LEN = 50
+
+
+def parse_decimal(token: str) -> float:
+    """``float(token)`` for a token, without whitespace, that is an ASCII decimal.
+
+    ``float`` alone also reads PEP 515 underscores ("1_0" is 10) and
+    non-ASCII digits; these raise ValueError here, as any non-number does.
+    """
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII decimal: {token!r}")
+    return float(token)
+
+
+def _check_no_repeated_corner(t: np.ndarray) -> None:
+    """Raise InvalidMesh if a row of (m, 3) corner ids or keys repeats one."""
+    if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
+        raise InvalidMesh("triangle repeats a vertex index")
 
 
 @dataclass
@@ -50,9 +68,7 @@ class TriMesh:
         if self.triangles.size:
             if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
                 raise InvalidMesh("triangle index out of range")
-            t = self.triangles
-            if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
-                raise InvalidMesh("triangle repeats a vertex index")
+            _check_no_repeated_corner(self.triangles)
 
     @property
     def triangle_points(self) -> np.ndarray:
@@ -155,15 +171,33 @@ def is_binary_stl(data: bytes) -> bool:
 _STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
 
 
-def _parse_stl_binary(data: bytes) -> TriMesh:
-    header = data[:_STL_HEADER_LEN]
+def stl_header(data: bytes) -> bytes:
+    """The 80-byte header of STL bytes, after the checks ``parse_stl`` makes.
+
+    A binary STL's records are validated without building the mesh; any
+    other input is parsed by ``parse_stl``, whose mesh carries a zero header.
+    """
+    if is_binary_stl(data):
+        # bit-identical corners share a vertex index after dedup
+        _check_no_repeated_corner(_binary_stl_corners(data).view("V12")[:, :, 0])
+        return data[:_STL_HEADER_LEN]
+    return parse_stl(data).header
+
+
+def _binary_stl_corners(data: bytes) -> np.ndarray:
+    """The (count, 3, 3) float32 corners of bytes that pass ``is_binary_stl``,
+    a view of ``data``; raises NonFiniteCoordinate as parsing would."""
     (count,) = struct.unpack_from("<I", data, _STL_HEADER_LEN)
     rec = np.frombuffer(data, dtype=_STL_RECORD, count=count, offset=_STL_HEADER_LEN + 4)
-    corners = rec["v"].reshape(count * 3, 3)  # stored normals ignored
+    corners = rec["v"]  # stored normals ignored
     if not np.all(np.isfinite(corners)):
         raise NonFiniteCoordinate("binary STL contains non-finite vertex")
-    verts, tris = _dedup_vertices(corners)
-    return TriMesh(verts, tris.reshape(count, 3), header)
+    return corners
+
+
+def _parse_stl_binary(data: bytes) -> TriMesh:
+    verts, tris = _dedup_vertices(_binary_stl_corners(data).reshape(-1, 3))
+    return TriMesh(verts, tris.reshape(-1, 3), data[:_STL_HEADER_LEN])
 
 
 def _ascii_floats(parts, n, lineno):
@@ -172,7 +206,7 @@ def _ascii_floats(parts, n, lineno):
     out = []
     for p in parts:
         try:
-            v = float(p)
+            v = parse_decimal(p)
         except ValueError:
             raise MalformedAscii(lineno, f"bad number {p!r}") from None
         out.append(v)
@@ -298,10 +332,51 @@ def write_stl_binary(mesh: TriMesh) -> bytes:
 
 # --- XYZ point clouds ---------------------------------------------------------
 
+# an XYZ text in the plain grammar: lines split by "\n" or "\r\n", each blank,
+# a '#' comment or three tokens of the characters of ASCII decimals apart by
+# spaces, tabs and commas. Token and separator characters are disjoint, so a
+# line matches one way only.
+_XYZ_TOKEN = r"[-+.0-9eE]+"
+_XYZ_POINT = rf"[ \t,]*{_XYZ_TOKEN}[ \t,]+{_XYZ_TOKEN}[ \t,]+{_XYZ_TOKEN}[ \t,]*"
+_XYZ_LINE = re.compile(rf"(?:{_XYZ_POINT}|[ \t]*(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?)\r?")
+_XYZ_LINES = re.compile(rf"(?:{_XYZ_LINE.pattern}\n)*")
+_XYZ_COMMENT = re.compile(r"^[ \t]*#.*", re.MULTILINE)
+
+
+def _plain_xyz_head(text: str) -> int:
+    """The length of the lines at the head of ``text`` in the plain grammar."""
+    # a match, not a fullmatch, of the terminated lines: it stops at the
+    # first line that is not plain instead of retrying every shorter prefix
+    end = _XYZ_LINES.match(text).end()
+    return len(text) if _XYZ_LINE.fullmatch(text, end) else end
+
+
+def _bulk_xyz_points(head: str) -> np.ndarray | None:
+    """The (n, 3) points of plain lines, or None if a token is not a finite
+    decimal."""
+    body = _XYZ_COMMENT.sub("", head) if "#" in head else head
+    tokens = body.replace(",", " ").split()
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:      # decimal characters that are not a decimal
+        return None
+    return values.reshape(-1, 3) if np.isfinite(values).all() else None
+
+
 def parse_xyz(text: str) -> PointCloud:
-    """Parse whitespace/comma separated x y z lines; '#' starts a comment."""
+    """Parse whitespace/comma separated x y z lines; '#' starts a comment.
+
+    The lines at the head of the text that are in the plain grammar are
+    checked by regex and their tokens converted in bulk. The lines after
+    them, or every line if the head holds a token that is not a finite
+    decimal, are read one by one, so an error names its line.
+    """
+    end = _plain_xyz_head(text)
+    head = _bulk_xyz_points(text[:end])
+    if head is None:
+        end, head = 0, np.empty((0, 3))
     pts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text[end:].splitlines(), start=text.count("\n", 0, end) + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -309,15 +384,15 @@ def parse_xyz(text: str) -> PointCloud:
         if len(parts) != 3:
             raise BadLine(lineno)
         try:
-            p = [float(v) for v in parts]
+            p = [parse_decimal(v) for v in parts]
         except ValueError:
             raise BadLine(lineno, "not a number") from None
         if not all(math.isfinite(v) for v in p):
             raise BadLine(lineno, "non-finite coordinate")
         pts.append(p)
-    if not pts:
+    if not len(head) and not pts:
         raise EmptyCloud("no data lines in XYZ input")
-    return PointCloud(np.array(pts, dtype=np.float64))
+    return PointCloud(np.concatenate([head, np.array(pts, dtype=np.float64).reshape(-1, 3)]))
 
 
 def write_xyz(points: np.ndarray, comments: list[str] | None = None) -> str:

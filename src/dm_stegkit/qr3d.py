@@ -342,7 +342,11 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
     keeps the expanded gram form from the projected points, bit for bit.
     """
     u, w = _basis_many(dirs)
-    pts = points.astype(dtype)
+    # float32 projects centred points, so its ulp is set by the cloud's
+    # size, not by its distance from the origin (1.0 at 10^7 against a
+    # pitch of 2); float64 keeps the points as they are, bit for bit
+    centred = points - points.mean(axis=0) if np.dtype(dtype) == np.float32 else points
+    pts = centred.astype(dtype)
     cu = np.ascontiguousarray((pts @ u.T.astype(dtype)).T)   # (M, N)
     cw = np.ascontiguousarray((pts @ w.T.astype(dtype)).T)
     nn_idx, nn_d2 = _nearest_neighbours(points, dirs, cu, cw)

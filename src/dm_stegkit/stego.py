@@ -109,20 +109,29 @@ def _frame_starts(shifted):
 
 # --- STL header channel --------------------------------------------------------
 
-def embed_stl_header(mesh: TriMesh, message: bytes) -> TriMesh:
-    """Hide a framed message in the 80-byte STL header; geometry untouched."""
+def stl_header_frame(message: bytes) -> bytes:
+    """The 80-byte STL header that carries a framed message, zero-filled."""
     if len(message) > _STL_HEADER_CAPACITY:
         raise MessageTooLong(
             f"message is {len(message)} bytes, header holds {_STL_HEADER_CAPACITY}"
         )
     frame = frame_bytes(message)
-    header = frame + b"\x00" * (80 - len(frame))
-    return TriMesh(mesh.vertices.copy(), mesh.triangles.copy(), header)
+    return frame + b"\x00" * (80 - len(frame))
+
+
+def embed_stl_header(mesh: TriMesh, message: bytes) -> TriMesh:
+    """Hide a framed message in the 80-byte STL header; geometry untouched."""
+    return TriMesh(mesh.vertices.copy(), mesh.triangles.copy(), stl_header_frame(message))
+
+
+def stl_header_payload(header: bytes) -> bytes:
+    """Recover a framed message from 80 STL header bytes."""
+    return unframe_payload(bytes_to_bits(header))
 
 
 def extract_stl_header(mesh: TriMesh) -> bytes:
     """Recover a framed message from the STL header."""
-    return unframe_payload(bytes_to_bits(mesh.header))
+    return stl_header_payload(mesh.header)
 
 
 # --- Morse sketch codec ----------------------------------------------------------

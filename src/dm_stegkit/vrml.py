@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InsufficientSlots, MissingHeader, UnbalancedBrackets
 from .stego import FRAME_OVERHEAD, frame_payload, unframe_payload
@@ -34,8 +35,7 @@ _TOKEN_RE = re.compile(
 _BINARY_FRACTION_RE = re.compile(r"[^.]*\.([01]*)(.*)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str            # keyword | number | punct | string | comment
     start: int
     end: int

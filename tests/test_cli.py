@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import zlib
@@ -7,6 +8,7 @@ import pytest
 
 from dm_stegkit import __version__, audit, grid_from_pbm, mesh_volume, orientation_scan, \
     parse_gcode, parse_stl, unit_vector, write_stl_binary
+from dm_stegkit import meshcore
 from dm_stegkit.cli import run
 from conftest import box_mesh, two_tower_bridge, vrml_scene
 
@@ -371,3 +373,92 @@ def test_qr3d_project_grid_above_side_limit_is_domain_error(capsys, tmp_path):
     assert status == 1
     assert doc["result"]["error"] == "DegenerateProjection"
     assert "pitch 1e-06" in doc["result"]["message"]
+
+
+# --- header verbs on binary STL: records validated, mesh not built ----------------
+
+_ASCII_COVER = ("solid t\nfacet normal 0 0 1\nouter loop\nvertex 0 0 0\n"
+                "vertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\nendsolid t\n")
+
+
+def _bad_binary_cover(kind):
+    data = bytearray(write_stl_binary(box_mesh(0, 0, 0, 10, 10, 10)))
+    corner = 84 + 50 * 5 + 12 + 12                  # facet 5, second corner
+    if kind == "nan":
+        data[corner + 4:corner + 8] = struct.pack("<f", float("nan"))
+    elif kind == "repeated":                        # second corner equals the first
+        data[corner:corner + 12] = data[corner - 12:corner]
+    else:
+        del data[-10:]
+    return bytes(data)
+
+
+@pytest.mark.parametrize("verb", ["header-embed", "header-extract"])
+@pytest.mark.parametrize("kind, error", [("nan", "NonFiniteCoordinate"),
+                                         ("truncated", "TruncatedFile"),
+                                         ("repeated", "InvalidMesh")])
+def test_header_verbs_reject_bad_binary_cover_as_parse_stl_does(capsys, tmp_path, verb,
+                                                                kind, error):
+    cover, out = tmp_path / "cover.stl", tmp_path / "marked.stl"
+    cover.write_bytes(_bad_binary_cover(kind))
+    with pytest.raises(Exception) as parsed:
+        parse_stl(cover.read_bytes())
+    argv = [verb, str(cover)] + (["--message", "hi", "-o", str(out)]
+                                 if verb == "header-embed" else [])
+    status, doc = invoke(capsys, *argv)
+    assert status == 1
+    assert doc["result"] == {"error": error, "message": str(parsed.value)}
+    assert type(parsed.value).__name__ == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cover_kind, error", [("nan", "NonFiniteCoordinate"),
+                                               ("ascii", "MalformedAscii"),
+                                               ("good", "MessageTooLong")])
+def test_header_embed_checks_the_cover_before_the_message(capsys, tmp_path, cover_kind,
+                                                          error):
+    cover = tmp_path / "cover.stl"
+    cover.write_bytes(_bad_binary_cover("nan") if cover_kind == "nan"
+                      else _ASCII_COVER.replace("endloop", "endlop").encode()
+                      if cover_kind == "ascii"
+                      else write_stl_binary(box_mesh(0, 0, 0, 1, 1, 1)))
+    status, doc = invoke(capsys, "header-embed", str(cover), "--message", "m" * 70,
+                         "-o", str(tmp_path / "marked.stl"))
+    assert status == 1
+    assert doc["result"]["error"] == error
+
+
+# sha-256 of what the line-by-line parser's build of header-embed wrote for
+# these covers and the message "marked bytes"
+_MARKED_SHA256 = {
+    "binary": "afbab5c506360478002beeb34c0f40e7435f0359a410504e025707289e123068",
+    "ascii": "51afa556aed0c8c66d528dc8839a7ad471abb2bb71d22ec1cbae5859abec78ce",
+}
+
+
+@pytest.mark.parametrize("cover_kind", ["binary", "ascii"])
+def test_header_embed_output_bytes_are_unchanged(capsys, tmp_path, cover_kind):
+    cover, out = tmp_path / "cover.stl", tmp_path / "marked.stl"
+    cover.write_bytes(write_stl_binary(box_mesh(0, 0, 0, 10, 10, 10))
+                      if cover_kind == "binary" else _ASCII_COVER.encode())
+    status, doc = invoke(capsys, "header-embed", str(cover), "--message", "marked bytes",
+                         "-o", str(out))
+    assert status == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _MARKED_SHA256[cover_kind]
+    assert out.read_bytes()[:80].hex() == doc["result"]["header_hex"]
+    status, doc = invoke(capsys, "header-extract", str(out))
+    assert doc["result"]["payload"]["text"] == "marked bytes"
+
+
+def test_header_verbs_do_not_build_a_binary_mesh(capsys, tmp_path, cube_stl, monkeypatch):
+    def no_dedup(*_):
+        raise AssertionError("the header verbs built the mesh")
+
+    monkeypatch.setattr(meshcore, "_dedup_vertices", no_dedup)
+    out = tmp_path / "marked.stl"
+    status, doc = invoke(capsys, "header-embed", str(cube_stl), "--message", "hi",
+                         "-o", str(out))
+    assert status == 0, doc
+    status, doc = invoke(capsys, "header-extract", str(out))
+    assert status == 0, doc
+    assert doc["result"]["payload"]["text"] == "hi"

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,3 +338,51 @@ def test_message_text_still_ends_at_a_checksum():
     for line in ("M117 (x*1x", "M117 5 * 3 = 15"):
         with pytest.raises(MalformedNumber, match="checksum"):
             parse_gcode(line)
+
+
+# --- number grammar: ASCII decimals only ------------------------------------------
+
+@pytest.mark.parametrize("line, message", [
+    ("G1 X1_0 E1", "bad number for X: '1_0'"),      # float() reads 10
+    ("G0_1 X1", "bad number for G: '0_1'"),         # was kept as code G0_1
+    ("G1 X\u0661\u0662", "bad number for X: '\u0661\u0662'"),   # Arabic-Indic 12
+    ("G1 X\uff11", "bad number for X: '\uff11'"),  # fullwidth 1
+    ("N\u0661 G1 X1", "bad line number '\u0661'"),
+    ("N1 G1 X1*\u0661", "bad checksum '\u0661'"),
+])
+def test_numbers_are_ascii_decimals(line, message):
+    with pytest.raises(MalformedNumber, match=message) as err:
+        parse_gcode("G21\n" + line)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("line, letter", [
+    ("G1 X" + "9" * 200_000 + "-", "X"),
+    ("G" + "9" * 200_000 + "- X1", "G"),
+    ("G1 X1." + "9" * 200_000 + "-", "X"),
+    ("N5" + " " * 200_000 + "x", "X"),
+])
+def test_a_long_bad_number_fails_in_linear_time(line, letter):
+    # a number grammar that can split a digit run two ways tries every
+    # split before it fails: minutes for 200k digits instead of milliseconds
+    start = time.perf_counter()
+    with pytest.raises(MalformedNumber, match=f"bad number for {letter}"):
+        parse_gcode(line)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("line", [
+    "G1 X1 Y-2.5 E.5 ; wall", "g01x+1.e0", "G1 X1 X2", "M0117 X1 ; c", "M104 S210;",
+    ";LAYER:0", "G1 X" + "9" * 400, "G" + "9" * 400, "G1 X1e5", "G1\tX1\u2003Y2",
+    "N12 G1 X1*85", "n3g1x2 * 7 ;c", "N5", "N5 *3", "*3", "N5 N6 G1", "N05 G1 X1 X2*1",
+    "N5 M117 hi*2", "G1 X1 *", "G1 X1*12*13", "N1.5 G1",
+])
+def test_plain_lines_read_as_the_word_parser_reads_them(line):
+    try:
+        expected = gcode._parse_line(line, 1)
+    except MalformedNumber as exc:
+        with pytest.raises(MalformedNumber) as err:
+            parse_gcode(line)
+        assert str(err.value) == str(exc)
+        return
+    assert parse_gcode(line).commands == [expected]

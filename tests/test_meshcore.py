@@ -1,5 +1,6 @@
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from dm_stegkit import (
     slice_mesh,
     write_stl_binary,
 )
-from dm_stegkit.meshcore import SliceLoops, _dedup_vertices, slice_levels
+from dm_stegkit.meshcore import SliceLoops, _binary_stl_corners, _dedup_vertices, \
+    slice_levels, stl_header
 from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_vector
 from dm_stegkit.errors import (
     BadLine,
     EmptyCloud,
+    InvalidMesh,
     MalformedAscii,
     NonFiniteCoordinate,
     TruncatedFile,
@@ -654,3 +657,92 @@ def test_binary_parse_matches_float64_dedup(pool, ntris, seed):
 
     assert (outcome(lambda: parse_stl(data))
             == outcome(lambda: TriMesh(verts, inverse.reshape(-1, 3))))
+
+
+# --- number grammar: ASCII decimals only ------------------------------------------
+
+@pytest.mark.parametrize("number", ["1_0", "\u0661\u0662", "\uff11", "0x1"])
+def test_xyz_rejects_numbers_outside_ascii_decimals(number):
+    # float() reads "1_0" as 10 and Arabic-Indic or fullwidth digits as numbers
+    with pytest.raises(BadLine, match="line 2: not a number") as err:
+        parse_xyz(f"0 0 0\n{number} 2 3\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("number", ["1_0", "\u0661\u0662"])
+def test_ascii_stl_rejects_numbers_outside_ascii_decimals(number):
+    text = ASCII_ONE_FACET.replace("vertex 1 0 0", f"vertex {number} 0 0")
+    with pytest.raises(MalformedAscii, match=f"line 5: bad number {number!r}") as err:
+        parse_stl(text.encode("utf-8"))
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (parse_xyz, "9" * 200_000 + "x 1 2", BadLine),
+    (parse_xyz, "1 2 " + "9" * 200_000 + ".9e", BadLine),
+    (lambda t: parse_stl(t.encode()),
+     ASCII_ONE_FACET.replace("vertex 1 0 0", f"vertex {'9' * 200_000}# 0 0"), MalformedAscii),
+])
+def test_a_long_bad_number_fails_in_linear_time(read, text, error):
+    # a number grammar that can split a digit run two ways tries every
+    # split before it fails: minutes for 200k digits instead of milliseconds
+    start = time.perf_counter()
+    with pytest.raises(error, match="not a number|bad number"):
+        read(text)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("text, points", [
+    ("1 2 3\n-1.5e2,+.5,7.\n", [[1, 2, 3], [-150, 0.5, 7]]),
+    ("# radius=0.5\r\n  1\t2,3 ,\r\n\n", [[1, 2, 3]]),
+    ("1 2 3\r4 5 6", [[1, 2, 3], [4, 5, 6]]),          # a lone CR ends a line too
+    ("\u00a01 2 3\u2028 4 5 6", [[1, 2, 3], [4, 5, 6]]),
+    ("1 2 3\n# c\n4\u00a05 6\n7 8 9", [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),   # plain head
+])
+def test_parse_xyz_plain_and_other_line_grammars(text, points):
+    assert parse_xyz(text).points.tolist() == points
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("1 2 3\n1 2 3 4\n", 2, "expected 3 numbers"),
+    ("1 2 3\n\n1 2 1e999\n", 3, "non-finite coordinate"),
+    ("1 2 3\n1.2.3 2 3\n", 2, "not a number"),
+    ("1 2 3\n,,,\n", 2, "expected 3 numbers"),
+    ("# 1 2\r1 2\n", 2, "expected 3 numbers"),          # the comment ends at the CR
+    ("1 2 3\r\n4 5 6\n7\u00a08 9\n1 2\n", 4, "expected 3 numbers"),
+    ("1 2 3\n1.2.3 2 3\n\u00a01 2 3\n", 2, "not a number"),
+])
+def test_parse_xyz_errors_name_their_line(text, line, message):
+    with pytest.raises(BadLine, match=message) as err:
+        parse_xyz(text)
+    assert err.value.line == line
+
+
+# --- header-only STL reads ---------------------------------------------------------
+
+def test_stl_header_reads_binary_without_copying_records():
+    data = write_stl_binary(TriMesh(box_mesh(0, 0, 0, 1, 1, 1).vertices,
+                                    box_mesh(0, 0, 0, 1, 1, 1).triangles, b"hdr"))
+    assert stl_header(data) == b"hdr".ljust(80, b"\x00")
+    corners = _binary_stl_corners(data)
+    assert corners.shape == (12, 3, 3) and np.shares_memory(corners, np.frombuffer(data,
+                                                                                   np.uint8))
+    assert stl_header(ASCII_ONE_FACET.encode()) == b"\x00" * 80
+    with pytest.raises(TruncatedFile):
+        stl_header(data[:-1])
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 2), (0, 2)])
+def test_stl_header_rejects_a_repeated_corner_as_parse_stl_does(i, j):
+    data = bytearray(write_stl_binary(box_mesh(0, 0, 0, 1, 1, 1)))
+    facet = 84 + 50 * 3 + 12                    # corners of facet 3
+    data[facet + 12 * j:facet + 12 * j + 12] = data[facet + 12 * i:facet + 12 * i + 12]
+    for read in (parse_stl, stl_header):
+        with pytest.raises(InvalidMesh, match="repeats a vertex"):
+            read(bytes(data))
+    # -0.0 and +0.0 are distinct corners, for dedup as for the check
+    data[facet + 12 * j:facet + 12 * j + 4] = struct.pack("<f", -0.0)
+    data[facet + 12 * i:facet + 12 * i + 4] = struct.pack("<f", 0.0)
+    data[facet + 12 * j + 4:facet + 12 * j + 12] = data[facet + 12 * i + 4:facet + 12 * i + 12]
+    assert stl_header(bytes(data)) == bytes(data[:80])
+    assert len(parse_stl(bytes(data)).triangles) == 12

@@ -1,0 +1,308 @@
+"""The ingest parsers against the line-by-line parsers they replaced.
+
+``parse_gcode`` reads plain lines with one regex match, ``parse_xyz``
+converts the plain lines at the head of a text in bulk and VRML tokens are
+named tuples. On every
+input the result must equal the reference's, or both must raise the same
+exception type with the same message and line. The references read numbers
+with ``float``, which also takes PEP 515 underscores and non-ASCII digits,
+so the generated inputs hold neither; those cases have their own tests in
+test_gcode.py and test_meshcore.py.
+"""
+
+import math
+import re
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dm_stegkit import parse_gcode, parse_xyz
+from dm_stegkit.errors import BadLine, EmptyCloud, MalformedNumber
+from dm_stegkit.vrml import _TOKEN_RE, _tokenize
+from conftest import vrml_scene
+
+
+# --- the replaced parsers, kept as references ------------------------------------
+
+_PAREN_COMMENT = re.compile(r"\([^()]*\)")
+_GAP = r"(?:\s|\([^()]*\))*"
+_MESSAGE_HEAD = re.compile(rf"{_GAP}(?:N\d*{_GAP})?M0*11[78](?=[\s()]|$|[^\W\d_])",
+                           re.IGNORECASE)
+
+
+def _parse_gcode_reference(text):
+    commands = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        comment = None
+        if ";" in line:
+            line, comment = line.split(";", 1)
+        message = _MESSAGE_HEAD.match(line)
+        if message:
+            _cut_checksum_reference(line[message.end():], lineno)
+            line = message[0]
+        if "(" in line or ")" in line:
+            line = _PAREN_COMMENT.sub(" ", line)
+            if "(" in line or ")" in line:
+                raise MalformedNumber(lineno, "unbalanced '(' comment")
+        if "*" in line and not message:
+            line = _cut_checksum_reference(line, lineno)
+        words = _split_words_reference(line, lineno)
+        if words and words[0][0] == "N":
+            if not words[0][1].isdigit():
+                raise MalformedNumber(lineno, f"bad line number {words[0][1]!r}")
+            words = words[1:]
+        if not words:
+            commands.append((lineno, "", {}, comment))
+            continue
+        letter, number = words[0]
+        code = f"{letter}{_format_code_number_reference(number, lineno, letter)}"
+        args = {}
+        for letter, number in words[1:]:
+            if letter in args:
+                raise MalformedNumber(lineno, f"duplicate argument letter {letter}")
+            args[letter] = _parse_float_reference(number, lineno, letter)
+        commands.append((lineno, code, args, comment))
+    return commands
+
+
+def _cut_checksum_reference(text, lineno):
+    if "*" in text:
+        text, _, checksum = text.rpartition("*")
+        if not checksum.strip().isdigit():
+            raise MalformedNumber(lineno, f"bad checksum {checksum.strip()!r}")
+    return text
+
+
+def _split_words_reference(body, lineno):
+    words = []
+    for fieldtext in body.split():
+        pos = 0
+        while pos < len(fieldtext):
+            letter = fieldtext[pos]
+            if not letter.isalpha():
+                raise MalformedNumber(lineno, f"unexpected character {letter!r}")
+            pos += 1
+            start = pos
+            while pos < len(fieldtext) and not fieldtext[pos].isalpha():
+                pos += 1
+            words.append((letter.upper(), fieldtext[start:pos]))
+    return words
+
+
+def _parse_float_reference(number, lineno, letter):
+    try:
+        value = float(number)
+    except ValueError:
+        raise MalformedNumber(lineno, f"bad number for {letter}: {number!r}") from None
+    if not math.isfinite(value):
+        raise MalformedNumber(lineno, f"non-finite value for {letter}")
+    return value
+
+
+def _format_code_number_reference(number, lineno, letter):
+    _parse_float_reference(number, lineno, letter)
+    whole, dot, frac = number.partition(".")
+    if len(whole) > 1 and whole.isdigit():
+        number = (whole.lstrip("0") or "0") + dot + frac
+    return number
+
+
+def _parse_xyz_reference(text):
+    pts = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 3:
+            raise BadLine(lineno)
+        try:
+            p = [float(v) for v in parts]
+        except ValueError:
+            raise BadLine(lineno, "not a number") from None
+        if not all(math.isfinite(v) for v in p):
+            raise BadLine(lineno, "non-finite coordinate")
+        pts.append(p)
+    if not pts:
+        raise EmptyCloud("no data lines in XYZ input")
+    return np.array(pts, dtype=np.float64)
+
+
+@dataclass(frozen=True)
+class _DataclassToken:
+    kind: str
+    start: int
+    end: int
+    text: str
+    value: float | None = None
+
+
+def _tokenize_reference(text):
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "other":
+            kind = "punct"
+        tok = m.group()
+        tokens.append(_DataclassToken(kind, m.start(), m.end(), tok,
+                                      float(tok) if kind == "number" else None))
+    return tokens
+
+
+# --- comparison -----------------------------------------------------------------
+
+def _outcome(fn, text):
+    """The value, or the exception's type, message and line."""
+    try:
+        return "ok", fn(text)
+    except (MalformedNumber, BadLine, EmptyCloud) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def _gcode_new(text):
+    return [(c.line_number, c.code, c.args, c.comment) for c in parse_gcode(text).commands]
+
+
+def _xyz_new(text):
+    return parse_xyz(text).points
+
+
+def _same(new, ref):
+    if new[0] != "ok" or ref[0] != "ok":
+        return new == ref
+    a, b = new[1], ref[1]
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
+
+
+# --- G-code -----------------------------------------------------------------------
+
+_GCODE_WORDS = [
+    # codes, zero-padded codes, subcodes, line numbers, messages
+    "G1", "G0", "g1", "G01", "G00", "M082", "M104", "G92.1", "G0.5", "T1", "G", "N10",
+    "n7", "N1.5", "N", "M117", "m118", "M0117", "M1170", "M117Hello",
+    # arguments: signs, fractions, empty, repeated, huge, malformed
+    "X10", "Y-2.5", "E.5", "E1.", "F1200", "Z+3", "X", "X-", "X1.2.3", "X+-1", "Q",
+    "E-0.8", "X" + "9" * 320, "S255", "X1e", "e5", "X0.0",
+    # separators, comments, checksums, parens, commas, other text
+    " ", " ", " ", "\t", "", ";", "; filament used = 10mm", ";c;d", "(c)", "(", ")",
+    "(a(b)", "*12", "*x", "* 5", ",", "X1,Y2", "é", "\xa0", "hi", "5 * 3 = 15",
+]
+_GCODE_BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\x0b", " "]
+
+
+@st.composite
+def gcode_texts(draw):
+    lines = draw(st.lists(st.lists(st.sampled_from(_GCODE_WORDS), max_size=7),
+                          min_size=1, max_size=8))
+    breaks = draw(st.lists(st.sampled_from(_GCODE_BREAKS), min_size=len(lines),
+                           max_size=len(lines)))
+    return "".join("".join(words) + br for words, br in zip(lines, breaks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gcode_texts())
+def test_parse_gcode_matches_reference(text):
+    assert _same(_outcome(_gcode_new, text), _outcome(_parse_gcode_reference, text))
+
+
+# characters of G-code lines, with no underscore and no digit outside ASCII
+_GCODE_ALPHABET = st.sampled_from(list("GMNTXYZEFgxe0123456789.+- \t;()*,\n\réq\xa0"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(_GCODE_ALPHABET, max_size=60))
+def test_parse_gcode_matches_reference_on_any_text(text):
+    assert _same(_outcome(_gcode_new, text), _outcome(_parse_gcode_reference, text))
+
+
+def test_parse_gcode_matches_reference_on_a_slicer_program():
+    rng = np.random.default_rng(5)
+    lines = ["; generated by slicer 1.0", "M104 S210", "G28", "G21", "G90", "M82", "M107"]
+    for layer in range(4):
+        lines += [f";LAYER:{layer}", "G92 E0", f"G0 F9000 X100 Y100 Z{0.2 * layer + 0.2:.3f}"]
+        e = 0.0
+        for x, y, de in rng.uniform([50, 50, 0.01], [150, 150, 0.05], size=(200, 3)):
+            e += de
+            lines.append(f"G1 F1200 X{x:.3f} Y{y:.3f} E{e:.5f}")
+        lines += ["G1 E-0.8 F2400", "M106 S255", "M117 layer done"]
+    lines += ["M107", "M104 S0", "G28 X0", "; filament used [mm] = 12.34"]
+    text = "\n".join(lines) + "\n"
+    assert _gcode_new(text) == _parse_gcode_reference(text)
+
+
+# --- XYZ --------------------------------------------------------------------------
+
+_XYZ_TOKENS = ["1", "-2.5", "+3", "1e3", "1E-3", ".5", "5.", "0", "-0", "1e999", "-1e999",
+               "nan", "inf", "-Infinity", "x", "1.2.3", "e5", "1e", "--1", "#c", "# 1 2 3",
+               "1#"]
+_XYZ_SEPARATORS = [" ", " ", ",", ", ", "\t", "  ", ",,", "\xa0"]
+_XYZ_BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", " "]
+
+
+@st.composite
+def xyz_lines(draw):
+    kind = draw(st.sampled_from(["point", "point", "point", "comment", "blank", "tokens"]))
+    lead = draw(st.sampled_from(["", "", " ", "\t", ",", "\xa0"]))
+    if kind == "comment":
+        body = "#" + draw(st.text(st.sampled_from(list("1 2,3#x\t\r\x0b ")), max_size=8))
+    elif kind == "blank":
+        body = draw(st.sampled_from(["", " ", "\t", ",", ",,"]))
+    else:
+        count = 3 if kind == "point" else draw(st.integers(0, 5))
+        words = [draw(st.sampled_from(_XYZ_TOKENS[:8] if kind == "point" and draw(st.booleans())
+                                      else _XYZ_TOKENS)) for _ in range(count)]
+        seps = [draw(st.sampled_from(_XYZ_SEPARATORS)) for _ in range(count)]
+        body = "".join(w + s for w, s in zip(words, seps))
+    return lead + body
+
+
+@st.composite
+def xyz_texts(draw):
+    lines = draw(st.lists(xyz_lines(), max_size=8))
+    breaks = [draw(st.sampled_from(_XYZ_BREAKS)) for _ in lines]
+    tail = draw(st.booleans())
+    return "".join(line + br for line, br in zip(lines, breaks)) + ("" if tail else "1 2 3")
+
+
+@settings(max_examples=500, deadline=None)
+@given(xyz_texts())
+def test_parse_xyz_matches_reference(text):
+    assert _same(_outcome(_xyz_new, text), _outcome(_parse_xyz_reference, text))
+
+
+def test_parse_xyz_matches_reference_on_a_sphere_cloud_file():
+    rng = np.random.default_rng(3)
+    text = "# radius=0.5\n" + "".join(f"{x:.9g} {y:.9g} {z:.9g}\n"
+                                       for x, y, z in rng.normal(size=(200, 3)) * 1e3)
+    assert _xyz_new(text).tobytes() == _parse_xyz_reference(text).tobytes()
+
+
+# --- VRML tokens ------------------------------------------------------------------
+
+def _fields(tokens):
+    return [(t.kind, t.start, t.end, t.text, t.value) for t in tokens]
+
+
+_VRML_ALPHABET = st.sampled_from(list('#"\\\n\r\t ,{}[]0123456789.eE+-aZColr~@\x00é'))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(_VRML_ALPHABET, max_size=80))
+def test_tokenize_matches_reference(text):
+    assert _fields(_tokenize(text)) == _fields(_tokenize_reference(text))
+
+
+def test_tokenize_matches_reference_on_a_scene():
+    text = vrml_scene(300)
+    tokens = _tokenize(text)
+    assert _fields(tokens) == _fields(_tokenize_reference(text))
+    assert tokens[0] == ("comment", 0, len(text.split("\n")[0]), text.split("\n")[0], None)

@@ -564,6 +564,19 @@ def test_search_recovers_cloud_far_from_origin():
     assert result.score < qr3d.MISS_SCORE
 
 
+@pytest.mark.parametrize("k", range(3))
+def test_search_recovers_cloud_ten_million_from_origin(k):
+    # criterion-3 clouds 9000-9002: the float32 ulp at 10^7 is 1.0 against a
+    # pitch of 2, so uncentred projections ended 72-88 degrees off
+    rng = np.random.default_rng(9000 + k)
+    grid = random_code_grid(rng, n=21)
+    v = random_unit_direction(rng)
+    cloud = grid_to_spheres(grid, EmbedParams(pitch=2.0, direction=v, depth_jitter=10.0, seed=k))
+    result = search_direction(cloud.centers + 1e7)
+    assert angle_between_deg(result.direction, v) <= 0.1
+    assert result.score < qr3d.MISS_SCORE
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 60),
        m=st.integers(2, 12), lattice=st.booleans(),

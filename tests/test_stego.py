@@ -25,7 +25,8 @@ from dm_stegkit.errors import (
     UnsupportedCharacter,
     UnsupportedVersion,
 )
-from dm_stegkit.stego import MORSE_TABLE, bits_to_bytes, bytes_to_bits, frame_bytes
+from dm_stegkit.stego import MORSE_TABLE, bits_to_bytes, bytes_to_bits, frame_bytes, \
+    stl_header_frame, stl_header_payload
 from conftest import box_mesh
 
 # --- framing -----------------------------------------------------------------
@@ -142,6 +143,15 @@ def test_header_embed_extract_roundtrip():
     mesh = box_mesh(0, 0, 0, 1, 1, 1)
     out = embed_stl_header(mesh, b"QWERTY")
     assert extract_stl_header(out) == b"QWERTY"
+
+
+def test_header_frame_is_the_header_embed_writes():
+    header = stl_header_frame(b"QWERTY")
+    assert len(header) == 80
+    assert header == embed_stl_header(box_mesh(0, 0, 0, 1, 1, 1), b"QWERTY").header
+    assert stl_header_payload(header) == b"QWERTY"
+    with pytest.raises(MessageTooLong):
+        stl_header_frame(b"x" * 70)
 
 
 def test_header_embed_leaves_geometry_identical():
