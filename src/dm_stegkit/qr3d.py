@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateProjection, TooFewSpheres
-from .meshcore import TriMesh, _first_occurrence_ids, parse_xyz, write_xyz
+from .meshcore import TriMesh, _first_occurrence_ids, parse_decimal, parse_xyz, write_xyz
 
 _U64 = (1 << 64) - 1
 
@@ -460,16 +460,22 @@ def _sph_dir(theta_deg: float, phi_deg: float) -> np.ndarray:
     return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
 
 
-def _polar_grid(thetas: list[float], phis: list[float]) -> np.ndarray:
-    """The pole, then ``_sph_dir(t, p)`` for each theta after the first and
-    each phi, bit for bit, from one sine and cosine per angle."""
-    st, ct = (np.array([f(math.radians(t)) for t in thetas[1:]]) for f in (math.sin, math.cos))
-    sp, cp = (np.array([f(math.radians(p)) for p in phis]) for f in (math.sin, math.cos))
-    ring = np.empty((len(st), len(sp), 3))
-    ring[:, :, 0] = st[:, None] * cp
-    ring[:, :, 1] = st[:, None] * sp
-    ring[:, :, 2] = ct[:, None]
-    return np.vstack([_sph_dir(0.0, 0.0), ring.reshape(-1, 3)])
+def _ring_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pole, then rings theta = step, 2 step, ... <= 90 of k = ceil(360
+    sin(theta) / step) rows ``_sph_dir(theta, 360 j / k)``, bit for bit, so
+    ring neighbours are at most ``step`` apart (5268 rows at 2 degrees); and
+    each row's refine start: theta, and phi snapped to a multiple of step / 2,
+    so the pattern rings of all starts share one lattice and the refine memo.
+    """
+    thetas = np.arange(0.0, 90.0 + 1e-9, step)
+    st, ct = (np.array([f(math.radians(t)) for t in thetas.tolist()]) for f in (math.sin, math.cos))
+    counts = [max(1, math.ceil(360.0 * s / step)) for s in st.tolist()]
+    ring = np.repeat(np.arange(len(thetas)), counts)
+    phi = np.concatenate([360.0 * np.arange(k) / k for k in counts])
+    sp, cp = (np.fromiter(map(f, map(math.radians, phi)), float, len(phi))
+              for f in (math.sin, math.cos))
+    starts = np.column_stack([thetas[ring], np.rint(phi / (step / 2)) * (step / 2)])
+    return np.column_stack([st[ring] * cp, st[ring] * sp, ct[ring]]), starts
 
 
 _COARSE_SUBSAMPLE = 128
@@ -500,19 +506,19 @@ def search_direction(cloud: SphereCloud | np.ndarray,
                      refine_to_deg: float = 0.05) -> DirectionSearchResult:
     """Find the viewing direction by hemisphere scan plus local refinement.
 
-    A coarse polar grid is scored in cache-sized batches (clouds beyond 128
-    centers are scored on the 128 nearest their centroid), the 5 best
-    candidates descend 3x3 step-halving pattern grids until the step drops
-    below ``refine_to_deg``, and the winner gets a regression polish before
-    its projection is returned. Each refine direction is scored once per
-    search; ``candidates_evaluated`` still counts every pattern point
-    visited. Ties break on the canonicalized direction, so results do not
-    depend on evaluation order. The coarse scan only ranks directions, so it
-    finds projected neighbours in float32 from 3-D pair differences, which
-    is fast and holds wherever the cloud sits; refine and polish produce
-    the outputs and keep the float64 gram form (see ``_score_frames``).
-    Pitch estimation relies on adjacent occupied modules, so matrices
-    missing much more than half their modules may defeat it.
+    Coarse latitude rings are scored in cache-sized batches (clouds beyond
+    128 centers are scored on the 128 nearest their centroid), the 5 best
+    descend 3x3 step-halving pattern grids from lattice-snapped starts until
+    the step drops below ``refine_to_deg``, and the winner gets a regression
+    polish before its projection is returned. Each refine direction is scored
+    once per search; ``candidates_evaluated`` still counts every pattern
+    point visited. Ties break on the canonicalized direction, so results do
+    not depend on evaluation order. The coarse scan only ranks directions, so
+    it finds projected neighbours in float32 from 3-D pair differences, which
+    is fast and holds wherever the cloud sits; refine and polish produce the
+    outputs and keep the float64 gram form (see ``_score_frames``). Pitch
+    estimation relies on adjacent occupied modules, so matrices missing much
+    more than half their modules may defeat it.
     """
     for name, value in (("coarse_step_deg", coarse_step_deg), ("refine_to_deg", refine_to_deg)):
         if not 0 < value < math.inf:
@@ -522,9 +528,7 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     if len(centers) < 4:
         raise TooFewSpheres(f"need at least 4 centers, got {len(centers)}")
 
-    thetas = np.arange(0.0, 90.0 + 1e-9, coarse_step_deg).tolist()
-    phis = np.arange(0.0, 360.0, coarse_step_deg).tolist()
-    dirs = _polar_grid(thetas, phis)
+    dirs, starts = _ring_grid(coarse_step_deg)
     evaluated = len(dirs)
     scores = _coarse_scores(centers, dirs)
     top = _top_directions(scores, dirs, 5)
@@ -551,11 +555,7 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     best_pitch = None
     for i in top:
         step = coarse_step_deg / 2.0
-        if i == 0:
-            cur = (0.0, 0.0)
-        else:
-            row, col = divmod(i - 1, len(phis))
-            cur = (thetas[row + 1], phis[col])
+        cur = tuple(starts[i].tolist())
         while True:
             # pattern search: walk the 3x3 ring at this step until the
             # center is the local argmin, then halve the step
@@ -610,7 +610,7 @@ def cloud_from_xyz(text: str) -> SphereCloud:
         if s.startswith("#") and "radius=" in s:
             value = s.split("radius=", 1)[1].split()
             try:
-                radius = float(value[0])
+                radius = parse_decimal(value[0])
             except (IndexError, ValueError):
                 raise ValueError(f"line {lineno}: radius comment needs a number, "
                                  f"got {s!r}") from None

@@ -18,13 +18,13 @@ from .stego import FRAME_OVERHEAD, frame_payload, unframe_payload
 VRML_HEADER = "#VRML V2.0"
 
 # separators (unnamed) first, any other character last; no DOTALL, so a
-# string escape never spans a newline
+# string escape never spans a newline; [0-9], as \d and float take any Unicode digit
 _TOKEN_RE = re.compile(
     r"""
     [\s,]+
   | (?P<comment>\#[^\n]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
+  | (?P<number>[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][-+]?[0-9]+)?)
   | (?P<punct>[{}\[\]])
   | (?P<keyword>[A-Za-z_][A-Za-z0-9_\-]*)
   | (?P<other>[\s\S])

@@ -282,7 +282,9 @@ def test_qr3d_project_degenerate_is_domain_error(capsys, tmp_path):
     assert doc["result"]["error"] == "DegenerateProjection"
 
 
-@pytest.mark.parametrize("comment", ["# radius=", "# radius=abc"])
+# float alone reads "1_0" as 10 and the Arabic-Indic one as 1
+@pytest.mark.parametrize("comment", ["# radius=", "# radius=abc", "# radius=1_0",
+                                     "# radius=\u0661"])
 def test_qr3d_search_bad_radius_comment_is_domain_error(capsys, tmp_path, comment):
     path = tmp_path / "cloud.xyz"
     path.write_text("# sphere cloud\n" + comment + "\n0 0 0\n2 0 0\n0 2 0\n2 2 1\n")

@@ -412,18 +412,22 @@ def _reference_coarse_points(centers):
     return centers[sorted(nearest[:qr3d._COARSE_SUBSAMPLE])]
 
 
-def _reference_search_direction(centers, coarse_step_deg=2.0, refine_to_deg=0.05):
-    """The search as first written: coarse chunks of 2e7 / N^2 directions
-    scored with the gram neighbour search, a Python sort for the top 5,
-    and every pattern point rescored."""
-    coarse_pts = _reference_coarse_points(centers)
+def _reference_ring_angles(step):
+    """(theta, phi) of the coarse latitude rings, the pole first."""
     angles = []
-    for t in np.arange(0.0, 90.0 + 1e-9, coarse_step_deg):
-        if t == 0.0:
-            angles.append((0.0, 0.0))
-            continue
-        for p in np.arange(0.0, 360.0, coarse_step_deg):
-            angles.append((float(t), float(p)))
+    for t in np.arange(0.0, 90.0 + 1e-9, step).tolist():
+        k = max(1, math.ceil(360.0 * math.sin(math.radians(t)) / step))
+        angles.extend((t, 360.0 * j / k) for j in range(k))
+    return angles
+
+
+def _reference_search_direction(centers, coarse_step_deg=2.0, refine_to_deg=0.05):
+    """The search as first written, on latitude rings: coarse chunks of
+    2e7 / N^2 directions scored with the gram neighbour search, a Python
+    sort for the top 5, each start's phi snapped to a multiple of the first
+    refine step, and every pattern point rescored."""
+    coarse_pts = _reference_coarse_points(centers)
+    angles = _reference_ring_angles(coarse_step_deg)
     dirs = np.array([qr3d._sph_dir(t, p) for t, p in angles])
     evaluated = len(dirs)
     scores = np.empty(len(dirs))
@@ -436,7 +440,7 @@ def _reference_search_direction(centers, coarse_step_deg=2.0, refine_to_deg=0.05
     best_dir = best_key = best_pitch = None
     for i in top:
         step = coarse_step_deg / 2.0
-        cur = angles[i]
+        cur = (angles[i][0], round(angles[i][1] / step) * step)
         while True:
             for _ in range(16):
                 grid_angles = [(cur[0] + dt * step, cur[1] + dp * step)
@@ -497,8 +501,7 @@ def test_search_matches_reference(make, centers):
 
 
 def _coarse_grid(step=2.0):
-    return qr3d._polar_grid(np.arange(0.0, 90.0 + 1e-9, step).tolist(),
-                            np.arange(0.0, 360.0, step).tolist())
+    return qr3d._ring_grid(step)[0]
 
 
 @pytest.mark.parametrize("n", [13, 21, 33])
@@ -514,13 +517,47 @@ def test_coarse_top5_matches_gram_reference(seed, n):
     assert qr3d._top_directions(scores, dirs, 5) == qr3d._top_directions(expected, dirs, 5)
 
 
-def test_polar_grid_matches_sph_dir():
-    for step in (0.5, 1.0, 2.0, 3.7):
-        thetas = np.arange(0.0, 90.0 + 1e-9, step).tolist()
-        phis = np.arange(0.0, 360.0, step).tolist()
-        angles = [(0.0, 0.0)] + [(t, p) for t in thetas[1:] for p in phis]
-        expected = np.array([qr3d._sph_dir(t, p) for t, p in angles])
-        assert qr3d._polar_grid(thetas, phis).tobytes() == expected.tobytes()
+def _covering_radius_deg(dirs, samples):
+    """Largest angle from a sample axis to its nearest grid axis (v and -v
+    are one axis)."""
+    worst = 0.0
+    for part in np.array_split(samples, -(-len(samples) * len(dirs) // (1 << 22))):
+        worst = max(worst, float(np.abs(part @ dirs.T).max(axis=1).min()))
+    return math.degrees(math.acos(min(worst, 1.0)))
+
+
+@pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 3.7, 10.0])
+def test_ring_grid_covers_the_hemisphere_with_snapped_starts(step):
+    dirs, starts = qr3d._ring_grid(step)
+    angles = _reference_ring_angles(step)
+    assert angles[0] == (0.0, 0.0) and starts[0].tolist() == [0.0, 0.0]
+    assert dirs.tobytes() == np.array([qr3d._sph_dir(t, p) for t, p in angles]).tobytes()
+    thetas = np.arange(0.0, 90.0 + 1e-9, step)
+    # rings follow the pole in theta order, one cos(theta) per ring
+    _, first, counts = np.unique(-dirs[:, 2], return_index=True, return_counts=True)
+    assert np.array_equal(first, np.cumsum(counts) - counts)
+    assert len(counts) == len(thetas)
+    for lo, k, t in zip(first[1:].tolist(), counts[1:].tolist(), thetas[1:].tolist()):
+        ring = dirs[lo:lo + k]
+        phi = np.degrees(np.arctan2(ring[:, 1], ring[:, 0])) % 360.0
+        assert np.allclose(np.diff(np.append(phi, 360.0)), 360.0 / k, atol=1e-9)
+        assert 360.0 * math.sin(math.radians(t)) / k <= step * (1 + 1e-12)
+        assert (starts[lo:lo + k, 0] == t).all()
+        # each start is on the step / 2 lattice, within a quarter step of its row
+        assert np.abs(starts[lo:lo + k, 1] - phi).max() <= step / 4 * (1 + 1e-9)
+    for x in (starts / (step / 2)).ravel():
+        assert abs(x - round(x)) <= 1e-9 * max(abs(x), 1.0)
+    rng = np.random.default_rng(int(step * 10))
+    samples = rng.normal(size=(4000, 3))
+    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+    assert _covering_radius_deg(dirs, samples) <= 0.72 * step
+    # a grid of 360 / step phis on every ring has this many rows
+    polar = 1 + (len(thetas) - 1) * len(np.arange(0.0, 360.0, step))
+    # ceil adds up to one row per ring, which weighs more on the nine short
+    # rings at 10 degrees: 229 rows against 325
+    assert len(dirs) < (0.7 if step < 10 else 0.71) * polar
+    if step == 2.0:
+        assert (len(dirs), polar) == (5268, 8101)
 
 
 def _float32_neighbour_d2(points, dirs, nearest):

@@ -206,7 +206,7 @@ _REF_TOKEN_RE = re.compile(
     r"""
     (?P<comment>\#[^\n]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
+  | (?P<number>[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][-+]?[0-9]+)?)
   | (?P<punct>[{}\[\]])
   | (?P<keyword>[A-Za-z_][A-Za-z0-9_\-]*)
     """,
@@ -250,6 +250,14 @@ def test_tokenizer_matches_reference_on_scenes():
     for text in (vrml_scene(triples=2000, seed=4), TWO_TRIPLES,
                  '"a\\\n" b "c\\"d" # e\n"unterminated \\\n'):
         assert _tokenize(text) == _tokenize_reference(text)
+
+
+def test_number_digits_are_ascii():
+    # \d matched every Unicode decimal digit and float read them, so "0.\u0661"
+    # was the number 0.1 and "1\u0662" the number 12
+    assert _tokenize("0.\u0661 1\u0662") == [
+        Token("number", 0, 2, "0.", 0.0), Token("punct", 2, 3, "\u0661"),
+        Token("number", 4, 5, "1", 1.0), Token("punct", 5, 6, "\u0662")]
 
 
 # --- slots of malformed nesting ------------------------------------------------------
