@@ -44,7 +44,7 @@ def _payload_repr(data: bytes) -> dict:
 
 
 def _parse_direction(text: str) -> np.ndarray:
-    parts = [float(p) for p in text.replace(",", " ").split()]
+    parts = [meshcore.parse_decimal(p) for p in text.replace(",", " ").split()]
     if len(parts) != 3:
         raise ValueError("direction must be three numbers, e.g. 1,1,1")
     return qr3d.unit_vector(parts)
@@ -102,17 +102,15 @@ def _cmd_stl_info(run: _Run, args) -> dict:
 def _cmd_header_embed(run: _Run, args) -> dict:
     data = run.read_bytes(args.file)
     message = args.message.encode("utf-8")
-    # a binary cover is validated, not parsed, and keeps every byte after
-    # the header; an ASCII cover is parsed and rewritten as binary
+    # the cover is checked before the message: a binary cover is validated,
+    # not parsed, and keeps every byte after the header; an ASCII cover is
+    # parsed and rewritten as binary
     if meshcore.is_binary_stl(data):
         meshcore.stl_header(data)
-        header = stego.stl_header_frame(message)
-        marked = header + data[len(header):]
     else:
-        out = stego.embed_stl_header(meshcore.parse_stl(data), message)
-        header = out.header
-        marked = meshcore.write_stl_binary(out)
-    _write_bytes(args.output, marked)
+        data = meshcore.write_stl_binary(meshcore.parse_stl(data))
+    header = stego.stl_header_frame(message)
+    _write_bytes(args.output, header + data[len(header):])
     return {"output": args.output, "message_bytes": len(message),
             "header_hex": header.hex()}
 

@@ -79,6 +79,14 @@ class UnbalancedBrackets(StegkitError):
         super().__init__(f"offset {offset}: {message}")
 
 
+class NonAsciiDigit(StegkitError):
+    """Non-ASCII digit touching a number in a VRML file."""
+
+    def __init__(self, offset: int, digit: str):
+        self.offset = offset
+        super().__init__(f"offset {offset}: non-ASCII digit {digit!r} runs into a number")
+
+
 class InsufficientSlots(StegkitError):
     """Not enough rewritable color slots for the requested payload."""
 

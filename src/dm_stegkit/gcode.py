@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import AmbiguousClaims, MalformedNumber
 from .meshcore import parse_decimal
@@ -50,40 +50,31 @@ class ForensicsReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "computed_filament_mm": self.computed_filament_mm,
-            "declared_filament_mm": self.declared_filament_mm,
-            "travel_mm": self.travel_mm,
-            "z_levels": self.z_levels,
-            "max_z_mm": self.max_z_mm,
-            "layer_count": self.layer_count,
-            "discrepancy_ratio": self.discrepancy_ratio,
-            "verdict": self.verdict,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
     def to_json(self, pretty: bool = False) -> str:
         return json.dumps(self.to_dict(), indent=2 if pretty else None)
 
 
 _PAREN_COMMENT = re.compile(r"\([^()]*\)")
-# the optional N word and the code word of an M117 (display) or M118 (echo)
-# message, whose free text follows; ( ... ) comments may come before the code
+# the code word of an M117 (display) or M118 (echo) message, whose free text
+# follows; the message head is the optional N word and this code, and
+# ( ... ) comments may come before the code
+_MESSAGE_CODE = r"[Mm]0*11[78]"
 _GAP = r"(?:\s|\([^()]*\))*"
-_MESSAGE_HEAD = re.compile(rf"{_GAP}(?:N\d*{_GAP})?M0*11[78](?=[\s()]|$|[^\W\d_])",
+_MESSAGE_HEAD = re.compile(rf"{_GAP}(?:N\d*{_GAP})?{_MESSAGE_CODE}(?=[\s()]|$|[^\W\d_])",
                            re.IGNORECASE)
-_MESSAGE_CODES = {"M117", "M118"}
-# the plain line: a line number, a code word other than N with an integer
-# number, letter-and-decimal arguments, a checksum and a comment, each
-# optional. A decimal has one spelling per parse, and so does a line, so a
-# match that fails takes time linear in the line. The arguments are matched
-# atomically (a lookahead, then a backreference to what it took): what may
-# follow them (spaces, '*', ';' or the end) cannot continue a word, so a
-# shorter run never helps.
+# the plain line: a line number, a code word other than N or a message code
+# with an integer number, letter-and-decimal arguments, a checksum and a
+# comment, each optional. A decimal has one spelling per parse, and so does
+# a line, so a match that fails takes time linear in the line. The arguments
+# are matched atomically (a lookahead, then a backreference to what it took):
+# what may follow them (spaces, '*', ';' or the end) cannot continue a word,
+# so a shorter run never helps.
 _ARG_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
 _ARG_WORD = re.compile(rf"([A-Za-z])({_ARG_NUMBER})")
 _PLAIN_LINE = re.compile(r"(?:[Nn][0-9]+)?"
-                         r"(?:[ \t]*([A-MO-Za-mo-z])([0-9]+)"
+                         rf"(?:[ \t]*(?!{_MESSAGE_CODE}(?![0-9]))([A-MO-Za-mo-z])([0-9]+)"
                          rf"(?=((?:[ \t]*[A-Za-z]{_ARG_NUMBER})*))\3)?"
                          r"[ \t]*(?:\*[ \t]*[0-9]+[ \t]*)?(?:;(.*))?")
 
@@ -119,10 +110,9 @@ def parse_gcode(text: str) -> GcodeProgram:
             code = letter.upper() + (number.lstrip("0") or "0")
             words = _ARG_WORD.findall(argtext)
             args = {a.upper(): float(v) for a, v in words}
-            # a repeated letter, a message code or a number too large for a
-            # float (or a sum that overflows) sends the line to _parse_line
-            if len(args) == len(words) and code not in _MESSAGE_CODES \
-                    and math.isfinite(sum(args.values(), float(number))):
+            # a repeated letter or a number too large for a float (or a sum
+            # that overflows) sends the line to _parse_line
+            if len(args) == len(words) and math.isfinite(sum(args.values(), float(number))):
                 commands.append(GcodeCommand(lineno, code, args, comment))
                 continue
         commands.append(_parse_line(line, lineno))

@@ -37,16 +37,12 @@ def parse_decimal(token: str) -> float:
     return float(token)
 
 
-def _check_no_repeated_corner(t: np.ndarray) -> None:
-    """Raise InvalidMesh if a row of (m, 3) corner ids or keys repeats one."""
-    if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
-        raise InvalidMesh("triangle repeats a vertex index")
-
-
 @dataclass
 class TriMesh:
     """Indexed triangle soup.
 
+    Vertices are finite and triangle indices in range; a zero-area
+    triangle, collinear or repeating a vertex index, is kept like any other.
     ``header`` carries the 80 raw bytes of a binary STL source (zero-filled
     for meshes from other sources); it is the covert channel used by the
     header embedding functions.
@@ -68,7 +64,6 @@ class TriMesh:
         if self.triangles.size:
             if self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices):
                 raise InvalidMesh("triangle index out of range")
-            _check_no_repeated_corner(self.triangles)
 
     @property
     def triangle_points(self) -> np.ndarray:
@@ -178,8 +173,7 @@ def stl_header(data: bytes) -> bytes:
     other input is parsed by ``parse_stl``, whose mesh carries a zero header.
     """
     if is_binary_stl(data):
-        # bit-identical corners share a vertex index after dedup
-        _check_no_repeated_corner(_binary_stl_corners(data).view("V12")[:, :, 0])
+        _binary_stl_corners(data)
         return data[:_STL_HEADER_LEN]
     return parse_stl(data).header
 
@@ -343,18 +337,15 @@ _XYZ_LINES = re.compile(rf"(?:{_XYZ_LINE.pattern}\n)*")
 _XYZ_COMMENT = re.compile(r"^[ \t]*#.*", re.MULTILINE)
 
 
-def _plain_xyz_head(text: str) -> int:
-    """The length of the lines at the head of ``text`` in the plain grammar."""
+def _bulk_xyz_points(text: str) -> np.ndarray | None:
+    """The (n, 3) points of a text whose every line is in the plain grammar,
+    or None if a line is not or a token is not a finite decimal."""
     # a match, not a fullmatch, of the terminated lines: it stops at the
     # first line that is not plain instead of retrying every shorter prefix
     end = _XYZ_LINES.match(text).end()
-    return len(text) if _XYZ_LINE.fullmatch(text, end) else end
-
-
-def _bulk_xyz_points(head: str) -> np.ndarray | None:
-    """The (n, 3) points of plain lines, or None if a token is not a finite
-    decimal."""
-    body = _XYZ_COMMENT.sub("", head) if "#" in head else head
+    if not _XYZ_LINE.fullmatch(text, end):
+        return None
+    body = _XYZ_COMMENT.sub("", text) if "#" in text else text
     tokens = body.replace(",", " ").split()
     try:
         values = np.fromiter(map(float, tokens), np.float64, len(tokens))
@@ -366,33 +357,30 @@ def _bulk_xyz_points(head: str) -> np.ndarray | None:
 def parse_xyz(text: str) -> PointCloud:
     """Parse whitespace/comma separated x y z lines; '#' starts a comment.
 
-    The lines at the head of the text that are in the plain grammar are
-    checked by regex and their tokens converted in bulk. The lines after
-    them, or every line if the head holds a token that is not a finite
-    decimal, are read one by one, so an error names its line.
+    A text that is entirely in the plain grammar is checked by regex and its
+    tokens converted in bulk. Any other text, or one that holds a token that
+    is not a finite decimal, is read line by line, so an error names its line.
     """
-    end = _plain_xyz_head(text)
-    head = _bulk_xyz_points(text[:end])
-    if head is None:
-        end, head = 0, np.empty((0, 3))
-    pts = []
-    for lineno, raw in enumerate(text[end:].splitlines(), start=text.count("\n", 0, end) + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 3:
-            raise BadLine(lineno)
-        try:
-            p = [parse_decimal(v) for v in parts]
-        except ValueError:
-            raise BadLine(lineno, "not a number") from None
-        if not all(math.isfinite(v) for v in p):
-            raise BadLine(lineno, "non-finite coordinate")
-        pts.append(p)
-    if not len(head) and not pts:
+    pts = _bulk_xyz_points(text)
+    if pts is None:
+        pts = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.replace(",", " ").split()
+            if len(parts) != 3:
+                raise BadLine(lineno)
+            try:
+                p = [parse_decimal(v) for v in parts]
+            except ValueError:
+                raise BadLine(lineno, "not a number") from None
+            if not all(math.isfinite(v) for v in p):
+                raise BadLine(lineno, "non-finite coordinate")
+            pts.append(p)
+    if not len(pts):
         raise EmptyCloud("no data lines in XYZ input")
-    return PointCloud(np.concatenate([head, np.array(pts, dtype=np.float64).reshape(-1, 3)]))
+    return PointCloud(pts)
 
 
 def write_xyz(points: np.ndarray, comments: list[str] | None = None) -> str:

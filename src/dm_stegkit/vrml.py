@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import InsufficientSlots, MissingHeader, UnbalancedBrackets
+from .errors import InsufficientSlots, MissingHeader, NonAsciiDigit, UnbalancedBrackets
 from .stego import FRAME_OVERHEAD, frame_payload, unframe_payload
 
 VRML_HEADER = "#VRML V2.0"
@@ -106,13 +106,16 @@ _BRACKET_PAIR = {"}": "{", "]": "["}
 
 
 def _walk_brackets(tokens: list[Token]) -> list[int]:
-    """Check bracket nesting and return the green slots, in one pass.
+    """Check bracket nesting and digits and return the green slots, in one pass.
 
     A slot is the second number of each triple of numbers that are direct
     children of a ``[`` opened right after the keyword ``color``, where that
     ``[`` sits directly inside a ``{`` opened right after the keyword
     ``Color``, and whose value lies in [0, 1]. Comments are skipped, so one
     may sit between a keyword and its bracket.
+
+    A non-ASCII digit that touches a number raises NonAsciiDigit: the
+    number would stop short of it and could be rewritten as a slot.
     """
     slots = []
     stack = []      # (open token, opens a Color node, color list's partial triple or None)
@@ -134,6 +137,11 @@ def _walk_brackets(tokens: list[Token]) -> list[int]:
             if not stack or stack[-1][0].text != _BRACKET_PAIR[tok.text]:
                 raise UnbalancedBrackets(tok.start, f"unexpected {tok.text!r}")
             stack.pop()
+        elif tok.kind == "punct" and tok.text.isdecimal():
+            if (i and tokens[i - 1].kind == "number" and tokens[i - 1].end == tok.start
+                    or i + 1 < len(tokens) and tokens[i + 1].kind == "number"
+                    and tokens[i + 1].start == tok.end):
+                raise NonAsciiDigit(tok.start, tok.text)
         if tok.kind != "comment":
             prev = tok.text
     if stack:

@@ -369,6 +369,21 @@ def test_qr3d_directions_at_extreme_scales(capsys, tmp_path):
     assert doc["result"]["pbm"] == grid.read_text()
 
 
+@pytest.mark.parametrize("verb", ["qr3d-embed", "qr3d-project"])
+@pytest.mark.parametrize("part", ["1_0", "\u0661"])
+def test_direction_parts_are_ascii_decimals(capsys, tmp_path, verb, part):
+    # float alone reads "1_0" as 10 and an Arabic-Indic one as 1
+    grid, xyz = _sphere_code_xyz(capsys, tmp_path)
+    out = tmp_path / "out"
+    argv = {"qr3d-embed": ["qr3d-embed", "--grid", str(grid), "--pitch", "2"],
+            "qr3d-project": ["qr3d-project", str(xyz), "--pitch", "2"]}[verb]
+    status, doc = invoke(capsys, *argv, f"--dir=1,{part},0", "-o", str(out))
+    assert status == 1
+    assert doc["result"] == {"error": "ValueError",
+                             "message": f"not an ASCII decimal: {part!r}"}
+    assert not out.exists()
+
+
 def test_qr3d_project_grid_above_side_limit_is_domain_error(capsys, tmp_path):
     _, xyz = _sphere_code_xyz(capsys, tmp_path)
     status, doc = invoke(capsys, "qr3d-project", str(xyz), "--dir", "0,0,1", "--pitch", "1e-6")
@@ -388,8 +403,6 @@ def _bad_binary_cover(kind):
     corner = 84 + 50 * 5 + 12 + 12                  # facet 5, second corner
     if kind == "nan":
         data[corner + 4:corner + 8] = struct.pack("<f", float("nan"))
-    elif kind == "repeated":                        # second corner equals the first
-        data[corner:corner + 12] = data[corner - 12:corner]
     else:
         del data[-10:]
     return bytes(data)
@@ -397,8 +410,7 @@ def _bad_binary_cover(kind):
 
 @pytest.mark.parametrize("verb", ["header-embed", "header-extract"])
 @pytest.mark.parametrize("kind, error", [("nan", "NonFiniteCoordinate"),
-                                         ("truncated", "TruncatedFile"),
-                                         ("repeated", "InvalidMesh")])
+                                         ("truncated", "TruncatedFile")])
 def test_header_verbs_reject_bad_binary_cover_as_parse_stl_does(capsys, tmp_path, verb,
                                                                 kind, error):
     cover, out = tmp_path / "cover.stl", tmp_path / "marked.stl"
@@ -412,6 +424,23 @@ def test_header_verbs_reject_bad_binary_cover_as_parse_stl_does(capsys, tmp_path
     assert doc["result"] == {"error": error, "message": str(parsed.value)}
     assert type(parsed.value).__name__ == error
     assert not out.exists()
+
+
+def test_header_verbs_accept_a_repeated_corner_as_parse_stl_does(capsys, tmp_path):
+    data = bytearray(write_stl_binary(box_mesh(0, 0, 0, 10, 10, 10)))
+    corner = 84 + 50 * 5 + 12 + 12                  # facet 5, second corner
+    data[corner:corner + 12] = data[corner - 12:corner]
+    cover, out = tmp_path / "cover.stl", tmp_path / "marked.stl"
+    cover.write_bytes(bytes(data))
+    status, doc = invoke(capsys, "stl-info", str(cover))
+    assert status == 0
+    assert (doc["result"]["triangles"], doc["result"]["vertices"]) == (12, 8)
+    status, doc = invoke(capsys, "header-embed", str(cover), "--message", "hi", "-o", str(out))
+    assert status == 0
+    assert out.read_bytes()[80:] == bytes(data[80:])
+    status, doc = invoke(capsys, "header-extract", str(out))
+    assert status == 0
+    assert doc["result"]["payload"]["text"] == "hi"
 
 
 @pytest.mark.parametrize("cover_kind, error", [("nan", "NonFiniteCoordinate"),

@@ -25,7 +25,6 @@ from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_
 from dm_stegkit.errors import (
     BadLine,
     EmptyCloud,
-    InvalidMesh,
     MalformedAscii,
     NonFiniteCoordinate,
     TruncatedFile,
@@ -593,8 +592,9 @@ def test_trimesh_invariant_validation():
     from dm_stegkit.errors import InvalidMesh
     with pytest.raises(InvalidMesh):
         TriMesh([[0, 0, 0], [1, 0, 0]], [[0, 1, 2]])       # index out of range
-    with pytest.raises(InvalidMesh):
-        TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 1]])  # repeated index
+    # a repeated index is a zero-area triangle, kept as a collinear one is
+    assert TriMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 1]]).triangles.tolist() \
+        == [[0, 1, 1]]
     with pytest.raises(NonFiniteCoordinate):
         TriMesh([[0, 0, math.inf], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
 
@@ -733,14 +733,15 @@ def test_stl_header_reads_binary_without_copying_records():
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (1, 2), (0, 2)])
-def test_stl_header_rejects_a_repeated_corner_as_parse_stl_does(i, j):
+def test_stl_header_accepts_a_repeated_corner_as_parse_stl_does(i, j):
     data = bytearray(write_stl_binary(box_mesh(0, 0, 0, 1, 1, 1)))
     facet = 84 + 50 * 3 + 12                    # corners of facet 3
     data[facet + 12 * j:facet + 12 * j + 12] = data[facet + 12 * i:facet + 12 * i + 12]
-    for read in (parse_stl, stl_header):
-        with pytest.raises(InvalidMesh, match="repeats a vertex"):
-            read(bytes(data))
-    # -0.0 and +0.0 are distinct corners, for dedup as for the check
+    assert stl_header(bytes(data)) == bytes(data[:80])
+    mesh = parse_stl(bytes(data))
+    assert len(mesh.triangles) == 12
+    assert mesh.triangles[3, i] == mesh.triangles[3, j]
+    # -0.0 and +0.0 are distinct corners for dedup
     data[facet + 12 * j:facet + 12 * j + 4] = struct.pack("<f", -0.0)
     data[facet + 12 * i:facet + 12 * i + 4] = struct.pack("<f", 0.0)
     data[facet + 12 * j + 4:facet + 12 * j + 12] = data[facet + 12 * i + 4:facet + 12 * i + 12]

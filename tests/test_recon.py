@@ -466,6 +466,15 @@ def test_scan_two_towers_prefers_bridge_axis():
     assert best.mean_loops_per_layer == pytest.approx(along, abs=0.05)
 
 
+def test_scan_ignores_facets_that_repeat_a_corner():
+    # each such facet's section features are joined to themselves: no segment
+    towers = two_tower_bridge()
+    extra = [[0, 0, 1], [1, 5, 5], [3, 3, 3], [0, 0, 14], [6, 17, 17]]
+    padded = TriMesh(towers.vertices, np.vstack([towers.triangles, extra]))
+    assert orientation_scan(padded, 45, 0.2).to_dict(top=None) \
+        == orientation_scan(towers, 45, 0.2).to_dict(top=None)
+
+
 def test_scan_candidate_count_and_sorting():
     report = orientation_scan(box_mesh(0, 0, 0, 2, 2, 2), angle_step_deg=120)
     assert report.candidate_count == 27

@@ -16,6 +16,7 @@ from dm_stegkit.errors import (
     InsufficientSlots,
     MissingHeader,
     NoFrameFound,
+    NonAsciiDigit,
     UnbalancedBrackets,
 )
 from dm_stegkit.stego import FRAME_OVERHEAD
@@ -268,6 +269,16 @@ _ROWS = ", ".join(["0.1 0.5 0.1"] * 40)
 NESTED_COLOR = ("#VRML V2.0 utf8\nShape { geometry IndexedFaceSet { color Color { color [ "
                 + _ROWS + ", 0.1 0.5 0.1, Color { color [ " + _ROWS
                 + " ] }, 0.2 0.5 0.2 ] } } }\n")
+
+
+@pytest.mark.parametrize("colour, offset", [("0.\u0661 0.\u0665 0.\u0662", 2),
+                                            ("\u0661.5 0.5 0.2", 0)])
+def test_number_running_into_a_non_ascii_digit_is_an_error(colour, offset):
+    # "0.\u0665" was the number "0." then punct "\u0665", a green slot that
+    # embedding rewrote, leaving the digit after the new fraction
+    head = "#VRML V2.0 utf8\nShape { color Color { color [ "
+    with pytest.raises(NonAsciiDigit, match=f"^offset {len(head) + offset}: "):
+        parse_vrml(head + colour + " ] } }")
 
 
 def test_color_node_nested_in_a_color_list_is_counted_once():
