@@ -336,6 +336,8 @@ def metadata_claims(program: GcodeProgram) -> float | None:
 
 def audit(program: GcodeProgram, mismatch_threshold: float = 0.02) -> ForensicsReport:
     """Cross-check declared filament use against the replayed toolpath."""
+    if not 0 <= mismatch_threshold < math.inf:     # NaN fails too
+        raise ValueError("mismatch threshold must be finite and >= 0")
     state = _replay(program)
     levels, layer_count, max_z = _z_levels(state)
     warnings = []

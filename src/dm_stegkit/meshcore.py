@@ -23,7 +23,8 @@ from .errors import (
 )
 
 _STL_HEADER_LEN = 80
-_STL_RECORD_LEN = 50
+_STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
+_STL_RECORD_LEN = _STL_RECORD.itemsize
 
 
 def parse_decimal(token: str) -> float:
@@ -163,9 +164,6 @@ def is_binary_stl(data: bytes) -> bool:
     return len(data) == _STL_HEADER_LEN + 4 + _STL_RECORD_LEN * count
 
 
-_STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
-
-
 def stl_header(data: bytes) -> bytes:
     """The 80-byte header of STL bytes, after the checks ``parse_stl`` makes.
 
@@ -207,56 +205,47 @@ def _ascii_floats(parts, n, lineno):
     return out
 
 
+# steps of the ASCII STL grammar, each a full match of a stripped, lower-cased
+# line (\s and str.split agree on what whitespace is)
+_ASCII_SOLID = re.compile("solid.*").fullmatch
+_ASCII_FACET = re.compile("(?:facet|endsolid).*").fullmatch
+_ASCII_OUTER_LOOP = re.compile(" *".join("outerloop")).fullmatch
+_ASCII_VERTEX = re.compile(r"vertex(?:\s.*)?").fullmatch
+
+
 def _parse_stl_ascii(text: str) -> TriMesh:
     corners: list[tuple[float, float, float]] = []
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(n, ln) for n, ln in lines if ln]
-    pos = 0
+    end = (lines[-1][0] + 1 if lines else 1, "")
+    nonblank = iter(lines)
 
-    def peek():
-        return lines[pos] if pos < len(lines) else (lines[-1][0] + 1 if lines else 1, "")
+    def expect(ok, message):
+        """The next nonblank line, or ``end``, if ``ok`` holds for it in lower case."""
+        lineno, ln = next(nonblank, end)
+        if not ok(ln.lower()):
+            raise MalformedAscii(lineno, message)
+        return lineno, ln
 
-    lineno, ln = peek()
-    if not ln.lower().startswith("solid"):
-        raise MalformedAscii(lineno, "expected 'solid'")
-    pos += 1
+    expect(_ASCII_SOLID, "expected 'solid'")
     while True:
-        lineno, ln = peek()
-        low = ln.lower()
-        if low.startswith("endsolid"):
-            pos += 1
+        lineno, ln = expect(_ASCII_FACET, "expected 'facet normal' or 'endsolid'")
+        if ln.lower().startswith("endsolid"):
             break
-        if not low.startswith("facet"):
-            raise MalformedAscii(lineno, "expected 'facet normal' or 'endsolid'")
         parts = ln.split()
         if len(parts) < 2 or parts[1].lower() != "normal":
             raise MalformedAscii(lineno, "expected 'facet normal'")
         _ascii_floats(parts[2:], 3, lineno)  # normal value unused, grammar only
-        pos += 1
-        lineno, ln = peek()
-        if ln.lower().replace(" ", "") != "outerloop":
-            raise MalformedAscii(lineno, "expected 'outer loop'")
-        pos += 1
+        expect(_ASCII_OUTER_LOOP, "expected 'outer loop'")
         for _ in range(3):
-            lineno, ln = peek()
-            parts = ln.split()
-            if not parts or parts[0].lower() != "vertex":
-                raise MalformedAscii(lineno, "expected 'vertex'")
-            x, y, z = _ascii_floats(parts[1:], 3, lineno)
-            if not all(math.isfinite(v) for v in (x, y, z)):
+            lineno, ln = expect(_ASCII_VERTEX, "expected 'vertex'")
+            x, y, z = _ascii_floats(ln.split()[1:], 3, lineno)
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise NonFiniteCoordinate(f"line {lineno}: non-finite vertex")
             corners.append((x, y, z))
-            pos += 1
-        lineno, ln = peek()
-        if ln.lower() != "endloop":
-            raise MalformedAscii(lineno, "expected 'endloop'")
-        pos += 1
-        lineno, ln = peek()
-        if ln.lower() != "endfacet":
-            raise MalformedAscii(lineno, "expected 'endfacet'")
-        pos += 1
-    if pos < len(lines):
-        raise MalformedAscii(lines[pos][0], "content after 'endsolid'")
+        expect("endloop".__eq__, "expected 'endloop'")
+        expect("endfacet".__eq__, "expected 'endfacet'")
+    expect("".__eq__, "content after 'endsolid'")
     arr = np.array(corners, dtype=np.float64).reshape(-1, 3)
     verts, tris = _dedup_vertices(arr)
     return TriMesh(verts, tris.reshape(-1, 3))
@@ -306,22 +295,18 @@ def _first_occurrence_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def write_stl_binary(mesh: TriMesh) -> bytes:
     """Serialize to binary STL: 80-byte header, u32 count, 50-byte records.
 
-    Facet normals are recomputed by the right-hand rule (zero vector for
+    Corners are cast to float32 once, into the record array; facet normals
+    are recomputed from them by the right-hand rule (zero vector for
     degenerate triangles); attribute bytes are zero.
     """
-    tris = mesh.triangle_points.astype(np.float32)
-    count = len(tris)
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    normals = np.cross(e1.astype(np.float64), e2.astype(np.float64))
-    norms = np.linalg.norm(normals, axis=1)
-    safe = norms > 0
-    normals[safe] /= norms[safe, None]
-    normals[~safe] = 0.0
-    rec = np.zeros(count, dtype=_STL_RECORD)
-    rec["n"] = normals.astype(np.float32)
-    rec["v"] = tris
-    return mesh.header + struct.pack("<I", count) + rec.tobytes()
+    rec = np.zeros(len(mesh.triangles), dtype=_STL_RECORD)
+    rec["v"] = mesh.vertices.astype(np.float32)[mesh.triangles]
+    v = rec["v"]
+    normals = np.cross((v[:, 1] - v[:, 0]).astype(np.float64),
+                       (v[:, 2] - v[:, 0]).astype(np.float64))
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    rec["n"] = np.divide(normals, norms, out=np.zeros_like(normals), where=norms > 0)
+    return b"".join((mesh.header, struct.pack("<I", len(rec)), rec))
 
 
 # --- XYZ point clouds ---------------------------------------------------------

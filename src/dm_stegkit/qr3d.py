@@ -130,16 +130,16 @@ class EmbedParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pitch <= 0:
-            raise ValueError("pitch must be positive")
+        if not 0 < self.pitch < math.inf:           # NaN fails too
+            raise ValueError("pitch must be positive and finite")
         if self.radius is None:
             self.radius = 0.35 * self.pitch
         if self.depth_jitter is None:
             self.depth_jitter = 5.0 * self.pitch
         if not 0 < self.radius < self.pitch / 2:
             raise ValueError("radius must satisfy 0 < r < pitch/2")
-        if self.depth_jitter < 0:
-            raise ValueError("depth jitter must be >= 0")
+        if not 0 <= self.depth_jitter < math.inf:
+            raise ValueError("depth jitter must be finite and >= 0")
         self.direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
         if not abs(np.linalg.norm(self.direction) - 1.0) <= 1e-9:    # NaN fails too
             raise ValueError("direction must be a finite unit vector (use unit_vector)")

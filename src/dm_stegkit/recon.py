@@ -67,8 +67,8 @@ def group_layers(cloud: PointCloud, z_tol: float | None = None) -> LayerStack:
     if z_tol is None:
         positive = gaps[gaps > 0]
         z_tol = float(np.median(positive)) / 2.0 if len(positive) else 1e-6
-    if z_tol <= 0:
-        raise ValueError("z_tol must be positive")
+    if not 0 < z_tol < math.inf:                    # NaN fails too
+        raise ValueError("z_tol must be positive and finite")
     breaks = np.nonzero(gaps > z_tol)[0] + 1
     layers = []
     for chunk in np.split(np.arange(len(pts)), breaks):
@@ -368,6 +368,8 @@ class OrientationReport:
         return self.candidates[0]
 
     def to_dict(self, top: int | None = None) -> dict:
+        if top is not None and top < 0:
+            raise ValueError("top must be >= 0")
         return {
             "angle_step_deg": self.angle_step_deg,
             "layer_height": self.layer_height,

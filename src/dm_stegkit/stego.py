@@ -10,6 +10,7 @@ The CRC (IEEE polynomial) covers version, length, and payload.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -172,8 +173,8 @@ class MorseParams:
     d: float = 1.0
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError("unit d must be positive")
+        if not 0 < self.d < math.inf:               # NaN fails too
+            raise ValueError("unit d must be positive and finite")
 
     @property
     def dash(self) -> float:

@@ -356,6 +356,40 @@ def test_bad_numeric_arguments_are_envelope_errors(capsys, tmp_path, cube_stl, c
     assert not out.exists()
 
 
+# each was accepted, or refused for another option's sake: NaN read as a
+# consistent audit and as NaN jitter, Morse units and z tolerances, and a
+# negative --top as "all but the last three"
+@pytest.mark.parametrize("verb, flag, value, message", [
+    ("gcode-audit", "--threshold", "nan", "mismatch threshold"),
+    ("gcode-audit", "--threshold", "inf", "mismatch threshold"),
+    ("qr3d-embed", "--jitter", "nan", "depth jitter"),
+    ("qr3d-embed", "--jitter", "inf", "depth jitter"),
+    ("qr3d-embed", "--pitch", "nan", "pitch"), ("qr3d-embed", "--pitch", "inf", "pitch"),
+    ("morse-encode", "--unit", "nan", "unit d"), ("morse-encode", "--unit", "inf", "unit d"),
+    ("recon", "--z-tol", "nan", "z_tol"), ("recon", "--z-tol", "inf", "z_tol"),
+    ("orient-scan", "--top", "-3", "top"),
+])
+def test_nan_and_out_of_range_options_are_value_errors(capsys, tmp_path, cube_stl, verb, flag,
+                                                       value, message):
+    grid, _ = _sphere_code_xyz(capsys, tmp_path)
+    gcode_path = tmp_path / "p.gcode"
+    gcode_path.write_text("; filament used = 10mm\nM82\nG1 Z0.2 X10 E30\n")
+    out = tmp_path / "out"
+    argv = {
+        "gcode-audit": ["gcode-audit", str(gcode_path)],
+        "qr3d-embed": ["qr3d-embed", "--grid", str(grid), "--dir", "0,0,1", "--pitch", "2",
+                       "-o", str(out)],
+        "morse-encode": ["morse-encode", "SOS", "-o", str(out)],
+        "recon": ["recon", str(_layered_xyz(tmp_path)), "-o", str(out)],
+        "orient-scan": ["orient-scan", str(cube_stl), "--angle-step", "90"],
+    }[verb]
+    status, doc = invoke(capsys, *argv, f"{flag}={value}")
+    assert status == 1
+    assert doc["result"]["error"] == "ValueError"
+    assert doc["result"]["message"].startswith(message)
+    assert not out.exists()
+
+
 def test_qr3d_directions_at_extreme_scales(capsys, tmp_path):
     # squaring these components over- or underflows; the direction is (1, 1, 0)
     grid, xyz = tmp_path / "g.pbm", tmp_path / "g.xyz"

@@ -635,6 +635,20 @@ def test_binary_parse_peak_memory_is_bounded():
     assert peak < 4.5 * len(data)
 
 
+def test_binary_write_peak_memory_is_bounded():
+    import tracemalloc
+
+    mesh = parse_stl(_torus_stl(200, 100))      # 40k triangles
+    tracemalloc.start()
+    try:
+        data = write_stl_binary(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 84 + 50 * 40000
+    assert peak < 4.0 * len(data)               # the output counts once
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(width=32, allow_nan=False), min_size=1, max_size=6),
        st.integers(1, 60), st.integers(0, 2 ** 31))

@@ -8,20 +8,30 @@ exception type with the same message and line. The references read numbers
 with ``float``, which also takes PEP 515 underscores and non-ASCII digits,
 so the generated inputs hold neither; those cases have their own tests in
 test_gcode.py and test_meshcore.py.
+
+The STL writer fills one record array in place and the ASCII STL reader
+takes each line with one expect step; their references are the writer that
+built the records from separate arrays and the reader that peeked and
+advanced by hand. Both readers share ``_ascii_floats``, so mutated texts
+may hold any token.
 """
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dm_stegkit import parse_gcode, parse_xyz
-from dm_stegkit.errors import BadLine, EmptyCloud, MalformedNumber
+from dm_stegkit import TriMesh, parse_gcode, parse_xyz, write_stl_binary
+from dm_stegkit.errors import (BadLine, EmptyCloud, MalformedAscii, MalformedNumber,
+                               NonFiniteCoordinate, StegkitError)
+from dm_stegkit.meshcore import _ascii_floats, _dedup_vertices, _parse_stl_ascii
+from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_vector
 from dm_stegkit.vrml import _TOKEN_RE, _tokenize
-from conftest import vrml_scene
+from conftest import random_code_grid, vrml_scene
 
 
 # --- the replaced parsers, kept as references ------------------------------------
@@ -306,3 +316,199 @@ def test_tokenize_matches_reference_on_a_scene():
     tokens = _tokenize(text)
     assert _fields(tokens) == _fields(_tokenize_reference(text))
     assert tokens[0] == ("comment", 0, len(text.split("\n")[0]), text.split("\n")[0], None)
+
+
+# --- STL writer and ASCII STL reader ------------------------------------------------
+
+_STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
+
+
+def _write_stl_binary_reference(mesh):
+    tris = mesh.triangle_points.astype(np.float32)
+    count = len(tris)
+    e1 = tris[:, 1] - tris[:, 0]
+    e2 = tris[:, 2] - tris[:, 0]
+    normals = np.cross(e1.astype(np.float64), e2.astype(np.float64))
+    norms = np.linalg.norm(normals, axis=1)
+    safe = norms > 0
+    normals[safe] /= norms[safe, None]
+    normals[~safe] = 0.0
+    rec = np.zeros(count, dtype=_STL_RECORD)
+    rec["n"] = normals.astype(np.float32)
+    rec["v"] = tris
+    return mesh.header + struct.pack("<I", count) + rec.tobytes()
+
+
+def _parse_stl_ascii_reference(text):
+    corners = []
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    lines = [(n, ln) for n, ln in lines if ln]
+    pos = 0
+
+    def peek():
+        return lines[pos] if pos < len(lines) else (lines[-1][0] + 1 if lines else 1, "")
+
+    lineno, ln = peek()
+    if not ln.lower().startswith("solid"):
+        raise MalformedAscii(lineno, "expected 'solid'")
+    pos += 1
+    while True:
+        lineno, ln = peek()
+        low = ln.lower()
+        if low.startswith("endsolid"):
+            pos += 1
+            break
+        if not low.startswith("facet"):
+            raise MalformedAscii(lineno, "expected 'facet normal' or 'endsolid'")
+        parts = ln.split()
+        if len(parts) < 2 or parts[1].lower() != "normal":
+            raise MalformedAscii(lineno, "expected 'facet normal'")
+        _ascii_floats(parts[2:], 3, lineno)
+        pos += 1
+        lineno, ln = peek()
+        if ln.lower().replace(" ", "") != "outerloop":
+            raise MalformedAscii(lineno, "expected 'outer loop'")
+        pos += 1
+        for _ in range(3):
+            lineno, ln = peek()
+            parts = ln.split()
+            if not parts or parts[0].lower() != "vertex":
+                raise MalformedAscii(lineno, "expected 'vertex'")
+            x, y, z = _ascii_floats(parts[1:], 3, lineno)
+            if not all(math.isfinite(v) for v in (x, y, z)):
+                raise NonFiniteCoordinate(f"line {lineno}: non-finite vertex")
+            corners.append((x, y, z))
+            pos += 1
+        lineno, ln = peek()
+        if ln.lower() != "endloop":
+            raise MalformedAscii(lineno, "expected 'endloop'")
+        pos += 1
+        lineno, ln = peek()
+        if ln.lower() != "endfacet":
+            raise MalformedAscii(lineno, "expected 'endfacet'")
+        pos += 1
+    if pos < len(lines):
+        raise MalformedAscii(lines[pos][0], "content after 'endsolid'")
+    arr = np.array(corners, dtype=np.float64).reshape(-1, 3)
+    verts, tris = _dedup_vertices(arr)
+    return TriMesh(verts, tris.reshape(-1, 3))
+
+
+# coordinates that round to float32 infinity, to its largest finite value, to
+# subnormals and to zero, with signed zeros
+_STL_EXTREMES = [0.0, -0.0, 1.0, -2.5, 3.4028234e38, -3.4028235e38, 3.5e38, -1e39,
+                 1.2e-38, 1e-45, -1e-45, 1e-46, 1e30, 1e-30]
+_STL_COORDS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_STL_EXTREMES))
+
+
+@st.composite
+def stl_meshes(draw):
+    verts = draw(st.lists(st.tuples(_STL_COORDS, _STL_COORDS, _STL_COORDS),
+                          min_size=1, max_size=8))
+    if draw(st.booleans()):                     # three points on one line
+        scale = draw(st.sampled_from([1.0, 1e-40, 1e37, 3e38]))
+        verts += [(0.0, 0.0, 0.0), (scale, 2 * scale, -scale), (2 * scale, 4 * scale, -2 * scale)]
+    corner = st.integers(0, len(verts) - 1)
+    tris = draw(st.lists(st.tuples(corner, corner, corner), max_size=12))
+    if tris and draw(st.booleans()):            # a facet with all corners equal
+        tris.append((tris[0][0],) * 3)
+    header = draw(st.binary(max_size=80))
+    return TriMesh(np.array(verts), np.array(tris, dtype=np.int64).reshape(-1, 3), header)
+
+
+@settings(max_examples=400, deadline=None)
+@given(stl_meshes())
+def test_write_stl_binary_matches_reference(mesh):
+    with np.errstate(all="ignore"):             # float32 overflow and 0/0 normals
+        assert write_stl_binary(mesh) == _write_stl_binary_reference(mesh)
+
+
+def test_write_stl_binary_matches_reference_on_a_sphere_code_and_the_empty_mesh():
+    rng = np.random.default_rng(9)
+    params = EmbedParams(pitch=2.0, direction=unit_vector([0.3, -0.5, 0.8]), seed=4)
+    mesh = spheres_to_mesh(grid_to_spheres(random_code_grid(rng, 9), params), 1)
+    assert write_stl_binary(mesh) == _write_stl_binary_reference(mesh)
+    empty = TriMesh(np.zeros((0, 3)), np.zeros((0, 3)), b"\x07" * 80)
+    assert write_stl_binary(empty) == _write_stl_binary_reference(empty) == b"\x07" * 80 + bytes(4)
+
+
+def _ascii_stl(corners, case):
+    lines = ["solid part"]
+    for tri in corners:
+        lines += ["facet normal 0 0 1", "outer loop"]
+        lines += [f"vertex {x} {y} {z}" for x, y, z in tri]
+        lines += ["endloop", "endfacet"]
+    return [case(ln) for ln in lines + ["endsolid part"]]
+
+
+# lines to insert or put in place of others: each keyword of the grammar, near
+# misses of them, numbers that are not finite or not decimals, and blanks
+_STL_LINES = [
+    "solid", "solid x", "facet normal 0 0 1", "FACET NORMAL 1 0 0", "facet normal 1 2",
+    "facetnormal 0 0 1", "facet 0 0 1", "facets normal 0 0 1", "facet normal nan 0 0",
+    "facet normal 1_0 0 0", "outer loop", "outerloop", "outer  loop", "o uter loop",
+    "outer loops", "vertex 1 2 3", "VERTEX 1e3 -2.5 .5", "vertex 1 2", "vertex 1 2 3 4",
+    "vertex", "vertexx 1 2 3", "vertex nan 0 0", "vertex 0 inf 0", "vertex -INF 1 1",
+    "vertex 1_0 2 3", "vertex x 2 3", "endloop", "end loop", "endfacet", "endsolid",
+    "endsolid x", "end solid", "", " ", "\t", "garbage",
+]
+
+
+@st.composite
+def ascii_stl_texts(draw):
+    corners = draw(st.lists(st.lists(st.tuples(*[st.sampled_from(["0", "-1.5", "2", "1e3"])] * 3),
+                                     min_size=3, max_size=3), max_size=3))
+    if corners and draw(st.booleans()):         # a coordinate that is not a finite decimal
+        vertex = list(corners[0][0])
+        vertex[draw(st.integers(0, 2))] = draw(st.sampled_from(["nan", "inf", "-INF", "1_0", "x"]))
+        corners[0][0] = tuple(vertex)
+    case = draw(st.sampled_from([str, str.upper, str.title]))
+    lines = _ascii_stl(corners, case)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete", "insert", "replace", "append", "swapcase",
+                                     "space", "join"]))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        line = draw(st.sampled_from(_STL_LINES))
+        k = draw(st.integers(0, 12))
+        if kind == "delete" and lines:
+            del lines[at]
+        elif kind == "insert":
+            lines.insert(at, line)
+        elif kind == "replace" and lines:
+            lines[at] = line
+        elif kind == "append":                  # text after endsolid
+            lines.append(line)
+        elif kind == "swapcase" and lines:
+            lines[at] = lines[at].swapcase()
+        elif kind == "space" and lines:         # "o uter loop", "ver tex 1 2 3"
+            lines[at] = lines[at][:k] + " " + lines[at][k:]
+        elif kind == "join" and lines:          # "vertex1 2 3", "endlop"
+            lines[at] = lines[at][:k] + lines[at][k + 1:]
+    indent = draw(st.sampled_from(["", "  ", "\t"]))
+    breaks = draw(st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \n"]))
+    return breaks.join(indent + ln for ln in lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def _stl_outcome(parse, text):
+    """The mesh bytes, or the exception's type, message and line."""
+    try:
+        mesh = parse(text)
+    except StegkitError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return mesh.vertices.tobytes(), mesh.triangles.tobytes(), mesh.header
+
+
+@settings(max_examples=1500, deadline=None)
+@given(ascii_stl_texts())
+def test_parse_stl_ascii_matches_reference(text):
+    assert _stl_outcome(_parse_stl_ascii, text) == _stl_outcome(_parse_stl_ascii_reference, text)
+
+
+def test_parse_stl_ascii_matches_reference_on_a_sphere_code():
+    rng = np.random.default_rng(2)
+    params = EmbedParams(pitch=2.0, direction=unit_vector([1.0, 2.0, 2.0]), seed=1)
+    mesh = spheres_to_mesh(grid_to_spheres(random_code_grid(rng, 7), params), 1)
+    corners = [[map(repr, v) for v in tri] for tri in mesh.triangle_points.tolist()]
+    text = "\n".join(_ascii_stl(corners, str)) + "\n"
+    assert _parse_stl_ascii(text).triangle_points.tobytes() == mesh.triangle_points.tobytes()
+    assert _stl_outcome(_parse_stl_ascii, text) == _stl_outcome(_parse_stl_ascii_reference, text)
