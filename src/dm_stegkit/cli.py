@@ -177,6 +177,8 @@ def _cmd_qr3d_embed(run: _Run, args) -> dict:
         seed=args.seed if args.seed is not None else _default_seed(),
     )
     cloud = qr3d.grid_to_spheres(grid, params)
+    # the mesh checks --subdivisions, so it is built before any file is written
+    mesh = qr3d.spheres_to_mesh(cloud, args.subdivisions) if args.stl else None
     _write_bytes(args.output, qr3d.cloud_to_xyz(cloud).encode("utf-8"))
     result = {
         "output": args.output,
@@ -187,7 +189,6 @@ def _cmd_qr3d_embed(run: _Run, args) -> dict:
         "seed": params.seed,
     }
     if args.stl:
-        mesh = qr3d.spheres_to_mesh(cloud, args.subdivisions)
         _write_bytes(args.stl, meshcore.write_stl_binary(mesh))
         result["stl"] = args.stl
         result["stl_triangles"] = int(len(mesh.triangles))

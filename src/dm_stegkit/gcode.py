@@ -11,6 +11,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .errors import AmbiguousClaims, MalformedNumber
 from .meshcore import parse_decimal
@@ -205,76 +206,53 @@ def _format_code_number(number: str, lineno: int, letter: str) -> str:
     return number
 
 
-class _Toolpath:
-    """Replay state: positions in mm, modes, and accumulated measures."""
-
-    MOVE_CODES = {"G0", "G1", "G2", "G3"}
-
-    def __init__(self):
-        self.x = self.y = self.z = 0.0
-        self.e = 0.0
-        self.xyz_absolute = True
-        self.e_absolute = True
-        self.scale = 1.0                     # 25.4 when units are inches
-        self.extruded = 0.0
-        self.travel = 0.0
-        self.extruding_z = []                # quantized z keys of extruding moves
-
-    def feed(self, cmd: GcodeCommand):
-        code = cmd.code
-        if code == "G20":
-            self.scale = 25.4
-        elif code == "G21":
-            self.scale = 1.0
-        elif code == "G90":
-            self.xyz_absolute = True
-        elif code == "G91":
-            self.xyz_absolute = False
-        elif code == "M82":
-            self.e_absolute = True
-        elif code == "M83":
-            self.e_absolute = False
-        elif code == "G92":
-            for letter, attr in (("X", "x"), ("Y", "y"), ("Z", "z"), ("E", "e")):
-                if letter in cmd.args:
-                    setattr(self, attr, cmd.args[letter] * self.scale)
-        elif code in self.MOVE_CODES:
-            self._move(cmd.args)
-
-    def _move(self, args: dict):
-        nx, ny, nz = self.x, self.y, self.z
-        for letter, cur in (("X", self.x), ("Y", self.y), ("Z", self.z)):
-            if letter in args:
-                val = args[letter] * self.scale
-                val = val if self.xyz_absolute else cur + val
-                if letter == "X":
-                    nx = val
-                elif letter == "Y":
-                    ny = val
-                else:
-                    nz = val
-        de = 0.0
-        if "E" in args:
-            val = args["E"] * self.scale
-            if self.e_absolute:
-                de = val - self.e
-                self.e = val
-            else:
-                de = val
-                self.e += val
-        self.travel += math.dist((self.x, self.y, self.z), (nx, ny, nz))
-        self.x, self.y, self.z = nx, ny, nz
-        if de > 0:
-            self.extruded += de
-            self.extruding_z.append(round(self.z / _Z_QUANTUM))
+class _Replay(NamedTuple):
+    """A replayed toolpath's measures."""
+    extruded: float                         # mm of filament, retractions not subtracted
+    travel: float                           # mm, chord length for arcs
+    z_levels: list[float]                   # sorted Z levels of extruding moves
 
 
-def _replay(program: GcodeProgram) -> _Toolpath:
-    state = _Toolpath()
+def _replay(program: GcodeProgram) -> _Replay:
+    """Replay from the origin in absolute XYZ and E and millimetres; codes other
+    than G0-G3, G20/G21, G90/G91, M82/M83 and G92 change nothing."""
+    x = y = z = e = 0.0
+    xyz_absolute = e_absolute = True
+    scale = 1.0                             # 25.4 when units are inches
+    extruded = travel = 0.0
+    z_keys = set()                          # quantized z of extruding moves
     for cmd in program:
-        if cmd.code:
-            state.feed(cmd)
-    return state
+        code, args = cmd.code, cmd.args
+        if code in {"G0", "G1", "G2", "G3"}:
+            nx, ny, nz = x, y, z
+            if "X" in args:
+                nx = args["X"] * scale if xyz_absolute else x + args["X"] * scale
+            if "Y" in args:
+                ny = args["Y"] * scale if xyz_absolute else y + args["Y"] * scale
+            if "Z" in args:
+                nz = args["Z"] * scale if xyz_absolute else z + args["Z"] * scale
+            de = 0.0
+            if "E" in args:
+                val = args["E"] * scale
+                de = val - e if e_absolute else val
+                e = val if e_absolute else e + val
+            travel += math.dist((x, y, z), (nx, ny, nz))
+            x, y, z = nx, ny, nz
+            if de > 0:
+                extruded += de
+                z_keys.add(round(z / _Z_QUANTUM))
+        elif code in ("G20", "G21"):
+            scale = 25.4 if code == "G20" else 1.0
+        elif code in ("G90", "G91"):
+            xyz_absolute = code == "G90"
+        elif code in ("M82", "M83"):
+            e_absolute = code == "M82"
+        elif code == "G92":
+            x = args["X"] * scale if "X" in args else x
+            y = args["Y"] * scale if "Y" in args else y
+            z = args["Z"] * scale if "Z" in args else z
+            e = args["E"] * scale if "E" in args else e
+    return _Replay(extruded, travel, [round(k * _Z_QUANTUM, 6) for k in sorted(z_keys)])
 
 
 def filament_length(program: GcodeProgram) -> float:
@@ -288,13 +266,7 @@ def z_profile(program: GcodeProgram) -> tuple[list[float], int, float]:
     Returns (sorted levels, layer count, max level); all empty/zero for
     travel-only programs.
     """
-    return _z_levels(_replay(program))
-
-
-def _z_levels(state: _Toolpath) -> tuple[list[float], int, float]:
-    """z_profile's result from an already replayed toolpath."""
-    keys = sorted(set(state.extruding_z))
-    levels = [round(k * _Z_QUANTUM, 6) for k in keys]
+    levels = _replay(program).z_levels
     return levels, len(levels), (levels[-1] if levels else 0.0)
 
 
@@ -338,8 +310,8 @@ def audit(program: GcodeProgram, mismatch_threshold: float = 0.02) -> ForensicsR
     """Cross-check declared filament use against the replayed toolpath."""
     if not 0 <= mismatch_threshold < math.inf:     # NaN fails too
         raise ValueError("mismatch threshold must be finite and >= 0")
-    state = _replay(program)
-    levels, layer_count, max_z = _z_levels(state)
+    replay = _replay(program)
+    levels = replay.z_levels
     warnings = []
     try:
         declared = metadata_claims(program)
@@ -349,15 +321,15 @@ def audit(program: GcodeProgram, mismatch_threshold: float = 0.02) -> ForensicsR
     ratio = None
     verdict = "no_claim"
     if declared is not None:
-        ratio = state.extruded / declared if declared else math.inf
+        ratio = replay.extruded / declared if declared else math.inf
         verdict = "mismatch" if abs(1.0 - ratio) > mismatch_threshold else "consistent"
     return ForensicsReport(
-        computed_filament_mm=state.extruded,
+        computed_filament_mm=replay.extruded,
         declared_filament_mm=declared,
-        travel_mm=state.travel,
+        travel_mm=replay.travel,
         z_levels=levels,
-        max_z_mm=max_z,
-        layer_count=layer_count,
+        max_z_mm=levels[-1] if levels else 0.0,
+        layer_count=len(levels),
         discrepancy_ratio=ratio,
         verdict=verdict,
         warnings=warnings,

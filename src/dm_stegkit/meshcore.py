@@ -208,7 +208,7 @@ def _ascii_floats(parts, n, lineno):
 # steps of the ASCII STL grammar, each a full match of a stripped, lower-cased
 # line (\s and str.split agree on what whitespace is)
 _ASCII_SOLID = re.compile("solid.*").fullmatch
-_ASCII_FACET = re.compile("(?:facet|endsolid).*").fullmatch
+_ASCII_FACET = re.compile(r"(?:facet|endsolid)(?:\s.*)?").fullmatch
 _ASCII_OUTER_LOOP = re.compile(" *".join("outerloop")).fullmatch
 _ASCII_VERTEX = re.compile(r"vertex(?:\s.*)?").fullmatch
 

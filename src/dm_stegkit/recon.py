@@ -408,8 +408,8 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
 
     Slicing depends only on a rotation's third row (the up-vector): an
     in-plane spin about z leaves every layer's loops, open chains and area
-    unchanged. Grid rotations are therefore grouped by up-vector, and each
-    group is sliced once with its first rotation in (rx, ry, rz) order.
+    unchanged. Each up-vector is therefore sliced once, with its first
+    rotation in (rx, ry, rz) order.
     """
     if not len(mesh.triangles):
         raise ValueError("cannot scan an empty mesh")
@@ -421,7 +421,8 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
     verts, index = _dedup_vertices(mesh.vertices)
     faces = index[mesh.triangles]
 
-    groups = {}                             # up-vector -> (matrix, rotations)
+    stats = {}                              # up-vector -> (mean loops, max open, area, score)
+    candidates = []
     for rx in steps:
         for ry in steps:
             for rz in steps:
@@ -429,25 +430,16 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
                 mat = rot.matrix()
                 # + 0.0 folds -0.0 into +0.0
                 key = tuple((np.round(mat[2], 9) + 0.0).tolist())
-                groups.setdefault(key, (mat, []))[1].append(rot)
-
-    candidates = []
-    for mat, members in groups.values():
-        rv = verts @ mat.T
-        gz0 = rv[:, 2].min()
-        nlayers = _layer_count(rv[:, 2].max() - gz0, layer_height)
-        levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
-        loops_total, open_layers, max_open, bottom_area = _slice_stats(rv, faces, levels)
-        mean_loops = loops_total / nlayers
-        frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / nlayers)
-        for rot in members:
-            candidates.append(OrientationCandidate(
-                rotation=rot,
-                mean_loops_per_layer=mean_loops,
-                max_open_chains=max_open,
-                bottom_layer_area=bottom_area,
-                fragmentation_score=frag,
-            ))
+                if key not in stats:
+                    rv = verts @ mat.T
+                    gz0 = rv[:, 2].min()
+                    nlayers = _layer_count(rv[:, 2].max() - gz0, layer_height)
+                    levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
+                    loops, open_layers, max_open, bottom_area = _slice_stats(rv, faces, levels)
+                    mean_loops = loops / nlayers
+                    frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / nlayers)
+                    stats[key] = mean_loops, max_open, bottom_area, frag
+                candidates.append(OrientationCandidate(rot, *stats[key]))
 
     def sig9(x: float) -> float:
         return float(f"{x:.9g}")

@@ -222,6 +222,19 @@ def test_qr3d_embed_writes_sphere_mesh(capsys, tmp_path):
     assert len(mesh.triangles) == 60
 
 
+def test_qr3d_embed_bad_subdivisions_writes_no_file(capsys, tmp_path):
+    pbm = tmp_path / "g.pbm"
+    pbm.write_text("P1\n2 2\n1 1\n1 0\n")
+    xyz = tmp_path / "g.xyz"
+    stl = tmp_path / "g.stl"
+    status, doc = invoke(capsys, "qr3d-embed", "--grid", str(pbm), "--dir", "0,0,1",
+                         "--pitch", "2", "--subdivisions", "5",
+                         "-o", str(xyz), "--stl", str(stl))
+    assert status == 1
+    assert doc["result"]["error"] == "ValueError"
+    assert "subdivisions" in doc["result"]["message"]
+    assert not xyz.exists() and not stl.exists()
+
 def test_qr3d_embed_env_seed(capsys, tmp_path, monkeypatch):
     pbm = tmp_path / "g.pbm"
     pbm.write_text("P1\n2 2\n1 0\n0 1\n")

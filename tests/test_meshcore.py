@@ -93,6 +93,18 @@ def test_ascii_grammar_error_reports_line():
     assert err.value.line == 5
 
 
+@pytest.mark.parametrize("line, replacement, lineno, message", [
+    ("facet normal 0 0 1", "facets normal 0 0 1", 2, "expected 'facet normal' or 'endsolid'"),
+    ("facet normal 0 0 1", "facetx normal 0 0 1", 2, "expected 'facet normal' or 'endsolid'"),
+    ("endsolid demo", "endsolidfoo", 9, "expected 'facet normal' or 'endsolid'"),
+    ("facet normal 0 0 1", "facet", 2, "expected 'facet normal'"),
+])
+def test_ascii_facet_keywords_are_whole_words(line, replacement, lineno, message):
+    with pytest.raises(MalformedAscii) as err:
+        parse_stl(ASCII_ONE_FACET.replace(line, replacement).encode())
+    assert err.value.line == lineno
+    assert str(err.value) == f"line {lineno}: {message}"
+
 def test_binary_nan_vertex_rejected():
     body = struct.pack("<12f", 0, 0, 1, math.nan, 0, 0, 1, 0, 0, 0, 1, 0) + b"\x00\x00"
     with pytest.raises(NonFiniteCoordinate):

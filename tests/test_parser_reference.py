@@ -355,10 +355,10 @@ def _parse_stl_ascii_reference(text):
     while True:
         lineno, ln = peek()
         low = ln.lower()
-        if low.startswith("endsolid"):
+        if low.split()[:1] == ["endsolid"]:
             pos += 1
             break
-        if not low.startswith("facet"):
+        if low.split()[:1] != ["facet"]:
             raise MalformedAscii(lineno, "expected 'facet normal' or 'endsolid'")
         parts = ln.split()
         if len(parts) < 2 or parts[1].lower() != "normal":

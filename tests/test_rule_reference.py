@@ -1,21 +1,24 @@
-"""Three rules that each had two implementations, against the code they
+"""Four rules that each had two implementations, against the code they
 replaced: the qr3d regression polish (which re-derived the lattice frame of
 ``_score_frames``), the icosphere's midpoint numbering (a dict cache in place
-of ``meshcore._first_occurrence_ids``) and the VRML bracket check plus green
-slot finder (two walks that read nesting differently). Outputs must be
-identical bit for bit, and on well-formed VRML the slots and on singly broken
-VRML the ``UnbalancedBrackets`` offset and message must match."""
+of ``meshcore._first_occurrence_ids``), the VRML bracket check plus green
+slot finder (two walks that read nesting differently) and the G-code replay
+(a stateful toolpath class fed one command at a time, in place of one loop
+over locals). Outputs must be identical bit for bit, and on well-formed VRML
+the slots and on singly broken VRML the ``UnbalancedBrackets`` offset and
+message must match."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dm_stegkit import EmbedParams, grid_to_spheres, parse_vrml, unit_vector
-from dm_stegkit import qr3d
+from dm_stegkit import audit, filament_length, parse_gcode, qr3d, z_profile
 from dm_stegkit.errors import UnbalancedBrackets
+from dm_stegkit.gcode import _Z_QUANTUM, GcodeCommand, GcodeProgram
 from dm_stegkit.vrml import _tokenize
 from conftest import random_code_grid, random_unit_direction, vrml_scene
 
@@ -158,6 +161,85 @@ def _slots_reference(text):
     return _find_green_slots_reference(tokens)
 
 
+class _Toolpath:
+    """Replay state: positions in mm, modes, and accumulated measures."""
+
+    MOVE_CODES = {"G0", "G1", "G2", "G3"}
+
+    def __init__(self):
+        self.x = self.y = self.z = 0.0
+        self.e = 0.0
+        self.xyz_absolute = True
+        self.e_absolute = True
+        self.scale = 1.0                     # 25.4 when units are inches
+        self.extruded = 0.0
+        self.travel = 0.0
+        self.extruding_z = []                # quantized z keys of extruding moves
+
+    def feed(self, cmd: GcodeCommand):
+        code = cmd.code
+        if code == "G20":
+            self.scale = 25.4
+        elif code == "G21":
+            self.scale = 1.0
+        elif code == "G90":
+            self.xyz_absolute = True
+        elif code == "G91":
+            self.xyz_absolute = False
+        elif code == "M82":
+            self.e_absolute = True
+        elif code == "M83":
+            self.e_absolute = False
+        elif code == "G92":
+            for letter, attr in (("X", "x"), ("Y", "y"), ("Z", "z"), ("E", "e")):
+                if letter in cmd.args:
+                    setattr(self, attr, cmd.args[letter] * self.scale)
+        elif code in self.MOVE_CODES:
+            self._move(cmd.args)
+
+    def _move(self, args: dict):
+        nx, ny, nz = self.x, self.y, self.z
+        for letter, cur in (("X", self.x), ("Y", self.y), ("Z", self.z)):
+            if letter in args:
+                val = args[letter] * self.scale
+                val = val if self.xyz_absolute else cur + val
+                if letter == "X":
+                    nx = val
+                elif letter == "Y":
+                    ny = val
+                else:
+                    nz = val
+        de = 0.0
+        if "E" in args:
+            val = args["E"] * self.scale
+            if self.e_absolute:
+                de = val - self.e
+                self.e = val
+            else:
+                de = val
+                self.e += val
+        self.travel += math.dist((self.x, self.y, self.z), (nx, ny, nz))
+        self.x, self.y, self.z = nx, ny, nz
+        if de > 0:
+            self.extruded += de
+            self.extruding_z.append(round(self.z / _Z_QUANTUM))
+
+
+def _replay_reference(program: GcodeProgram) -> _Toolpath:
+    state = _Toolpath()
+    for cmd in program:
+        if cmd.code:
+            state.feed(cmd)
+    return state
+
+
+def _z_levels_reference(state: _Toolpath) -> tuple[list[float], int, float]:
+    """z_profile's result from an already replayed toolpath."""
+    keys = sorted(set(state.extruding_z))
+    levels = [round(k * _Z_QUANTUM, 6) for k in keys]
+    return levels, len(levels), (levels[-1] if levels else 0.0)
+
+
 def _outcome(fn, text):
     try:
         return fn(text)
@@ -286,3 +368,45 @@ def test_one_dropped_or_added_bracket_reports_as_reference(text, data):
     expected = _outcome(_slots_reference, broken)
     assert expected[0] == "UnbalancedBrackets"
     assert _outcome(lambda t: parse_vrml(t).color_green_slots, broken) == expected
+
+
+# --- G-code replay -------------------------------------------------------------------
+
+# every code the replay acts on, spelled with leading zeros and in lower case
+# too, and codes it ignores; moves are half of the draws
+_GCODE_CODES = st.one_of(
+    st.sampled_from(["G0", "G1", "G2", "G3", "G00", "g1", "G01", "g03"]),
+    st.sampled_from(["G20", "G21", "g20", "G90", "G91", "G091", "M82", "M83", "m83", "G92",
+                     "g092", "G28", "M104", "G4", "G92.1"]),
+)
+_GCODE_VALUES = st.one_of(
+    st.integers(-300, 300).map(str),
+    st.integers(-300_000, 300_000).map(lambda n: f"{n / 1000:.3f}"),
+    # Z levels on and next to the 1 um quantum's rounding boundaries
+    st.sampled_from(["0.0005", "0.0015", "-0.0005", "0.2", ".2", "-0", "0.1999995"]),
+)
+
+
+@st.composite
+def _gcode_line(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["; layer 1", ";filament used = 3mm", ";", "(note)"]))
+    letters = [letter for letter in "XYZE" if draw(st.booleans())]
+    letters += draw(st.lists(st.sampled_from("FIJS"), unique=True, max_size=2))
+    words = [f"{letter}{draw(_GCODE_VALUES)}" for letter in draw(st.permutations(letters))]
+    return " ".join([draw(_GCODE_CODES), *words])
+
+
+_GCODE_PROGRAMS = st.lists(_gcode_line(), min_size=1, max_size=60).map("\n".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_GCODE_PROGRAMS)
+@example("M83\nG1 X1 E2\nG1 X2 E2\nM82\nG1 X3 E5")       # E position kept across modes
+@example("G20\nG92 X1 E1\nG1 X2 E2 Z0.2")
+def test_replay_matches_reference(text):
+    program = parse_gcode(text)
+    state = _replay_reference(program)
+    assert filament_length(program).hex() == state.extruded.hex()
+    assert audit(program).travel_mm.hex() == state.travel.hex()
+    assert repr(z_profile(program)) == repr(_z_levels_reference(state))
