@@ -288,24 +288,88 @@ def project_to_grid(cloud: SphereCloud | np.ndarray, v, pitch: float) -> BitGrid
 
 def _score_directions(points: np.ndarray, dirs: np.ndarray,
                       dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    score, pitch, _, _, _ = _score_frames(points, dirs, dtype)
+    """Lattice score and pitch of each direction row (see ``_score_frames``).
+
+    float32 (the coarse scan) forms the pair differences once and splits the
+    rows into near-equal batches over the CPUs this process may use: the
+    calling thread scores its own share and each further CPU gets one helper
+    thread (numpy's kernels release the GIL). The workers' (M, N^2) blocks
+    are slices of one array of at most ``_COARSE_BATCH_PAIRS`` entries, or of
+    two rows per worker where two rows exceed it. No batch holds a single row
+    unless ``dirs`` does: a one-row matmul takes BLAS's matrix-vector path,
+    which rounds differently. A row's score otherwise does not depend on its
+    batch, so the scores do not depend on the number of workers.
+    """
+    if np.dtype(dtype) != np.float32:
+        score, pitch, _, _, _ = _score_frames(points, dirs, dtype)
+        return score, pitch
+    import os               # only the coarse scan needs these two
+    import threading
+
+    m, n_sq = len(dirs), len(points) ** 2
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    # one worker per CPU while each gets two rows and every worker's two rows
+    # fit the budget; then as few batches as the budget allows, two or more
+    # rows each, and at least one per worker
+    workers = max(1, min(cpus, m // 2, _COARSE_BATCH_PAIRS // (2 * n_sq)))
+    rows = max(2, _COARSE_BATCH_PAIRS // (workers * n_sq))
+    count = max(workers, min(-(-m // rows), m // 2))
+    pairs = _pair_differences(points)
+    blocks = np.empty((workers, -(-m // count) * n_sq), np.float32)
+    score, pitch = np.empty(m), np.empty(m)
+    errors = []
+
+    def run(worker: int) -> None:
+        try:
+            for k in range(worker, count, workers):
+                if errors:
+                    return
+                lo, hi = k * m // count, (k + 1) * m // count
+                out = blocks[worker, :(hi - lo) * n_sq].reshape(hi - lo, n_sq)
+                part = _score_frames(points, dirs[lo:hi], np.float32, pairs, out)
+                score[lo:hi], pitch[lo:hi] = part[0], part[1]
+        except BaseException as exc:        # raised again on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return score, pitch
 
 
+def _pair_differences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 3-D pair differences d = p_i - p_j, formed in float64 and cast to
+    float32, as a (3, N^2) array, and |d|^2, with +inf where i == j."""
+    p = np.asarray(points, dtype=np.float64)
+    diff = (p[:, None, :] - p[None, :, :]).reshape(-1, 3).astype(np.float32)
+    diff_sq = (diff * diff).sum(axis=1)
+    diff_sq[::len(p) + 1] = np.inf
+    return np.ascontiguousarray(diff.T), diff_sq
+
+
 def _nearest_neighbours(points: np.ndarray, dirs: np.ndarray,
-                        cu: np.ndarray, cw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                        cu: np.ndarray, cw: np.ndarray,
+                        pairs: tuple[np.ndarray, np.ndarray] | None = None,
+                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each projected center's nearest other center, in the precision of
-    (cu, cw): index and squared distance, (M, N) each."""
+    (cu, cw): index and squared distance, (M, N) each. float32 reads
+    ``pairs`` (``_pair_differences(points)`` when None) and forms its
+    (M, N^2) block in ``out`` when one is given."""
     m, n = cu.shape
     if cu.dtype == np.float32:
-        # |d|^2 - (d.v)^2 over the 3-D pair differences d, formed in float64
-        p = np.asarray(points, dtype=np.float64)
-        diff = (p[:, None, :] - p[None, :, :]).reshape(-1, 3).astype(np.float32)
-        diff_sq = (diff * diff).sum(axis=1)
-        diff_sq[::n + 1] = np.inf
-        d2 = np.asarray(dirs, np.float32) @ np.ascontiguousarray(diff.T)   # (M, N^2)
+        # |d|^2 - (d.v)^2 over the 3-D pair differences d
+        pair_t, pair_sq = _pair_differences(points) if pairs is None else pairs
+        d2 = np.matmul(np.asarray(dirs, np.float32), pair_t, out=out)   # (M, N^2)
         d2 *= d2
-        np.subtract(diff_sq, d2, out=d2)
+        np.subtract(pair_sq, d2, out=d2)
         d2 = d2.reshape(m, n, n)
     else:
         # |p_i - p_j|^2 per direction via one batched gram matmul
@@ -321,7 +385,9 @@ def _nearest_neighbours(points: np.ndarray, dirs: np.ndarray,
     return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0]
 
 
-def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
+def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
+                  pairs: tuple[np.ndarray, np.ndarray] | None = None,
+                  out: np.ndarray | None = None):
     """Lattice residual score and fitted frame for each direction row.
 
     Projected centers are compared against the best-fitting square lattice:
@@ -340,6 +406,8 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
     around the origin in float32 instead loses the neighbors of a cloud
     far from it. float64 (refine and polish, whose values are the outputs)
     keeps the expanded gram form from the projected points, bit for bit.
+    ``pairs`` and ``out`` go to ``_nearest_neighbours``, so a batched caller
+    forms the pair differences once and keeps its blocks in one allocation.
     """
     u, w = _basis_many(dirs)
     # float32 projects centred points, so its ulp is set by the cloud's
@@ -349,7 +417,7 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64):
     pts = centred.astype(dtype)
     cu = np.ascontiguousarray((pts @ u.T.astype(dtype)).T)   # (M, N)
     cw = np.ascontiguousarray((pts @ w.T.astype(dtype)).T)
-    nn_idx, nn_d2 = _nearest_neighbours(points, dirs, cu, cw)
+    nn_idx, nn_d2 = _nearest_neighbours(points, dirs, cu, cw, pairs, out)
     pitch = np.sqrt(np.maximum(np.median(nn_d2, axis=1), 0.0))
 
     dx = np.take_along_axis(cu, nn_idx, axis=1) - cu
@@ -479,13 +547,19 @@ def _ring_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 _COARSE_SUBSAMPLE = 128
-# direction x center-pair entries per coarse batch: at 128 centers a batch
-# of 128 directions keeps the float32 pairwise block at 8 MB
+# direction x center-pair entries in the float32 pairwise blocks of one
+# coarse pass, shared by all its workers: at 128 centers the blocks hold 128
+# directions in all (8 MB), whatever the number of workers
 _COARSE_BATCH_PAIRS = 1 << 21
 
 
 def _coarse_scores(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """float32 lattice scores of the direction rows, in cache-sized batches."""
+    """float32 lattice scores of the direction rows, on at most 128 centers.
+
+    One ``_score_directions`` call scores every row: its batches are shared
+    by the usable CPUs under one ``_COARSE_BATCH_PAIRS`` budget, and the
+    scores do not depend on the number of workers.
+    """
     if len(centers) > _COARSE_SUBSAMPLE:
         # one coherent patch, the centers nearest the centroid: modules keep
         # their lattice neighbours, so the median neighbour distance stays
@@ -494,11 +568,7 @@ def _coarse_scores(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         coarse_pts = centers[np.sort(np.argsort(d2, kind="stable")[:_COARSE_SUBSAMPLE])]
     else:
         coarse_pts = centers
-    # near-equal batches, so none shrinks to the one-row matmul (see the
-    # refine memo in search_direction)
-    batches = -(-len(dirs) * len(coarse_pts) ** 2 // _COARSE_BATCH_PAIRS)
-    return np.concatenate([_score_directions(coarse_pts, part, dtype=np.float32)[0]
-                           for part in np.array_split(dirs, batches)])
+    return _score_directions(coarse_pts, dirs, np.float32)[0]
 
 
 def search_direction(cloud: SphereCloud | np.ndarray,
@@ -506,7 +576,8 @@ def search_direction(cloud: SphereCloud | np.ndarray,
                      refine_to_deg: float = 0.05) -> DirectionSearchResult:
     """Find the viewing direction by hemisphere scan plus local refinement.
 
-    Coarse latitude rings are scored in cache-sized batches (clouds beyond
+    Coarse latitude rings are scored in cache-sized batches shared by the
+    usable CPUs, with the same scores on any number of them (clouds beyond
     128 centers are scored on the 128 nearest their centroid), the 5 best
     descend 3x3 step-halving pattern grids from lattice-snapped starts until
     the step drops below ``refine_to_deg``, and the winner gets a regression

@@ -1,4 +1,9 @@
 import math
+import os
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +366,21 @@ def test_search_recovers_codes_beyond_the_coarse_subsample(seed, n, shape):
     assert result.score < qr3d.MISS_SCORE
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the coarse pitch reads low off-axis, so the row nearest the "
+                          "true direction ranks far below the five refine starts")
+def test_search_recovers_hollow_code_seed_109005():
+    # a draw of the test above that ends 8.24 degrees off with score 0.262
+    seed, n = 109005, 35
+    rng = np.random.default_rng(seed)
+    grid = BitGrid(_hollow(random_code_grid(rng, n=n, density=0.45).bits))
+    v = random_unit_direction(rng)
+    cloud = grid_to_spheres(grid, EmbedParams(pitch=2.0, direction=v, seed=seed))
+    result = search_direction(cloud)
+    assert angle_between_deg(result.direction, v) <= 0.1
+    assert result.score < qr3d.MISS_SCORE
+
+
 # --- search against the single-pass reference ----------------------------------------
 
 def _ref_canonical(v):
@@ -375,10 +395,11 @@ def _ref_canonical(v):
     return v
 
 
-def _gram_nearest_neighbours(points, dirs, cu, cw):
+def _gram_nearest_neighbours(points, dirs, cu, cw, pairs=None, out=None):
     """Nearest projected neighbours from |p_i - p_j|^2 expanded around the
     origin, the form the coarse pass used in float32 before it moved to
-    3-D pair differences (refine and polish still use it in float64)."""
+    3-D pair differences (refine and polish still use it in float64).
+    Takes the pair form's call; its pair differences and block go unused."""
     m, n = cu.shape
     proj = np.stack([cu, cw], axis=2)
     d2 = proj @ proj.transpose(0, 2, 1)
@@ -515,6 +536,111 @@ def test_coarse_top5_matches_gram_reference(seed, n):
                                for part in np.array_split(dirs, parts)])
     scores = qr3d._coarse_scores(cloud.centers, dirs)
     assert qr3d._top_directions(scores, dirs, 5) == qr3d._top_directions(expected, dirs, 5)
+
+
+# --- the coarse pass on several CPUs --------------------------------------------------
+
+def _usable_cpus(monkeypatch, count):
+    """Make the coarse pass see ``count`` CPUs; None removes
+    os.sched_getaffinity, so os.cpu_count (mocked to 3) gives the count."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+
+@pytest.mark.parametrize("n, step", [(13, 2.0), (21, 2.0), (33, 2.0),
+                                     (21, 45.0), (21, 60.0), (21, 100.0)])
+def test_coarse_scores_do_not_depend_on_the_worker_count(monkeypatch, n, step):
+    centers = _planted(seed=n, n=n)[2].centers
+    dirs = _coarse_grid(step)
+    score_frames = qr3d._score_frames
+    batches = []
+
+    def spy(points, part, *args):
+        batches.append((threading.current_thread().name, len(part)))
+        return score_frames(points, part, *args)
+
+    monkeypatch.setattr(qr3d, "_score_frames", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # many thread switches inside each batch
+    try:
+        scores = {}
+        for cpus in (1, 2, 3, 8, None):
+            _usable_cpus(monkeypatch, cpus)
+            batches.clear()
+            scores[cpus] = qr3d._coarse_scores(centers, dirs).tobytes()
+            expected = min(3 if cpus is None else cpus, len(dirs) // 2) or 1
+            assert len({name for name, _ in batches}) == expected
+            assert sum(rows for _, rows in batches) == len(dirs)
+            assert min(rows for _, rows in batches) >= min(2, len(dirs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(scores.values())) == 1
+
+
+def test_search_does_not_depend_on_the_worker_count(monkeypatch):
+    cloud = _planted(seed=25)[2]
+    results = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        r = search_direction(cloud)
+        results.append((r.direction.tobytes(), r.score.hex(), r.estimated_pitch.hex(),
+                        r.candidates_evaluated, r.grid.bits.tobytes()))
+    assert results[0] == results[1]
+
+
+def _coarse_peak_bytes(centers, dirs):
+    tracemalloc.start()
+    try:
+        qr3d._coarse_scores(centers, dirs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coarse_workers_share_one_block_budget(monkeypatch):
+    centers = _planted(seed=21)[2].centers
+    assert len(centers) > qr3d._COARSE_SUBSAMPLE
+    dirs = _coarse_grid()
+    peaks = {}
+    for cpus in (1, 8):
+        _usable_cpus(monkeypatch, cpus)
+        qr3d._coarse_scores(centers, dirs)          # warm-up outside the trace
+        peaks[cpus] = _coarse_peak_bytes(centers, dirs)
+    # the 1-CPU pass holds one 2^21-entry float32 block at a time
+    assert peaks[1] >= 4 * qr3d._COARSE_BATCH_PAIRS
+    assert peaks[8] <= peaks[1] + 2 ** 20
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_coarse_failure_is_raised_after_every_helper_stopped(monkeypatch, cpus):
+    centers = _planted(seed=21)[2].centers
+    dirs = _coarse_grid()
+    _usable_cpus(monkeypatch, cpus)
+    score_frames = qr3d._score_frames
+    failure = RuntimeError("one batch failed")
+    helpers_busy = threading.Barrier(max(cpus - 1, 1))
+
+    def failing(points, part, *args):
+        if cpus == 1:
+            raise failure                       # no helpers: the one worker's batch
+        if threading.current_thread() is not threading.main_thread():
+            # one helper fails once every helper is inside a batch; the
+            # others are still busy when it does
+            if helpers_busy.wait(timeout=10) == 0:
+                raise failure
+            time.sleep(0.1)
+        return score_frames(points, part, *args)
+
+    monkeypatch.setattr(qr3d, "_score_frames", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        qr3d._coarse_scores(centers, dirs)
+    assert excinfo.value is failure
+    assert threading.active_count() == before
 
 
 def _covering_radius_deg(dirs, samples):
