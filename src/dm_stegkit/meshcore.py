@@ -405,8 +405,17 @@ def mesh_volume(mesh: TriMesh) -> float:
 _FEATURE_CORNERS = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [0, 2], [1, 2]])
 
 
-def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarray):
-    """Sections of an indexed mesh with ascending planes, as node paths.
+def _level_ranges(tz: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per triangle with corner heights tz (m, 3): the first of the ascending
+    levels at or above its lowest corner, and how many levels its z-range
+    holds."""
+    first = np.searchsorted(levels, tz.min(axis=1), side="left")
+    return first, np.searchsorted(levels, tz.max(axis=1), side="right") - first
+
+
+def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarray,
+                   ranges: tuple[np.ndarray, np.ndarray] | None = None):
+    """Sections of an indexed mesh with planes z = level, as nodes and segments.
 
     Nodes are mesh features, not welded coordinates (Minetto et al., "An
     optimal algorithm for 3D triangle mesh slicing", CAD 2017): an
@@ -415,15 +424,21 @@ def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarr
     two features is one segment between them, except an on-plane edge
     whose third vertex lies below, so the shared edge of two coplanar
     neighbours is contributed once. Nodes are numbered by first appearance
-    in (level, triangle) order and walked by ``_walk``.
+    in (level, triangle) order, so each level's nodes and segments are
+    contiguous runs in level order.
 
-    Returns (xy, node_level, loops, chains): node coordinates (n, 2), each
-    node's level index, and the loops and open chains as node lists.
+    ``ranges`` is the per-triangle (first, counts) of ``_level_ranges``. By
+    default it is taken over all of ``levels``, which must then ascend; a
+    caller that stacks meshes, each with its own ascending levels, passes
+    each mesh's ranges offset to its levels, so a mesh meets only those.
+
+    Returns (xy, node_level, a, b): node coordinates (n, 2), each node's
+    level index, and the segments (a[e], b[e]) in level order, without
+    those that join a feature to itself.
     """
     z = vertices[:, 2]
     tz = z[triangles]
-    first = np.searchsorted(levels, tz.min(axis=1), side="left")
-    counts = np.searchsorted(levels, tz.max(axis=1), side="right") - first
+    first, counts = _level_ranges(tz, levels) if ranges is None else ranges
     # every (triangle, level) pair whose z-range holds the level, level-major
     lev = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
     order = np.argsort(lev, kind="stable")
@@ -450,8 +465,7 @@ def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarr
     xy[edge] = xy[edge] + (vertices[above[edge], :2] - xy[edge]) * (d0 / (d0 - d1))[:, None]
     node = node.reshape(-1, 2)
     node = node[node[:, 0] != node[:, 1]]               # a feature joined to itself
-    loops, chains = _walk(node[:, 0], node[:, 1], len(xy))
-    return xy, node_level.tolist(), loops, chains
+    return xy, node_level, node[:, 0], node[:, 1]
 
 
 def _walk(a: np.ndarray, b: np.ndarray, nodes: int) -> tuple[list, list]:
@@ -512,7 +526,8 @@ def slice_levels(vertices: np.ndarray, triangles: np.ndarray, levels) -> list[Sl
     """
     levels = np.asarray(levels, dtype=np.float64).reshape(-1)
     results = [SliceLoops(z=float(z)) for z in levels]
-    xy, node_level, loops, chains = _section_paths(vertices, triangles, levels)
+    xy, node_level, a, b = _section_paths(vertices, triangles, levels)
+    loops, chains = _walk(a, b, len(xy))
     for path in loops:
         results[node_level[path[0]]].loops.append(xy[path])
     for path in chains:

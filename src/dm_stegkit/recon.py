@@ -21,11 +21,16 @@ from .meshcore import (
     Rotation,
     TriMesh,
     _dedup_vertices,
+    _level_ranges,
     _section_paths,
+    _walk,
     polygon_area,
 )
 
 _OPEN_CHAIN_PENALTY = 10.0
+# (triangle, level) pairs per section build in the orientation scan; the
+# build holds about 300 bytes per pair, so this bounds the scan's memory
+_SCAN_BATCH_PAIRS = 8192
 
 
 @dataclass
@@ -382,13 +387,78 @@ class OrientationReport:
         return json.dumps(self.to_dict(top), indent=2 if pretty else None)
 
 
-def _slice_stats(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarray):
-    """Total loops, layers with open chains, the most open chains in one
-    layer, and the loop area of level 0 (always a float)."""
-    xy, node_level, loops, chains = _section_paths(vertices, triangles, levels)
-    open_counts = np.bincount([node_level[ch[0]] for ch in chains], minlength=1)
-    return (len(loops), int(np.count_nonzero(open_counts)), int(open_counts.max()),
-            sum((abs(polygon_area(xy[lp])) for lp in loops if node_level[lp[0]] == 0), 0.0))
+def _ring_counts(a: np.ndarray, b: np.ndarray, node_level: np.ndarray, nlevels: int):
+    """Loops and open chains per level through the segments (a[e], b[e]),
+    as ``_walk`` counts them, when every node on them has exactly two.
+
+    Each component is then a cycle that one walk covers from any node:
+    through more than two nodes a loop, through two an open chain.
+    Incidence p is a node's end of segment p mod E. Leaving a node by one
+    incidence and going on by the other segment at the far node permutes
+    the incidences; its cycles run once around each component each way.
+    Every incidence takes the lowest node on its cycle by pointer jumping
+    (Shiloach and Vishkin, J. Algorithms 1982), so a component's lowest
+    node is its one node whose incidences hold itself.
+    """
+    e = len(a)
+    ends = np.concatenate([a, b])
+    far = np.concatenate([b, a])
+    pair = np.argsort(ends, kind="stable").reshape(-1, 2)    # a node's two incidences
+    mate = np.empty(2 * e, dtype=np.intp)
+    mate[pair[:, 0]], mate[pair[:, 1]] = pair[:, 1], pair[:, 0]
+    jump = mate[(np.arange(2 * e) + e) % (2 * e)]
+    low = ends
+    # after k rounds low[p] is the lowest node over 2^k steps from p; it
+    # stops changing once that is the whole cycle
+    while not np.array_equal(nxt := np.minimum(low, low[jump]), low):
+        low, jump = nxt, jump[jump]
+    level = node_level[ends]
+    components = np.bincount(level[low == ends], minlength=nlevels) // 2
+    # both segments at a node lead to one node: a two-node component
+    chains = np.bincount(level[far == far[mate]], minlength=nlevels) // 4
+    return components - chains, chains
+
+
+def _slice_stats(batch: list, triangles: np.ndarray) -> list:
+    """Slice a batch of rotated copies of one mesh in one section build.
+
+    ``batch`` holds (vertices, levels, ranges) per copy, its ranges from
+    ``_level_ranges`` over its own levels. Returns, per copy: total loops,
+    layers with open chains, the most open chains in one layer, and the
+    loop area of its first level (a float, summed from 0.0 in walk order).
+
+    Levels where a node has other than zero or two segments, and each
+    copy's first level, are walked with ``_walk`` on their own segments;
+    a walk never leaves its level, so it finds the paths it would on all
+    levels. Every other level is counted by ``_ring_counts``.
+    """
+    verts, levels, spans = zip(*batch)
+    size = np.array([len(lv) for lv in levels])
+    starts = np.cumsum(size) - size
+    nlevels = int(size.sum())
+    faces = (triangles[None] + np.arange(len(batch))[:, None, None] * len(verts[0])).reshape(-1, 3)
+    ranges = (np.concatenate([first + s for (first, _), s in zip(spans, starts.tolist())]),
+              np.concatenate([counts for _, counts in spans]))
+    xy, node_level, a, b = _section_paths(np.concatenate(verts), faces,
+                                          np.concatenate(levels), ranges)
+    degree = np.bincount(a, minlength=len(xy)) + np.bincount(b, minlength=len(xy))
+    walked = np.zeros(nlevels, dtype=bool)
+    walked[node_level[(degree != 0) & (degree != 2)]] = True
+    walked[starts] = True
+    on_walk = walked[node_level[a]]
+    loops, chains = _ring_counts(a[~on_walk], b[~on_walk], node_level, nlevels)
+    walk_loops, walk_chains = _walk(a[on_walk], b[on_walk], len(xy))
+    loops += np.bincount(node_level[[lp[0] for lp in walk_loops]], minlength=nlevels)
+    chains += np.bincount(node_level[[ch[0] for ch in walk_chains]], minlength=nlevels)
+    area = dict.fromkeys(starts.tolist(), 0.0)
+    for lp in walk_loops:
+        level = int(node_level[lp[0]])
+        if level in area:
+            area[level] += abs(polygon_area(xy[lp]))
+    return list(zip(np.add.reduceat(loops, starts).tolist(),
+                    np.add.reduceat((chains > 0).astype(np.int64), starts).tolist(),
+                    np.maximum.reduceat(chains, starts).tolist(),
+                    area.values()))
 
 
 def _layer_count(height: float, layer_height: float) -> int:
@@ -396,6 +466,28 @@ def _layer_count(height: float, layer_height: float) -> int:
     multiple counts as that multiple, so rotation float noise cannot drop
     the top layer."""
     return max(1, math.floor(height / layer_height + 1e-9))
+
+
+def _rotated_batches(vertices: np.ndarray, triangles: np.ndarray, matrices: list,
+                    layer_height: float):
+    """Each rotation's vertices, levels and level ranges, in order, grouped
+    into batches whose (triangle, level) pairs fit ``_SCAN_BATCH_PAIRS``; a
+    rotation above that budget is a batch of its own."""
+    batch, pairs = [], 0
+    for mat in matrices:
+        rv = vertices @ mat.T
+        gz0 = rv[:, 2].min()
+        nlayers = _layer_count(rv[:, 2].max() - gz0, layer_height)
+        levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
+        ranges = _level_ranges(rv[:, 2][triangles], levels)
+        n = int(ranges[1].sum())
+        if batch and pairs + n > _SCAN_BATCH_PAIRS:
+            yield batch
+            batch, pairs = [], 0
+        batch.append((rv, levels, ranges))
+        pairs += n
+    if batch:
+        yield batch
 
 
 def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
@@ -406,23 +498,30 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
     with open chains). Lower is better; ties prefer the larger bottom
     layer, then the lexicographically smaller rotation.
 
+    The grid holds k = 360 / angle_step_deg angles per axis, 360 j / k for
+    j < k; a step is accepted when it is within 1e-9 relative of such a
+    divisor of 360.
+
     Slicing depends only on a rotation's third row (the up-vector): an
     in-plane spin about z leaves every layer's loops, open chains and area
     unchanged. Each up-vector is therefore sliced once, with its first
-    rotation in (rx, ry, rz) order.
+    rotation in (rx, ry, rz) order. Consecutive up-vectors share one
+    section build while their (triangle, level) pairs fit
+    ``_SCAN_BATCH_PAIRS``, which bounds the scan's memory; loops and open
+    chains are counted by ``_slice_stats`` without building most paths.
     """
     if not len(mesh.triangles):
         raise ValueError("cannot scan an empty mesh")
-    if angle_step_deg <= 0 or 360.0 % angle_step_deg != 0:
+    k = round(360.0 / angle_step_deg) if 0 < angle_step_deg < math.inf else 0
+    if k < 1 or abs(k * angle_step_deg - 360.0) > 1e-9 * 360.0:
         raise ValueError("angle_step_deg must divide 360")
     if not 0 < layer_height < math.inf:
         raise ValueError(f"layer_height must be positive and finite, got {layer_height}")
-    steps = np.arange(0.0, 360.0, angle_step_deg)
+    steps = 360.0 * np.arange(k) / k
     verts, index = _dedup_vertices(mesh.vertices)
     faces = index[mesh.triangles]
 
-    stats = {}                              # up-vector -> (mean loops, max open, area, score)
-    candidates = []
+    up_index, up_matrices, grid = {}, [], []
     for rx in steps:
         for ry in steps:
             for rz in steps:
@@ -430,16 +529,19 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
                 mat = rot.matrix()
                 # + 0.0 folds -0.0 into +0.0
                 key = tuple((np.round(mat[2], 9) + 0.0).tolist())
-                if key not in stats:
-                    rv = verts @ mat.T
-                    gz0 = rv[:, 2].min()
-                    nlayers = _layer_count(rv[:, 2].max() - gz0, layer_height)
-                    levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
-                    loops, open_layers, max_open, bottom_area = _slice_stats(rv, faces, levels)
-                    mean_loops = loops / nlayers
-                    frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / nlayers)
-                    stats[key] = mean_loops, max_open, bottom_area, frag
-                candidates.append(OrientationCandidate(rot, *stats[key]))
+                if key not in up_index:
+                    up_index[key] = len(up_matrices)
+                    up_matrices.append(mat)
+                grid.append((rot, up_index[key]))
+
+    stats = []                              # per up-vector: mean loops, max open, area, score
+    for batch in _rotated_batches(verts, faces, up_matrices, layer_height):
+        for (_, levels, _), (loops, open_layers, max_open, bottom_area) in zip(
+                batch, _slice_stats(batch, faces)):
+            mean_loops = loops / len(levels)
+            frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / len(levels))
+            stats.append((mean_loops, max_open, bottom_area, frag))
+    candidates = [OrientationCandidate(rot, *stats[up]) for rot, up in grid]
 
     def sig9(x: float) -> float:
         return float(f"{x:.9g}")

@@ -22,7 +22,7 @@ from dm_stegkit import (
 )
 from dm_stegkit import recon
 from dm_stegkit.errors import DegenerateLayer, EmptyCloud, TooFewPoints
-from dm_stegkit.meshcore import TriMesh, _dedup_vertices, polygon_area
+from dm_stegkit.meshcore import TriMesh, _dedup_vertices, _section_paths, _walk, polygon_area
 from conftest import box_mesh, box_unions, boxes_mesh, random_code_grid, two_tower_bridge
 
 
@@ -483,8 +483,25 @@ def test_scan_candidate_count_and_sorting():
 
 
 def test_scan_rejects_bad_step():
-    with pytest.raises(ValueError):
-        orientation_scan(box_mesh(0, 0, 0, 1, 1, 1), angle_step_deg=77)
+    for step in (77.0, 7.3, 0.0, -90.0, 500.0, 720.0, math.nan, math.inf, 360 / 7 * (1 + 1e-8)):
+        with pytest.raises(ValueError, match="angle_step_deg must divide 360"):
+            orientation_scan(box_mesh(0, 0, 0, 1, 1, 1), angle_step_deg=step)
+
+
+def _one_facet():
+    return TriMesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                   np.array([[0, 1, 2]]))
+
+
+def test_scan_accepts_decimal_steps_that_divide_360():
+    # 360 % 14.4 is not 0 in floats, yet 25 steps of 14.4 make 360
+    report = orientation_scan(_one_facet(), angle_step_deg=14.4)
+    assert report.candidate_count == 25 ** 3 == 15625
+    angles = {a for c in report.candidates for a in c.rotation.as_tuple()}
+    assert angles == {360.0 * j / 25 for j in range(25)}
+    assert report.angle_step_deg == 14.4
+    # stood on end, the facet is one open chain in every layer
+    assert max(c.max_open_chains for c in report.candidates) == 1
 
 
 def test_scan_report_json_shape():
@@ -543,8 +560,19 @@ def _stats(cand):
             cand.bottom_layer_area, cand.fragmentation_score)
 
 
+def _walked_slice_stats(vertices, triangles, levels):
+    """Reference figures of one rotation from every path ``_walk`` builds:
+    total loops, layers with open chains, the most open chains in one
+    layer, and the loop area of level 0 (always a float)."""
+    xy, node_level, a, b = _section_paths(vertices, triangles, levels)
+    loops, chains = _walk(a, b, len(xy))
+    open_counts = np.bincount([node_level[ch[0]] for ch in chains], minlength=1)
+    return (len(loops), int(np.count_nonzero(open_counts)), int(open_counts.max()),
+            sum((abs(polygon_area(xy[lp])) for lp in loops if node_level[lp[0]] == 0), 0.0))
+
+
 def _per_rotation_scan(mesh, angle_step_deg, layer_height=0.2):
-    """Reference path: slice every grid rotation on its own.
+    """Reference path: slice every grid rotation on its own and walk it.
 
     Returns {rotation tuple: stats} plus the rotations whose truncated
     layer count, int(height / layer_height), differs from the
@@ -552,7 +580,8 @@ def _per_rotation_scan(mesh, angle_step_deg, layer_height=0.2):
     """
     vertices, index = _dedup_vertices(mesh.vertices)
     triangles = index[mesh.triangles]
-    steps = np.arange(0.0, 360.0, angle_step_deg)
+    k = round(360.0 / angle_step_deg)
+    steps = 360.0 * np.arange(k) / k
     out, corrected = {}, set()
     for rx in steps:
         for ry in steps:
@@ -564,7 +593,7 @@ def _per_rotation_scan(mesh, angle_step_deg, layer_height=0.2):
                 if nlayers != recon._layer_count(gz1 - gz0, layer_height):
                     corrected.add(rot.as_tuple())
                 levels = gz0 + (np.arange(nlayers) + 0.5) * layer_height
-                loops, open_layers, max_open, area = recon._slice_stats(rv, triangles, levels)
+                loops, open_layers, max_open, area = _walked_slice_stats(rv, triangles, levels)
                 mean_loops = loops / nlayers
                 out[rot.as_tuple()] = (mean_loops, max_open, area,
                                        mean_loops + 10.0 * open_layers / nlayers)
@@ -579,6 +608,7 @@ def _sphere_code_mesh():
 
 @pytest.mark.parametrize("mesh_factory, step", [
     (two_tower_bridge, 45.0),
+    (two_tower_bridge, 360 / 7),            # 343 candidates; 360 % step != 0
     (_sphere_code_mesh, 90.0),
 ])
 def test_scan_matches_per_rotation_reference(mesh_factory, step):
@@ -606,6 +636,101 @@ def test_scan_stats_depend_only_on_up_vector(mesh, step):
     for cand in report.candidates:
         by_up.setdefault(_up_key(cand.rotation), set()).add(_stats(cand))
     assert all(len(stats) == 1 for stats in by_up.values())
+
+
+# --- walk-free section counts ---------------------------------------------------------
+
+def _grid_up_matrices(step):
+    """The first grid rotation matrix of each distinct up-vector, in scan order."""
+    ups = {}
+    for rx in np.arange(0.0, 360.0, step):
+        for ry in np.arange(0.0, 360.0, step):
+            for rz in np.arange(0.0, 360.0, step):
+                ups.setdefault(_up_key(Rotation(rx, ry, rz)), Rotation(rx, ry, rz).matrix())
+    return list(ups.values())
+
+
+def _assert_counts_match_walk(mesh, step, layer_height=0.2):
+    """Every up-vector's batched counts equal the walk of all its paths,
+    with the default batch budget and with every up-vector in a batch of
+    its own. Returns the number of batches at the default budget."""
+    vertices, index = _dedup_vertices(mesh.vertices)
+    triangles = index[mesh.triangles]
+    matrices = _grid_up_matrices(step)
+    batches = list(recon._rotated_batches(vertices, triangles, matrices, layer_height))
+    singles = [[entry] for batch in batches for entry in batch]
+    want = [_walked_slice_stats(rv, triangles, levels)
+            for batch in singles for rv, levels, _ in batch]
+    assert len(want) == len(matrices)
+    for grouping in (batches, singles):
+        got = [s for batch in grouping for s in recon._slice_stats(batch, triangles)]
+        assert [(*s[:3], s[3].hex()) for s in got] == [(*s[:3], s[3].hex()) for s in want]
+    return len(batches)
+
+
+@settings(max_examples=25, deadline=None)
+@given(box_unions(), st.sampled_from([90.0, 45.0, 30.0]), st.integers(0, 4),
+       st.integers(0, 2 ** 31))
+def test_slice_stats_match_walk_on_box_unions(mesh, step, holes, seed):
+    # dropped faces leave odd-degree nodes, whose levels go to the walk
+    keep = np.random.default_rng(seed).permutation(len(mesh.triangles))[holes:]
+    _assert_counts_match_walk(TriMesh(mesh.vertices, mesh.triangles[np.sort(keep)]), step)
+
+
+def _upright_sections(mesh):
+    """Nodes and segments of the mesh sliced upright at the scan's levels."""
+    vertices, index = _dedup_vertices(mesh.vertices)
+    triangles = index[mesh.triangles]
+    [(_, levels, _)] = next(recon._rotated_batches(vertices, triangles, [np.eye(3)], 0.2))
+    return levels, _section_paths(vertices, triangles, levels)
+
+
+def test_slice_stats_match_walk_on_boxes_sharing_an_edge():
+    # upright, the shared vertical edge is one node with four segments per level
+    mesh = boxes_mesh([(0.0, 0.0, 0.0, 1.0, 1.0, 1.0), (1.0, 1.0, 0.0, 2.0, 2.0, 1.0)])
+    _, (_, _, a, b) = _upright_sections(mesh)
+    assert np.bincount(np.concatenate([a, b])).max() == 4
+    # the 45-degree up-vectors share batches, so batched ids are offset
+    assert _assert_counts_match_walk(mesh, 45.0) < len(_grid_up_matrices(45.0))
+
+
+def test_slice_stats_match_walk_on_facets_stood_on_end():
+    facet = TriMesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                    np.array([[0, 1, 2]]))
+    # a facet and its reverse cross the same two edges: two segments
+    # between two nodes, a two-node cycle that the walk calls a chain
+    pillow = TriMesh(facet.vertices, np.array([[0, 1, 2], [0, 2, 1]]))
+    for mesh in (facet, pillow):
+        _assert_counts_match_walk(mesh, 45.0)
+        report = orientation_scan(mesh, angle_step_deg=90.0, layer_height=0.2)
+        upright = [c for c in report.candidates if c.rotation.as_tuple() == (0.0, 0.0, 0.0)]
+        assert [(c.mean_loops_per_layer, c.max_open_chains) for c in upright] == [(0.0, 1)]
+
+
+def test_slice_stats_match_walk_with_faces_on_a_level():
+    # the lower box's top face and the upper box's bottom face lie on
+    # level 1 (z = 0.3 up to rounding) of the upright slicing
+    top = 1.5 * 0.2
+    mesh = boxes_mesh([(0.0, 0.0, 0.0, 2.0, 2.0, top), (1.0, 1.0, top, 3.0, 3.0, 1.0)])
+    levels, (_, node_level, _, _) = _upright_sections(mesh)
+    assert levels[1] == top and (node_level == 1).any()
+    _assert_counts_match_walk(mesh, 90.0)
+    _assert_counts_match_walk(mesh, 45.0)
+
+
+def test_scan_memory_is_bounded_by_the_batch_budget():
+    # the section build holds ~300 bytes per (triangle, level) pair, so one
+    # batch of _SCAN_BATCH_PAIRS pairs peaks near 2.5 MB; the towers' 45-degree
+    # grid holds ~10 MB of pairs in all
+    for mesh, step in ((two_tower_bridge(), 45.0), (_sphere_code_mesh(), 90.0)):
+        orientation_scan(mesh, angle_step_deg=step)
+        tracemalloc.start()
+        try:
+            orientation_scan(mesh, angle_step_deg=step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def test_layer_count_absorbs_float_noise():
