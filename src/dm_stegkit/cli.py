@@ -8,6 +8,14 @@ Each run prints a single JSON report envelope on stdout:
 Exit status is 0 on success, 1 on a domain error (reported inside the
 envelope), and 2 on usage errors. Input files are never modified; outputs
 go only where -o points. DM_STEGKIT_SEED overrides default seeds.
+
+Numbers follow one ASCII rule, on the command line as in files: numeric
+options and ``--dir`` parts are read by ``meshcore.parse_decimal`` and
+integer options by ``meshcore.parse_integer``, so an underscore or a
+non-ASCII digit is a usage error (exit 2); in DM_STEGKIT_SEED it is a
+domain error (exit 1). Sphere centres must be finite. A Morse sketch is a
+JSON list of objects whose x, y0 and y1 are finite numbers; anything else
+is a MalformedSketch naming the item.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ def _parse_direction(text: str) -> np.ndarray:
 
 def _default_seed() -> int:
     env = os.environ.get("DM_STEGKIT_SEED")
-    return int(env) if env else 0
+    return meshcore.parse_integer(env) if env else 0
 
 
 class _Run:
@@ -273,76 +281,76 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gcode-audit", help="audit G-code metadata against its toolpath")
     p.add_argument("file")
-    p.add_argument("--threshold", type=float, default=0.02,
+    p.add_argument("--threshold", type=meshcore.parse_decimal, default=0.02,
                    help="relative mismatch tolerance (default 0.02)")
     p.set_defaults(handler=_cmd_gcode_audit)
 
     p = sub.add_parser("vrml-embed", help="hide a message in green color digits")
     p.add_argument("file")
     p.add_argument("--message", required=True)
-    p.add_argument("--start-slot", type=int, default=0)
-    p.add_argument("--digits", type=int, default=6,
+    p.add_argument("--start-slot", type=meshcore.parse_integer, default=0)
+    p.add_argument("--digits", type=meshcore.parse_integer, default=6,
                    help="fractional digits per color value (default 6)")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_vrml_embed)
 
     p = sub.add_parser("vrml-extract", help="recover a message from green color digits")
     p.add_argument("file")
-    p.add_argument("--start-slot", type=int, default=0)
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--start-slot", type=meshcore.parse_integer, default=0)
+    p.add_argument("--digits", type=meshcore.parse_integer, default=6)
     p.set_defaults(handler=_cmd_vrml_extract)
 
     p = sub.add_parser("morse-encode", help="encode text as a stroke sketch")
     p.add_argument("text")
-    p.add_argument("--unit", type=float, default=1.0)
+    p.add_argument("--unit", type=meshcore.parse_decimal, default=1.0)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_morse_encode)
 
     p = sub.add_parser("morse-decode", help="decode a stroke sketch JSON file")
     p.add_argument("file")
-    p.add_argument("--unit", type=float, default=1.0)
+    p.add_argument("--unit", type=meshcore.parse_decimal, default=1.0)
     p.set_defaults(handler=_cmd_morse_decode)
 
     p = sub.add_parser("qr3d-embed", help="turn a PBM bit grid into a sphere cloud")
     p.add_argument("--grid", required=True, help="plain PBM (P1) module matrix")
     p.add_argument("--dir", dest="direction", required=True,
                    help="viewing direction, e.g. 1,1,1 (normalized)")
-    p.add_argument("--pitch", type=float, required=True)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--jitter", type=float, default=None,
+    p.add_argument("--pitch", type=meshcore.parse_decimal, required=True)
+    p.add_argument("--radius", type=meshcore.parse_decimal, default=None)
+    p.add_argument("--jitter", type=meshcore.parse_decimal, default=None,
                    help="depth jitter amplitude (default 5 x pitch)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=meshcore.parse_integer, default=None)
     p.add_argument("--stl", help="also write an icosphere mesh STL here")
-    p.add_argument("--subdivisions", type=int, default=2)
+    p.add_argument("--subdivisions", type=meshcore.parse_integer, default=2)
     p.add_argument("-o", "--output", required=True, help="XYZ output path")
     p.set_defaults(handler=_cmd_qr3d_embed)
 
     p = sub.add_parser("qr3d-project", help="project a cloud along a known direction")
     p.add_argument("file", help="XYZ sphere centers")
     p.add_argument("--dir", dest="direction", required=True)
-    p.add_argument("--pitch", type=float, required=True)
+    p.add_argument("--pitch", type=meshcore.parse_decimal, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_qr3d_project)
 
     p = sub.add_parser("qr3d-search", help="recover the viewing direction by search")
     p.add_argument("file", help="XYZ sphere centers")
-    p.add_argument("--coarse-step", type=float, default=2.0)
-    p.add_argument("--refine-to", type=float, default=0.05)
+    p.add_argument("--coarse-step", type=meshcore.parse_decimal, default=2.0)
+    p.add_argument("--refine-to", type=meshcore.parse_decimal, default=0.05)
     p.add_argument("-o", "--output", help="write the recovered grid as PBM")
     p.set_defaults(handler=_cmd_qr3d_search)
 
     p = sub.add_parser("recon", help="reconstruct a mesh from a layered XYZ cloud")
     p.add_argument("file")
-    p.add_argument("--z-tol", type=float, default=None)
-    p.add_argument("--resample", type=int, default=128)
+    p.add_argument("--z-tol", type=meshcore.parse_decimal, default=None)
+    p.add_argument("--resample", type=meshcore.parse_integer, default=128)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=_cmd_recon)
 
     p = sub.add_parser("orient-scan", help="rank print orientations by fragmentation")
     p.add_argument("file")
-    p.add_argument("--angle-step", type=float, default=15.0)
-    p.add_argument("--layer-height", type=float, default=0.2)
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--angle-step", type=meshcore.parse_decimal, default=15.0)
+    p.add_argument("--layer-height", type=meshcore.parse_decimal, default=0.2)
+    p.add_argument("--top", type=meshcore.parse_integer, default=10,
                    help="candidates to include in the report (default 10)")
     p.set_defaults(handler=_cmd_orient_scan)
 

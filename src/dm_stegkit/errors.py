@@ -145,6 +145,14 @@ class UnsortedSegments(StegkitError):
     """Sketch segments not sorted by baseline position."""
 
 
+class MalformedSketch(StegkitError):
+    """Sketch JSON that is not a list of {x, y0, y1} objects of finite numbers."""
+
+    def __init__(self, item: int | None, message: str):
+        self.item = item
+        super().__init__(message if item is None else f"item {item}: {message}")
+
+
 # --- sphere-cloud codes ------------------------------------------------------
 
 class DegenerateProjection(StegkitError):

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .errors import AmbiguousClaims, MalformedNumber
-from .meshcore import parse_decimal
+from .meshcore import _is_ascii_digits, parse_decimal
 
 _Z_QUANTUM = 1e-3  # mm; Z levels closer than this merge into one layer
 
@@ -160,10 +160,6 @@ def _cut_checksum(text: str, lineno: int) -> str:
         if not _is_ascii_digits(checksum.strip()):
             raise MalformedNumber(lineno, f"bad checksum {checksum.strip()!r}")
     return text
-
-
-def _is_ascii_digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
 
 
 def _split_words(body: str, lineno: int) -> list[tuple[str, str]]:

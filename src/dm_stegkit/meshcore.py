@@ -27,6 +27,11 @@ _STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
 _STL_RECORD_LEN = _STL_RECORD.itemsize
 
 
+def _is_ascii_digits(text: str) -> bool:
+    """True for one or more of the ASCII digits 0-9 and nothing else."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_decimal(token: str) -> float:
     """``float(token)`` for a token, without whitespace, that is an ASCII decimal.
 
@@ -36,6 +41,17 @@ def parse_decimal(token: str) -> float:
     if not token.isascii() or "_" in token:
         raise ValueError(f"not an ASCII decimal: {token!r}")
     return float(token)
+
+
+def parse_integer(token: str) -> int:
+    """``int(token)`` for a token that is an optional sign, then ASCII digits.
+
+    ``int`` alone also reads underscores, non-ASCII digits and surrounding
+    whitespace; these raise ValueError here, as any non-integer does.
+    """
+    if not _is_ascii_digits(token[1:] if token[:1] in ("+", "-") else token):
+        raise ValueError(f"not an ASCII integer: {token!r}")
+    return int(token)
 
 
 @dataclass
@@ -142,26 +158,37 @@ def parse_stl(data: bytes) -> TriMesh:
     length ("solid"-prefixed binary files exist in the wild, so the prefix
     alone is not trusted). Vertex dedup uses exact bit equality.
     """
-    if is_binary_stl(data):
-        return _parse_stl_binary(data)
+    corners = _binary_stl_corners(data)
+    if corners is not None:
+        verts, tris = _dedup_vertices(corners.reshape(-1, 3))
+        return TriMesh(verts, tris.reshape(-1, 3), data[:_STL_HEADER_LEN])
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         text = None
     if text is not None and text.lstrip().lower().startswith("solid"):
         return _parse_stl_ascii(text)
-    if len(data) >= _STL_HEADER_LEN + 4:
-        (count,) = struct.unpack_from("<I", data, _STL_HEADER_LEN)
+    count, _ = _binary_stl_records(data)
+    if count is not None:
         raise TruncatedFile(count, len(data))
     raise MalformedAscii(1, "not an STL file (no solid keyword, too short for binary)")
 
 
+def _binary_stl_records(data: bytes) -> tuple[int | None, np.ndarray | None]:
+    """The triangle count STL bytes declare (None when they are too short to
+    declare one), and their records as a view of ``data`` when that count
+    matches their length (else None)."""
+    if len(data) < _STL_HEADER_LEN + 4:
+        return None, None
+    (count,) = struct.unpack_from("<I", data, _STL_HEADER_LEN)
+    if len(data) != _STL_HEADER_LEN + 4 + _STL_RECORD_LEN * count:
+        return count, None
+    return count, np.frombuffer(data, dtype=_STL_RECORD, count=count, offset=_STL_HEADER_LEN + 4)
+
+
 def is_binary_stl(data: bytes) -> bool:
     """True when the declared triangle count matches the length of ``data``."""
-    if len(data) < _STL_HEADER_LEN + 4:
-        return False
-    (count,) = struct.unpack_from("<I", data, _STL_HEADER_LEN)
-    return len(data) == _STL_HEADER_LEN + 4 + _STL_RECORD_LEN * count
+    return _binary_stl_records(data)[1] is not None
 
 
 def stl_header(data: bytes) -> bytes:
@@ -170,26 +197,22 @@ def stl_header(data: bytes) -> bytes:
     A binary STL's records are validated without building the mesh; any
     other input is parsed by ``parse_stl``, whose mesh carries a zero header.
     """
-    if is_binary_stl(data):
-        _binary_stl_corners(data)
-        return data[:_STL_HEADER_LEN]
-    return parse_stl(data).header
+    if _binary_stl_corners(data) is None:
+        return parse_stl(data).header
+    return data[:_STL_HEADER_LEN]
 
 
-def _binary_stl_corners(data: bytes) -> np.ndarray:
-    """The (count, 3, 3) float32 corners of bytes that pass ``is_binary_stl``,
-    a view of ``data``; raises NonFiniteCoordinate as parsing would."""
-    (count,) = struct.unpack_from("<I", data, _STL_HEADER_LEN)
-    rec = np.frombuffer(data, dtype=_STL_RECORD, count=count, offset=_STL_HEADER_LEN + 4)
-    corners = rec["v"]  # stored normals ignored
+def _binary_stl_corners(data: bytes) -> np.ndarray | None:
+    """The (count, 3, 3) float32 corners of binary STL bytes, a view of
+    ``data``, or None for bytes that are not binary STL; raises
+    NonFiniteCoordinate as parsing would."""
+    records = _binary_stl_records(data)[1]
+    if records is None:
+        return None
+    corners = records["v"]  # stored normals ignored
     if not np.all(np.isfinite(corners)):
         raise NonFiniteCoordinate("binary STL contains non-finite vertex")
     return corners
-
-
-def _parse_stl_binary(data: bytes) -> TriMesh:
-    verts, tris = _dedup_vertices(_binary_stl_corners(data).reshape(-1, 3))
-    return TriMesh(verts, tris.reshape(-1, 3), data[:_STL_HEADER_LEN])
 
 
 def _ascii_floats(parts, n, lineno):
@@ -414,7 +437,7 @@ def _level_ranges(tz: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarray,
-                   ranges: tuple[np.ndarray, np.ndarray] | None = None):
+                   ranges: tuple[np.ndarray, np.ndarray]):
     """Sections of an indexed mesh with planes z = level, as nodes and segments.
 
     Nodes are mesh features, not welded coordinates (Minetto et al., "An
@@ -427,10 +450,10 @@ def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarr
     in (level, triangle) order, so each level's nodes and segments are
     contiguous runs in level order.
 
-    ``ranges`` is the per-triangle (first, counts) of ``_level_ranges``. By
-    default it is taken over all of ``levels``, which must then ascend; a
-    caller that stacks meshes, each with its own ascending levels, passes
-    each mesh's ranges offset to its levels, so a mesh meets only those.
+    ``ranges`` is the per-triangle (first, counts) of ``_level_ranges`` over
+    ascending ``levels``; a caller that stacks meshes, each with its own
+    ascending levels, passes each mesh's ranges offset to its levels, so a
+    mesh meets only those.
 
     Returns (xy, node_level, a, b): node coordinates (n, 2), each node's
     level index, and the segments (a[e], b[e]) in level order, without
@@ -438,7 +461,7 @@ def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarr
     """
     z = vertices[:, 2]
     tz = z[triangles]
-    first, counts = _level_ranges(tz, levels) if ranges is None else ranges
+    first, counts = ranges
     # every (triangle, level) pair whose z-range holds the level, level-major
     lev = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
     order = np.argsort(lev, kind="stable")
@@ -526,7 +549,8 @@ def slice_levels(vertices: np.ndarray, triangles: np.ndarray, levels) -> list[Sl
     """
     levels = np.asarray(levels, dtype=np.float64).reshape(-1)
     results = [SliceLoops(z=float(z)) for z in levels]
-    xy, node_level, a, b = _section_paths(vertices, triangles, levels)
+    xy, node_level, a, b = _section_paths(vertices, triangles, levels,
+                                          _level_ranges(vertices[triangles, 2], levels))
     loops, chains = _walk(a, b, len(xy))
     for path in loops:
         results[node_level[path[0]]].loops.append(xy[path])

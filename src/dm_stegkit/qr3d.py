@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProjection, TooFewSpheres
-from .meshcore import TriMesh, _first_occurrence_ids, parse_decimal, parse_xyz, write_xyz
+from .errors import BadLine, DegenerateProjection, NonFiniteCoordinate, TooFewSpheres
+from .meshcore import TriMesh, _first_occurrence_ids, _is_ascii_digits, parse_decimal, \
+    parse_xyz, write_xyz
 
 _U64 = (1 << 64) - 1
 
@@ -106,7 +107,7 @@ def grid_from_pbm(text: str) -> BitGrid:
         raise ValueError("expected plain PBM (P1)")
     if len(tokens) < 3:
         raise ValueError("PBM header truncated")
-    if not all(t.isascii() and t.isdigit() and int(t) > 0 for t in tokens[1:3]):
+    if not all(_is_ascii_digits(t) and int(t) > 0 for t in tokens[1:3]):
         raise ValueError(f"PBM header: width and height must be positive integers, "
                          f"got {tokens[1]!r} {tokens[2]!r}")
     w, h = int(tokens[1]), int(tokens[2])
@@ -149,13 +150,21 @@ class EmbedParams:
 
 @dataclass
 class SphereCloud:
-    centers: np.ndarray                     # (n, 3) float64
+    centers: np.ndarray                     # (n, 3) float64, finite
     radius: float = 0.0
 
     def __post_init__(self):
         self.centers = np.asarray(self.centers, dtype=np.float64).reshape(-1, 3)
         if not len(self.centers):
             raise ValueError("sphere cloud is empty")
+        if not np.all(np.isfinite(self.centers)):
+            raise NonFiniteCoordinate("sphere centers contain NaN/Inf")
+
+
+def _centers(cloud: SphereCloud | np.ndarray) -> np.ndarray:
+    """The (n, 3) float64 centers of a cloud, or of an array checked as a
+    SphereCloud checks its centers."""
+    return (cloud if isinstance(cloud, SphereCloud) else SphereCloud(cloud)).centers
 
 
 @dataclass
@@ -266,7 +275,7 @@ def project_to_grid(cloud: SphereCloud | np.ndarray, v, pitch: float) -> BitGrid
     The tight bounding box of occupied cells defines the grid; a
     rectangular result is padded with empty modules to stay square.
     """
-    centers = cloud.centers if isinstance(cloud, SphereCloud) else np.asarray(cloud)
+    centers = _centers(cloud)
     if not pitch > 0:
         raise ValueError("pitch must be positive")
     u, w = basis_for(unit_vector(v))
@@ -355,18 +364,17 @@ def _pair_differences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(diff.T), diff_sq
 
 
-def _nearest_neighbours(points: np.ndarray, dirs: np.ndarray,
-                        cu: np.ndarray, cw: np.ndarray,
-                        pairs: tuple[np.ndarray, np.ndarray] | None = None,
+def _nearest_neighbours(dirs: np.ndarray, cu: np.ndarray, cw: np.ndarray,
+                        pairs: tuple[np.ndarray, np.ndarray] | None,
                         out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each projected center's nearest other center, in the precision of
     (cu, cw): index and squared distance, (M, N) each. float32 reads
-    ``pairs`` (``_pair_differences(points)`` when None) and forms its
-    (M, N^2) block in ``out`` when one is given."""
+    ``pairs``, the ``_pair_differences`` of the points, and forms its
+    (M, N^2) block in ``out`` when one is given; float64 ignores both."""
     m, n = cu.shape
     if cu.dtype == np.float32:
         # |d|^2 - (d.v)^2 over the 3-D pair differences d
-        pair_t, pair_sq = _pair_differences(points) if pairs is None else pairs
+        pair_t, pair_sq = pairs
         d2 = np.matmul(np.asarray(dirs, np.float32), pair_t, out=out)   # (M, N^2)
         d2 *= d2
         np.subtract(pair_sq, d2, out=d2)
@@ -417,7 +425,7 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
     pts = centred.astype(dtype)
     cu = np.ascontiguousarray((pts @ u.T.astype(dtype)).T)   # (M, N)
     cw = np.ascontiguousarray((pts @ w.T.astype(dtype)).T)
-    nn_idx, nn_d2 = _nearest_neighbours(points, dirs, cu, cw, pairs, out)
+    nn_idx, nn_d2 = _nearest_neighbours(dirs, cu, cw, pairs, out)
     pitch = np.sqrt(np.maximum(np.median(nn_d2, axis=1), 0.0))
 
     dx = np.take_along_axis(cu, nn_idx, axis=1) - cu
@@ -463,7 +471,7 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
 
 def lattice_score(cloud: SphereCloud | np.ndarray, v) -> tuple[float, float]:
     """Score one direction: (lattice residual, estimated pitch)."""
-    centers = cloud.centers if isinstance(cloud, SphereCloud) else np.asarray(cloud)
+    centers = _centers(cloud)
     if len(centers) < 2:
         raise ValueError("lattice_score needs at least 2 centers")
     score, pitch = _score_directions(centers, unit_vector(v)[None, :])
@@ -594,8 +602,7 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     for name, value in (("coarse_step_deg", coarse_step_deg), ("refine_to_deg", refine_to_deg)):
         if not 0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    centers = cloud.centers if isinstance(cloud, SphereCloud) else np.asarray(cloud)
-    centers = centers.reshape(-1, 3)
+    centers = _centers(cloud)
     if len(centers) < 4:
         raise TooFewSpheres(f"need at least 4 centers, got {len(centers)}")
 
@@ -683,7 +690,6 @@ def cloud_from_xyz(text: str) -> SphereCloud:
             try:
                 radius = parse_decimal(value[0])
             except (IndexError, ValueError):
-                raise ValueError(f"line {lineno}: radius comment needs a number, "
-                                 f"got {s!r}") from None
+                raise BadLine(lineno, f"radius comment needs a number, got {s!r}") from None
             break
     return SphereCloud(parse_xyz(text).points, radius)

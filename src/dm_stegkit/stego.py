@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     CrcMismatch,
+    MalformedSketch,
     MessageTooLong,
     NoFrameFound,
     PayloadTooLarge,
@@ -26,13 +27,13 @@ from .errors import (
     UnsupportedCharacter,
     UnsupportedVersion,
 )
-from .meshcore import TriMesh
+from .meshcore import _STL_HEADER_LEN, TriMesh
 
 FRAME_MAGIC = b"\x48\x33\x44\x31"
 FRAME_VERSION = 1
 FRAME_OVERHEAD = 11  # magic + version + length + crc
 _MAX_PAYLOAD = 0xFFFF
-_STL_HEADER_CAPACITY = 80 - FRAME_OVERHEAD
+_STL_HEADER_CAPACITY = _STL_HEADER_LEN - FRAME_OVERHEAD
 
 
 def frame_bytes(payload: bytes) -> bytes:
@@ -117,7 +118,7 @@ def stl_header_frame(message: bytes) -> bytes:
             f"message is {len(message)} bytes, header holds {_STL_HEADER_CAPACITY}"
         )
     frame = frame_bytes(message)
-    return frame + b"\x00" * (80 - len(frame))
+    return frame + b"\x00" * (_STL_HEADER_LEN - len(frame))
 
 
 def embed_stl_header(mesh: TriMesh, message: bytes) -> TriMesh:
@@ -251,4 +252,31 @@ def segments_to_json(segments) -> list[dict]:
 
 
 def segments_from_json(items) -> list[SketchSegment]:
-    return [SketchSegment(float(i["x"]), float(i["y0"]), float(i["y1"])) for i in items]
+    """Segments from decoded sketch JSON: a list of objects whose ``x``,
+    ``y0`` and ``y1`` are finite numbers (not booleans or strings); any
+    other input raises MalformedSketch, naming the item at fault."""
+    if not isinstance(items, list):
+        raise MalformedSketch(None, f"sketch must be a list of segments, got {type(items).__name__}")
+    segments = []
+    for index, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise MalformedSketch(index, f"segment must be an object, got {type(item).__name__}")
+        segments.append(SketchSegment(*(_sketch_number(item, key, index)
+                                         for key in ("x", "y0", "y1"))))
+    return segments
+
+
+def _sketch_number(item: dict, key: str, index: int) -> float:
+    """``item[key]`` as a float, for a number that a float holds finitely."""
+    if key not in item:
+        raise MalformedSketch(index, f"missing key {key!r}")
+    value = item[key]
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:               # an integer beyond the float range
+            pass
+    if not math.isfinite(number):
+        raise MalformedSketch(index, f"{key} must be a finite number, got {value!r}")
+    return number

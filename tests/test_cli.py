@@ -303,8 +303,8 @@ def test_qr3d_search_bad_radius_comment_is_domain_error(capsys, tmp_path, commen
     path.write_text("# sphere cloud\n" + comment + "\n0 0 0\n2 0 0\n0 2 0\n2 2 1\n")
     status, doc = invoke(capsys, "qr3d-search", str(path))
     assert status == 1
-    assert doc["result"]["error"] == "ValueError"
-    assert doc["result"]["message"].startswith("line 2: radius")
+    assert doc["result"]["error"] == "BadLine"
+    assert doc["result"]["message"].startswith("line 2: radius comment needs a number")
 
 
 def test_qr3d_embed_negative_pbm_size_is_domain_error(capsys, tmp_path):
@@ -540,3 +540,78 @@ def test_header_verbs_do_not_build_a_binary_mesh(capsys, tmp_path, cube_stl, mon
     status, doc = invoke(capsys, "header-extract", str(out))
     assert status == 0, doc
     assert doc["result"]["payload"]["text"] == "hi"
+
+
+# --- one rule per input value: numbers, Morse sketches, sphere centres ---------------
+
+_SMOKE_PBM = ("P1\n7 7\n1 0 1 1 0 0 1\n0 1 1 0 1 0 0\n1 1 0 1 0 1 1\n0 0 1 1 1 0 1\n"
+              "1 0 0 1 0 1 0\n0 1 1 0 1 1 0\n1 0 1 0 0 1 1\n")
+
+
+# float() and int() alone read each of these: underscores, non-ASCII digits
+# and surrounding whitespace
+@pytest.mark.parametrize("argv", [
+    ["qr3d-embed", "--grid", "g.pbm", "--dir", "0,0,1", "--pitch", "1_0", "-o", "c.xyz"],
+    ["qr3d-embed", "--grid", "g.pbm", "--dir", "0,0,1", "--pitch", "٢", "-o", "c.xyz"],
+    ["qr3d-embed", "--grid", "g.pbm", "--dir", "0,0,1", "--pitch", "2", "--seed", "1_0",
+     "-o", "c.xyz"],
+    ["gcode-audit", "p.gcode", "--threshold", "0_1"],
+    ["orient-scan", "m.stl", "--angle-step", "９０"],
+    ["orient-scan", "m.stl", "--top", "1_0"],
+    ["vrml-extract", "s.wrl", "--digits", " 6"],
+    ["recon", "s.xyz", "--resample", "١٢٨", "-o", "r.stl"],
+])
+def test_numeric_options_outside_ascii_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    assert "invalid parse_" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["4_1", "٤١", " 41"])
+def test_env_seed_outside_ascii_is_domain_error(capsys, tmp_path, monkeypatch, seed):
+    pbm, out = tmp_path / "g.pbm", tmp_path / "c.xyz"
+    pbm.write_text(_SMOKE_PBM)
+    monkeypatch.setenv("DM_STEGKIT_SEED", seed)
+    status, doc = invoke(capsys, "qr3d-embed", "--grid", str(pbm), "--dir", "0,0,1",
+                         "--pitch", "2", "-o", str(out))
+    assert status == 1
+    assert doc["result"]["error"] == "ValueError"
+    assert "not an ASCII integer" in doc["result"]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options", [("--pitch", "2", "--jitter", "1e308"),
+                                     ("--pitch", "1e308", "--jitter", "0")])
+def test_qr3d_embed_with_non_finite_centres_writes_no_file(capsys, tmp_path, options):
+    pbm, out = tmp_path / "g.pbm", tmp_path / "c.xyz"
+    pbm.write_text(_SMOKE_PBM)
+    with np.errstate(over="ignore", invalid="ignore"):
+        status, doc = invoke(capsys, "qr3d-embed", "--grid", str(pbm), "--dir", "0,0,1",
+                             *options, "-o", str(out))
+    assert status == 1
+    assert doc["result"]["error"] == "NonFiniteCoordinate"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sketch, message", [
+    ('{"x": 1}', "sketch must be a list of segments, got dict"),
+    ("[1, 2]", "item 0: segment must be an object, got int"),
+    ('[{"x": 0, "y0": 0, "y1": 1}, "x"]', "item 1: segment must be an object, got str"),
+    ('[{"x": 1}]', "item 0: missing key 'y0'"),
+    ('[{"x": true, "y0": 0, "y1": 1}]', "item 0: x must be a finite number, got True"),
+    ('[{"x": 0, "y0": 0, "y1": 1}, {"x": 2, "y0": 0, "y1": "1_0"}]',
+     "item 1: y1 must be a finite number, got '1_0'"),
+    ('[{"x": 0, "y0": null, "y1": 1}]', "item 0: y0 must be a finite number, got None"),
+    ('[{"x": NaN, "y0": 0, "y1": 1}]', "item 0: x must be a finite number, got nan"),
+    ('[{"x": 0, "y0": 0, "y1": -Infinity}]', "item 0: y1 must be a finite number, got -inf"),
+    pytest.param('[{"x": 0, "y0": 0, "y1": 1' + "0" * 400 + "}]",
+                 "item 0: y1 must be a finite number", id="integer-beyond-float"),
+])
+def test_morse_decode_malformed_sketch_is_domain_error(capsys, tmp_path, sketch, message):
+    path = tmp_path / "sketch.json"
+    path.write_text(sketch)
+    status, doc = invoke(capsys, "morse-decode", str(path))
+    assert status == 1
+    assert doc["result"]["error"] == "MalformedSketch"
+    assert doc["result"]["message"].startswith(message)

@@ -20,7 +20,7 @@ from dm_stegkit import (
     write_stl_binary,
 )
 from dm_stegkit.meshcore import SliceLoops, _binary_stl_corners, _dedup_vertices, \
-    slice_levels, stl_header
+    is_binary_stl, parse_integer, slice_levels, stl_header
 from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_vector
 from dm_stegkit.errors import (
     BadLine,
@@ -744,7 +744,28 @@ def test_parse_xyz_errors_name_their_line(text, line, message):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("token, value", [("0", 0), ("007", 7), ("+7", 7), ("-12", -12),
+                                          ("18446744073709551616", 2 ** 64)])
+def test_parse_integer_reads_a_sign_then_ascii_digits(token, value):
+    assert parse_integer(token) == value
+
+
+# int() alone reads the first four as 10, 1, 5 and 5
+@pytest.mark.parametrize("token", ["1_0", "\u0661", " 5", "5\n", "", "+", "+-5", "1.0", "0x10"])
+def test_parse_integer_refuses_other_spellings(token):
+    with pytest.raises(ValueError, match="not an ASCII integer"):
+        parse_integer(token)
+
+
 # --- header-only STL reads ---------------------------------------------------------
+
+def test_binary_stl_corners_are_none_unless_the_count_matches_the_length():
+    data = write_stl_binary(box_mesh(0, 0, 0, 1, 1, 1))
+    assert is_binary_stl(data) and _binary_stl_corners(data).shape == (12, 3, 3)
+    for other in (data[:-1], data + b"\x00", data[:83], ASCII_ONE_FACET.encode()):
+        assert not is_binary_stl(other)
+        assert _binary_stl_corners(other) is None
+
 
 def test_stl_header_reads_binary_without_copying_records():
     data = write_stl_binary(TriMesh(box_mesh(0, 0, 0, 1, 1, 1).vertices,

@@ -26,7 +26,7 @@ from dm_stegkit import (
     spheres_to_mesh,
     unit_vector,
 )
-from dm_stegkit.errors import DegenerateProjection, TooFewSpheres
+from dm_stegkit.errors import DegenerateProjection, NonFiniteCoordinate, TooFewSpheres
 from dm_stegkit import qr3d
 from dm_stegkit.qr3d import SplitMix64
 from conftest import random_code_grid, random_unit_direction
@@ -174,6 +174,36 @@ def test_projection_off_axis_smears():
         assert smeared != grid
     except DegenerateProjection:
         pass  # total collapse also proves the code is unreadable off-axis
+
+
+def test_array_centres_are_read_as_a_sphere_cloud_reads_them():
+    # a flat list is reshaped to (n, 3) float64 by each entry point, as a
+    # SphereCloud reshapes it
+    grid = BitGrid(np.array([[True, False], [False, True]]))
+    params = EmbedParams(pitch=2.0, direction=unit_vector((0.1, 0.2, 0.97)),
+                         depth_jitter=2.0, seed=8)
+    cloud, v = grid_to_spheres(grid, params), params.direction
+    flat = cloud.centers.ravel().tolist()
+    assert project_to_grid(flat, v, 2.0) == grid
+    assert lattice_score(flat, v) == lattice_score(cloud, v)
+    for call in (lambda c: project_to_grid(c, v, 2.0), lambda c: lattice_score(c, v),
+                 search_direction):
+        with pytest.raises(ValueError, match="sphere cloud is empty"):
+            call(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_centres_are_refused(bad):
+    centers = np.array([[0.0, 0, 0], [2.0, 0, 0], [0.0, 2, 0], [2.0, 2, 1]])
+    centers[2, 1] = bad
+    with pytest.raises(NonFiniteCoordinate):
+        SphereCloud(centers, radius=0.5)
+    with pytest.raises(NonFiniteCoordinate):
+        project_to_grid(centers, (0.0, 0.0, 1.0), 2.0)
+    with pytest.raises(NonFiniteCoordinate):
+        lattice_score(centers, (0.0, 0.0, 1.0))
+    with pytest.raises(NonFiniteCoordinate):
+        search_direction(centers)
 
 
 def test_projection_collapse_raises():
@@ -395,7 +425,7 @@ def _ref_canonical(v):
     return v
 
 
-def _gram_nearest_neighbours(points, dirs, cu, cw, pairs=None, out=None):
+def _gram_nearest_neighbours(dirs, cu, cw, pairs, out=None):
     """Nearest projected neighbours from |p_i - p_j|^2 expanded around the
     origin, the form the coarse pass used in float32 before it moved to
     3-D pair differences (refine and polish still use it in float64).
@@ -691,7 +721,7 @@ def _float32_neighbour_d2(points, dirs, nearest):
     u, w = qr3d._basis_many(dirs)
     cu = np.ascontiguousarray((p32 @ u.T.astype(np.float32)).T)
     cw = np.ascontiguousarray((p32 @ w.T.astype(np.float32)).T)
-    return nearest(points, dirs, cu, cw)[1]
+    return nearest(dirs, cu, cw, qr3d._pair_differences(points))[1]
 
 
 @pytest.mark.parametrize("seed, n", [(1, 13), (2, 21), (3, 21)])

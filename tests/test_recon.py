@@ -22,7 +22,8 @@ from dm_stegkit import (
 )
 from dm_stegkit import recon
 from dm_stegkit.errors import DegenerateLayer, EmptyCloud, TooFewPoints
-from dm_stegkit.meshcore import TriMesh, _dedup_vertices, _section_paths, _walk, polygon_area
+from dm_stegkit.meshcore import TriMesh, _dedup_vertices, _level_ranges, _section_paths, _walk, \
+    polygon_area
 from conftest import box_mesh, box_unions, boxes_mesh, random_code_grid, two_tower_bridge
 
 
@@ -564,7 +565,8 @@ def _walked_slice_stats(vertices, triangles, levels):
     """Reference figures of one rotation from every path ``_walk`` builds:
     total loops, layers with open chains, the most open chains in one
     layer, and the loop area of level 0 (always a float)."""
-    xy, node_level, a, b = _section_paths(vertices, triangles, levels)
+    xy, node_level, a, b = _section_paths(vertices, triangles, levels,
+                                          _level_ranges(vertices[triangles, 2], levels))
     loops, chains = _walk(a, b, len(xy))
     open_counts = np.bincount([node_level[ch[0]] for ch in chains], minlength=1)
     return (len(loops), int(np.count_nonzero(open_counts)), int(open_counts.max()),
@@ -682,7 +684,8 @@ def _upright_sections(mesh):
     vertices, index = _dedup_vertices(mesh.vertices)
     triangles = index[mesh.triangles]
     [(_, levels, _)] = next(recon._rotated_batches(vertices, triangles, [np.eye(3)], 0.2))
-    return levels, _section_paths(vertices, triangles, levels)
+    return levels, _section_paths(vertices, triangles, levels,
+                                  _level_ranges(vertices[triangles, 2], levels))
 
 
 def test_slice_stats_match_walk_on_boxes_sharing_an_edge():

@@ -17,6 +17,7 @@ from dm_stegkit import (
 )
 from dm_stegkit.errors import (
     CrcMismatch,
+    MalformedSketch,
     MessageTooLong,
     NoFrameFound,
     PayloadTooLarge,
@@ -274,3 +275,11 @@ def test_segments_json_roundtrip():
     again = segments_from_json(segments_to_json(segs))
     assert again == segs
     assert segments_to_text(again) == "JSON 42"
+
+
+def test_segments_from_json_names_the_item_at_fault():
+    items = segments_to_json(text_to_segments("JSON 42"))
+    items[3]["y0"] = False
+    with pytest.raises(MalformedSketch, match="item 3: y0 must be a finite number") as err:
+        segments_from_json(items)
+    assert err.value.item == 3
