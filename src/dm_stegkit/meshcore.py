@@ -35,10 +35,11 @@ def _is_ascii_digits(text: str) -> bool:
 def parse_decimal(token: str) -> float:
     """``float(token)`` for a token, without whitespace, that is an ASCII decimal.
 
-    ``float`` alone also reads PEP 515 underscores ("1_0" is 10) and
-    non-ASCII digits; these raise ValueError here, as any non-number does.
+    ``float`` alone also reads PEP 515 underscores ("1_0" is 10), non-ASCII
+    digits and surrounding whitespace; these raise ValueError here, as any
+    non-number does.
     """
-    if not token.isascii() or "_" in token:
+    if not token.isascii() or "_" in token or token != token.strip():
         raise ValueError(f"not an ASCII decimal: {token!r}")
     return float(token)
 

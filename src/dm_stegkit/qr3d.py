@@ -208,6 +208,8 @@ def grid_to_spheres(grid: BitGrid, params: EmbedParams) -> SphereCloud:
 
     Jitter values come from SplitMix64(seed), uniform in [-D, D], consumed
     in row-major true-module order, so clouds are reproducible bit-for-bit.
+    A pitch or jitter so large that a center overflows raises
+    NonFiniteCoordinate, with no floating-point warning on the way.
     """
     u, w = basis_for(params.direction)
     n = grid.n
@@ -216,9 +218,10 @@ def grid_to_spheres(grid: BitGrid, params: EmbedParams) -> SphereCloud:
     rows, cols = np.nonzero(grid.bits)
     offsets = np.array([rng.uniform(-params.depth_jitter, params.depth_jitter)
                         for _ in range(len(rows))])
-    centers = ((cols - half)[:, None] * params.pitch * u
-               + (half - rows)[:, None] * params.pitch * w
-               + offsets[:, None] * params.direction)
+    with np.errstate(over="ignore", invalid="ignore"):   # SphereCloud refuses the result
+        centers = ((cols - half)[:, None] * params.pitch * u
+                   + (half - rows)[:, None] * params.pitch * w
+                   + offsets[:, None] * params.direction)
     return SphereCloud(centers, params.radius)
 
 
@@ -366,11 +369,14 @@ def _pair_differences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _nearest_neighbours(dirs: np.ndarray, cu: np.ndarray, cw: np.ndarray,
                         pairs: tuple[np.ndarray, np.ndarray] | None,
-                        out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                        out: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each projected center's nearest other center, in the precision of
-    (cu, cw): index and squared distance, (M, N) each. float32 reads
-    ``pairs``, the ``_pair_differences`` of the points, and forms its
-    (M, N^2) block in ``out`` when one is given; float64 ignores both."""
+    (cu, cw): index and squared distance, (M, N) each, and the (M, N, N)
+    block of squared projected distances they were read from (+inf where
+    i == j). float32 reads ``pairs``, the ``_pair_differences`` of the
+    points, and forms its block in ``out`` when one is given; float64
+    ignores both."""
     m, n = cu.shape
     if cu.dtype == np.float32:
         # |d|^2 - (d.v)^2 over the 3-D pair differences d
@@ -390,7 +396,65 @@ def _nearest_neighbours(dirs: np.ndarray, cu: np.ndarray, cw: np.ndarray,
         idx = np.arange(n)
         d2[:, idx, idx] = np.inf
     nn_idx = np.argmin(d2, axis=2)
-    return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0]
+    return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0], d2
+
+
+# the coarse pitch reads the pairs of the centers nearest the centroid whose
+# distance lies within 0.7-1.3 times the median nearest-neighbour distance:
+# adjacent modules, not the sqrt(2)-pitch diagonals
+_PITCH_ROWS = 8
+_ADJACENT_BAND = (0.49, 1.69)
+
+
+def _adjacent_pitch_sq(d2: np.ndarray, nn_d2: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared lattice pitch per direction row: the mean squared distance of
+    the adjacent pairs, those in the ``rows`` of the (M, N, N) block ``d2``
+    within ``_ADJACENT_BAND`` times the median nearest-neighbour squared
+    distance (that median where a row has no such pair).
+
+    Off the true direction, depth blur scatters each center's neighbours
+    about the pitch, so the nearest of them reads low while all of them
+    average to it: 1.943 and 1.991 for a pitch of 2.0, 1.25 degrees off
+    along a lattice diagonal. Each row of the block is read through a view,
+    so the band costs a few (M, N) temporaries, and the +inf diagonal is
+    masked, not multiplied.
+    """
+    med = np.median(nn_d2, axis=1)
+    lo, hi = (f * med[:, None] for f in _ADJACENT_BAND)
+    total = np.zeros_like(med)
+    count = np.zeros_like(med)
+    for i in rows.tolist():
+        row = d2[:, i, :]
+        band = row >= lo
+        band &= row <= hi
+        total += row.sum(axis=1, where=band)
+        count += band.sum(axis=1)
+    return np.divide(total, count, out=med, where=count > 0)
+
+
+def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
+                   nn_d2: np.ndarray, pitch: np.ndarray) -> np.ndarray:
+    """In-plane lattice angle per direction row, in radians within pi/4
+    either way: the fourth-harmonic circular mean of the headings from each
+    projected center to its nearest neighbour. Its (M, N) temporaries are
+    freed on return, before ``_score_frames`` forms the residuals.
+    """
+    dx = np.take_along_axis(cu, nn_idx, axis=1) - cu
+    dy = np.take_along_axis(cw, nn_idx, axis=1) - cw
+    ang4 = 4.0 * np.arctan2(dy, dx)
+    # in-plane angle from pitch-length pairs only: axis-aligned neighbors
+    # fold to 0 mod 90 exactly, while sqrt(2)/sqrt(5)-length pairs between
+    # isolated modules would bias the circular mean
+    nn_d = np.sqrt(np.maximum(nn_d2, 0.0))
+    near = np.abs(nn_d - pitch[:, None]) <= 0.2 * pitch[:, None]
+    count = near.sum(axis=1)
+    cos_sum = np.where(near, np.cos(ang4), 0.0).sum(axis=1)
+    sin_sum = np.where(near, np.sin(ang4), 0.0).sum(axis=1)
+    fallback = count == 0
+    if fallback.any():
+        cos_sum = np.where(fallback, np.cos(ang4).sum(axis=1), cos_sum)
+        sin_sum = np.where(fallback, np.sin(ang4).sum(axis=1), sin_sum)
+    return np.arctan2(sin_sum, cos_sum) / 4.0
 
 
 def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
@@ -399,7 +463,8 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
     """Lattice residual score and fitted frame for each direction row.
 
     Projected centers are compared against the best-fitting square lattice:
-    pitch from the median nearest-neighbor distance, in-plane rotation from
+    pitch from the adjacent pairs (``_adjacent_pitch_sq``) in float32 and
+    from the median nearest-neighbor distance in float64, in-plane rotation from
     the fourth-harmonic circular mean of nearest-neighbor headings, anchor
     at the projected point nearest the centroid. Scores are RMS distance to
     the nearest lattice site in pitch units (lower is better; inf marks a
@@ -425,25 +490,15 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
     pts = centred.astype(dtype)
     cu = np.ascontiguousarray((pts @ u.T.astype(dtype)).T)   # (M, N)
     cw = np.ascontiguousarray((pts @ w.T.astype(dtype)).T)
-    nn_idx, nn_d2 = _nearest_neighbours(dirs, cu, cw, pairs, out)
-    pitch = np.sqrt(np.maximum(np.median(nn_d2, axis=1), 0.0))
+    nn_idx, nn_d2, d2 = _nearest_neighbours(dirs, cu, cw, pairs, out)
+    if np.dtype(dtype) == np.float32:
+        central = np.argsort((centred ** 2).sum(axis=1), kind="stable")[:_PITCH_ROWS]
+        pitch_sq = _adjacent_pitch_sq(d2, nn_d2, central)
+    else:
+        pitch_sq = np.median(nn_d2, axis=1)
+    pitch = np.sqrt(np.maximum(pitch_sq, 0.0))
 
-    dx = np.take_along_axis(cu, nn_idx, axis=1) - cu
-    dy = np.take_along_axis(cw, nn_idx, axis=1) - cw
-    ang4 = 4.0 * np.arctan2(dy, dx)
-    # in-plane angle from pitch-length pairs only: axis-aligned neighbors
-    # fold to 0 mod 90 exactly, while sqrt(2)/sqrt(5)-length pairs between
-    # isolated modules would bias the circular mean
-    nn_d = np.sqrt(np.maximum(nn_d2, 0.0))
-    near = np.abs(nn_d - pitch[:, None]) <= 0.2 * pitch[:, None]
-    count = near.sum(axis=1)
-    cos_sum = np.where(near, np.cos(ang4), 0.0).sum(axis=1)
-    sin_sum = np.where(near, np.sin(ang4), 0.0).sum(axis=1)
-    fallback = count == 0
-    if fallback.any():
-        cos_sum = np.where(fallback, np.cos(ang4).sum(axis=1), cos_sum)
-        sin_sum = np.where(fallback, np.sin(ang4).sum(axis=1), sin_sum)
-    phi = np.arctan2(sin_sum, cos_sum) / 4.0
+    phi = _lattice_angle(cu, cw, nn_idx, nn_d2, pitch)
     c = np.cos(-phi)[:, None]
     s = np.sin(-phi)[:, None]
     ru = c * cu - s * cw
@@ -457,8 +512,12 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
     aw = rw[rows, anchor][:, None]
 
     scale = np.where(pitch > 0, pitch, 1.0)[:, None]
-    fu = (ru - au) / scale
-    fw = (rw - aw) / scale
+    # in place: one (M, N) residual pair alive, not two
+    fu, fw = ru, rw
+    fu -= au
+    fw -= aw
+    fu /= scale
+    fw /= scale
     fu -= np.rint(fu)
     fw -= np.rint(fw)
     score = np.sqrt((fu ** 2 + fw ** 2).mean(axis=1))
@@ -554,24 +613,30 @@ def _ring_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([st[ring] * cp, st[ring] * sp, ct[ring]]), starts
 
 
-_COARSE_SUBSAMPLE = 128
+_COARSE_SUBSAMPLE = 64
 # direction x center-pair entries in the float32 pairwise blocks of one
-# coarse pass, shared by all its workers: at 128 centers the blocks hold 128
-# directions in all (8 MB), whatever the number of workers
+# coarse pass, shared by all its workers: at 64 centers the blocks hold 512
+# directions in all (8 MB), whatever the number of workers. A smaller budget
+# does not lower the process's peak: what each worker allocates per batch
+# stays resident in its thread's malloc arena, which is also why the
+# adjacent-pair pitch reads the block through views instead of copying rows
 _COARSE_BATCH_PAIRS = 1 << 21
 
 
 def _coarse_scores(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """float32 lattice scores of the direction rows, on at most 128 centers.
+    """float32 lattice scores of the direction rows, on at most 64 centers.
 
     One ``_score_directions`` call scores every row: its batches are shared
     by the usable CPUs under one ``_COARSE_BATCH_PAIRS`` budget, and the
-    scores do not depend on the number of workers.
+    scores do not depend on the number of workers. Each row's pitch is read
+    from the adjacent pairs of the patch's central centers (see
+    ``_adjacent_pitch_sq``), which holds just off the true direction, where
+    the median nearest-neighbour distance reads low.
     """
     if len(centers) > _COARSE_SUBSAMPLE:
         # one coherent patch, the centers nearest the centroid: modules keep
-        # their lattice neighbours, so the median neighbour distance stays
-        # the pitch (a scattered subset has almost no adjacent modules)
+        # their lattice neighbours, so adjacent pairs still give the pitch
+        # (a scattered subset has almost no adjacent modules)
         d2 = ((centers - centers.mean(axis=0)) ** 2).sum(axis=1)
         coarse_pts = centers[np.sort(np.argsort(d2, kind="stable")[:_COARSE_SUBSAMPLE])]
     else:
@@ -586,7 +651,8 @@ def search_direction(cloud: SphereCloud | np.ndarray,
 
     Coarse latitude rings are scored in cache-sized batches shared by the
     usable CPUs, with the same scores on any number of them (clouds beyond
-    128 centers are scored on the 128 nearest their centroid), the 5 best
+    64 centers are scored on the 64 nearest their centroid, with the pitch
+    from adjacent pairs), the 5 best
     descend 3x3 step-halving pattern grids from lattice-snapped starts until
     the step drops below ``refine_to_deg``, and the winner gets a regression
     polish before its projection is returned. Each refine direction is scored

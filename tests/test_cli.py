@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -560,6 +561,8 @@ _SMOKE_PBM = ("P1\n7 7\n1 0 1 1 0 0 1\n0 1 1 0 1 0 0\n1 1 0 1 0 1 1\n0 0 1 1 1 0
     ["orient-scan", "m.stl", "--top", "1_0"],
     ["vrml-extract", "s.wrl", "--digits", " 6"],
     ["recon", "s.xyz", "--resample", "١٢٨", "-o", "r.stl"],
+    ["qr3d-embed", "--grid", "g.pbm", "--dir", "0,0,1", "--pitch", " 2", "-o", "c.xyz"],
+    ["qr3d-search", "c.xyz", "--coarse-step", "2\t"],
 ])
 def test_numeric_options_outside_ascii_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -586,7 +589,9 @@ def test_env_seed_outside_ascii_is_domain_error(capsys, tmp_path, monkeypatch, s
 def test_qr3d_embed_with_non_finite_centres_writes_no_file(capsys, tmp_path, options):
     pbm, out = tmp_path / "g.pbm", tmp_path / "c.xyz"
     pbm.write_text(_SMOKE_PBM)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the overflow is reported by the envelope alone: no RuntimeWarning
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
         status, doc = invoke(capsys, "qr3d-embed", "--grid", str(pbm), "--dir", "0,0,1",
                              *options, "-o", str(out))
     assert status == 1
