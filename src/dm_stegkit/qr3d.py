@@ -11,6 +11,8 @@ well the projected centers fit a square lattice.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,10 @@ MISS_SCORE = 0.25
 # Largest module grid side a projection may allocate (16 MB of bits), so a
 # tiny pitch fails fast instead of asking for terabytes.
 MAX_GRID_SIDE = 4096
+
+# Most directions a coarse ring grid may hold (a step near 0.1 degrees), so
+# a tiny coarse step fails fast instead of asking for terabytes.
+MAX_RING_ROWS = 1 << 21
 
 
 class SplitMix64:
@@ -159,6 +165,8 @@ class SphereCloud:
             raise ValueError("sphere cloud is empty")
         if not np.all(np.isfinite(self.centers)):
             raise NonFiniteCoordinate("sphere centers contain NaN/Inf")
+        if not 0 <= self.radius < math.inf:         # NaN fails too
+            raise ValueError("sphere radius must be finite and >= 0")
 
 
 def _centers(cloud: SphereCloud | np.ndarray) -> np.ndarray:
@@ -300,35 +308,50 @@ def project_to_grid(cloud: SphereCloud | np.ndarray, v, pitch: float) -> BitGrid
 
 def _score_directions(points: np.ndarray, dirs: np.ndarray,
                       dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice score and pitch of each direction row (see ``_score_frames``).
+    """Lattice score and pitch of each direction row; ``dtype`` picks the scorer.
 
-    float32 (the coarse scan) forms the pair differences once and splits the
-    rows into near-equal batches over the CPUs this process may use: the
-    calling thread scores its own share and each further CPU gets one helper
-    thread (numpy's kernels release the GIL). The workers' (M, N^2) blocks
-    are slices of one array of at most ``_COARSE_BATCH_PAIRS`` entries, or of
-    two rows per worker where two rows exceed it. No batch holds a single row
-    unless ``dirs`` does: a one-row matmul takes BLAS's matrix-vector path,
-    which rounds differently. A row's score otherwise does not depend on its
-    batch, so the scores do not depend on the number of workers.
+    float32 (``_score_coarse``, the coarse scan) only ranks directions. It
+    finds neighbours from each 3-D pair difference d, formed in float64, as
+    |d|^2 - (d.v)^2: one K=3 matmul per batch, and no dependence on where the
+    cloud sits (expanding |p_i - p_j|^2 in float32 loses the neighbours of a
+    cloud far from the origin), and reads the pitch from adjacent pairs.
+    float64 (``_score_frames``, refine and polish, whose values are the
+    outputs) keeps the gram form and the median nearest-neighbour pitch;
+    both then fit the lattice (``_fit_lattice``) and return float64 arrays.
     """
-    if np.dtype(dtype) != np.float32:
-        score, pitch, _, _, _ = _score_frames(points, dirs, dtype)
-        return score, pitch
-    import os               # only the coarse scan needs these two
-    import threading
+    if np.dtype(dtype) == np.float32:
+        return _score_coarse(points, dirs)
+    return _score_frames(points, dirs)[:2]
 
-    m, n_sq = len(dirs), len(points) ** 2
+
+def _score_coarse(points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 lattice score and pitch of each direction row, in near-equal
+    batches over the CPUs this process may use (one helper thread per CPU
+    beyond the calling one; numpy's kernels release the GIL). The workers'
+    (M, N, N) blocks are slices of one array of at most
+    ``_COARSE_BATCH_PAIRS`` entries, or of two rows per worker where two
+    rows exceed it. No batch holds one row unless ``dirs`` does: a one-row
+    matmul takes BLAS's matrix-vector path, which rounds differently. So a
+    row's score does not depend on its batch, nor on the number of workers.
+    """
+    # centred, so the float32 ulp is set by the cloud's size, not by its
+    # distance from the origin (1.0 at 10^7 against a pitch of 2)
+    centred = points - points.mean(axis=0)
+    pts = centred.astype(np.float32)
+    diffs = _pair_differences(points)
+    central = np.argsort((centred ** 2).sum(axis=1), kind="stable")[:_PITCH_ROWS]
+    extent = max(np.ptp(pts, axis=0).max(), 1.0)
+
+    m, n = len(dirs), len(points)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     # one worker per CPU while each gets two rows and every worker's two rows
     # fit the budget; then as few batches as the budget allows, two or more
     # rows each, and at least one per worker
-    workers = max(1, min(cpus, m // 2, _COARSE_BATCH_PAIRS // (2 * n_sq)))
-    rows = max(2, _COARSE_BATCH_PAIRS // (workers * n_sq))
+    workers = max(1, min(cpus, m // 2, _COARSE_BATCH_PAIRS // (2 * n * n)))
+    rows = max(2, _COARSE_BATCH_PAIRS // (workers * n * n))
     count = max(workers, min(-(-m // rows), m // 2))
-    pairs = _pair_differences(points)
-    blocks = np.empty((workers, -(-m // count) * n_sq), np.float32)
+    blocks = np.empty((workers, -(-m // count) * n * n), np.float32)
     score, pitch = np.empty(m), np.empty(m)
     errors = []
 
@@ -338,9 +361,13 @@ def _score_directions(points: np.ndarray, dirs: np.ndarray,
                 if errors:
                     return
                 lo, hi = k * m // count, (k + 1) * m // count
-                out = blocks[worker, :(hi - lo) * n_sq].reshape(hi - lo, n_sq)
-                part = _score_frames(points, dirs[lo:hi], np.float32, pairs, out)
-                score[lo:hi], pitch[lo:hi] = part[0], part[1]
+                block = blocks[worker, :(hi - lo) * n * n].reshape(hi - lo, n, n)
+                d2 = _pair_block(dirs[lo:hi], diffs, block)
+                nn_idx, nn_d2 = _nearest_neighbours(d2)
+                part = np.sqrt(np.maximum(_adjacent_pitch_sq(d2, nn_d2, central), 0.0))
+                cu, cw = _project(pts, dirs[lo:hi])
+                score[lo:hi] = _fit_lattice(cu, cw, nn_idx, nn_d2, part, extent)[0]
+                pitch[lo:hi] = part
         except BaseException as exc:        # raised again on the calling thread
             errors.append(exc)
 
@@ -357,6 +384,14 @@ def _score_directions(points: np.ndarray, dirs: np.ndarray,
     return score, pitch
 
 
+def _project(pts: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, N) coordinates (cu, cw) of ``pts`` on each row's (u, w), in their precision."""
+    u, w = _basis_many(dirs)
+    cu = np.ascontiguousarray((pts @ u.T.astype(pts.dtype)).T)
+    cw = np.ascontiguousarray((pts @ w.T.astype(pts.dtype)).T)
+    return cu, cw
+
+
 def _pair_differences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 3-D pair differences d = p_i - p_j, formed in float64 and cast to
     float32, as a (3, N^2) array, and |d|^2, with +inf where i == j."""
@@ -367,36 +402,23 @@ def _pair_differences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(diff.T), diff_sq
 
 
-def _nearest_neighbours(dirs: np.ndarray, cu: np.ndarray, cw: np.ndarray,
-                        pairs: tuple[np.ndarray, np.ndarray] | None,
-                        out: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each projected center's nearest other center, in the precision of
-    (cu, cw): index and squared distance, (M, N) each, and the (M, N, N)
-    block of squared projected distances they were read from (+inf where
-    i == j). float32 reads ``pairs``, the ``_pair_differences`` of the
-    points, and forms its block in ``out`` when one is given; float64
-    ignores both."""
-    m, n = cu.shape
-    if cu.dtype == np.float32:
-        # |d|^2 - (d.v)^2 over the 3-D pair differences d
-        pair_t, pair_sq = pairs
-        d2 = np.matmul(np.asarray(dirs, np.float32), pair_t, out=out)   # (M, N^2)
-        d2 *= d2
-        np.subtract(pair_sq, d2, out=d2)
-        d2 = d2.reshape(m, n, n)
-    else:
-        # |p_i - p_j|^2 per direction via one batched gram matmul
-        proj = np.stack([cu, cw], axis=2)                    # (M, N, 2)
-        d2 = proj @ proj.transpose(0, 2, 1)
-        sq = (proj ** 2).sum(axis=2)
-        d2 *= -2.0
-        d2 += sq[:, :, None]
-        d2 += sq[:, None, :]
-        idx = np.arange(n)
-        d2[:, idx, idx] = np.inf
+def _pair_block(dirs: np.ndarray, diffs: tuple[np.ndarray, np.ndarray],
+                block: np.ndarray) -> np.ndarray:
+    """The (M, N, N) float32 ``block`` filled with the squared projected
+    distances |d|^2 - (d.v)^2 of ``diffs``, the ``_pair_differences`` of
+    the points, along each direction row v (+inf where i == j)."""
+    diff_t, diff_sq = diffs
+    d2 = np.matmul(np.asarray(dirs, np.float32), diff_t, out=block.reshape(-1, len(diff_sq)))
+    d2 *= d2
+    np.subtract(diff_sq, d2, out=d2)
+    return block
+
+
+def _nearest_neighbours(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance, (M, N) each, of each projected center's
+    nearest other center in the (M, N, N) block ``d2`` (+inf where i == j)."""
     nn_idx = np.argmin(d2, axis=2)
-    return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0], d2
+    return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0]
 
 
 # the coarse pitch reads the pairs of the centers nearest the centroid whose
@@ -437,7 +459,7 @@ def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
     """In-plane lattice angle per direction row, in radians within pi/4
     either way: the fourth-harmonic circular mean of the headings from each
     projected center to its nearest neighbour. Its (M, N) temporaries are
-    freed on return, before ``_score_frames`` forms the residuals.
+    freed on return, before ``_fit_lattice`` forms the residuals.
     """
     dx = np.take_along_axis(cu, nn_idx, axis=1) - cu
     dy = np.take_along_axis(cw, nn_idx, axis=1) - cw
@@ -457,47 +479,15 @@ def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
     return np.arctan2(sin_sum, cos_sum) / 4.0
 
 
-def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
-                  pairs: tuple[np.ndarray, np.ndarray] | None = None,
-                  out: np.ndarray | None = None):
-    """Lattice residual score and fitted frame for each direction row.
-
-    Projected centers are compared against the best-fitting square lattice:
-    pitch from the adjacent pairs (``_adjacent_pitch_sq``) in float32 and
-    from the median nearest-neighbor distance in float64, in-plane rotation from
-    the fourth-harmonic circular mean of nearest-neighbor headings, anchor
-    at the projected point nearest the centroid. Scores are RMS distance to
-    the nearest lattice site in pitch units (lower is better; inf marks a
-    degenerate collapsed projection). Returns (score, pitch, phi, res_u,
-    res_w): the residuals are each center's offset from its snapped site in
-    pitch units, per direction row, in the phi-rotated frame.
-
-    The two precisions find nearest neighbors differently. float32 (the
-    coarse scan) takes each 3-D pair difference d, formed in float64, and
-    its projected squared length |d|^2 - (d.v)^2: one K=3 matmul per batch,
-    and no dependence on where the cloud sits. Expanding |p_i - p_j|^2
-    around the origin in float32 instead loses the neighbors of a cloud
-    far from it. float64 (refine and polish, whose values are the outputs)
-    keeps the expanded gram form from the projected points, bit for bit.
-    ``pairs`` and ``out`` go to ``_nearest_neighbours``, so a batched caller
-    forms the pair differences once and keeps its blocks in one allocation.
+def _fit_lattice(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray, nn_d2: np.ndarray,
+                 pitch: np.ndarray, extent: float):
+    """(score, pitch, phi, res_u, res_w) per direction row: the projected
+    centers against the square lattice of ``pitch``, rotated by
+    ``_lattice_angle``, anchored at the point nearest the centroid. The
+    score is the RMS distance to the nearest site in pitch units (inf where
+    the pitch falls below 1e-9 of ``extent``); the residuals are each
+    center's offset from its site in pitch units, in the phi-rotated frame.
     """
-    u, w = _basis_many(dirs)
-    # float32 projects centred points, so its ulp is set by the cloud's
-    # size, not by its distance from the origin (1.0 at 10^7 against a
-    # pitch of 2); float64 keeps the points as they are, bit for bit
-    centred = points - points.mean(axis=0) if np.dtype(dtype) == np.float32 else points
-    pts = centred.astype(dtype)
-    cu = np.ascontiguousarray((pts @ u.T.astype(dtype)).T)   # (M, N)
-    cw = np.ascontiguousarray((pts @ w.T.astype(dtype)).T)
-    nn_idx, nn_d2, d2 = _nearest_neighbours(dirs, cu, cw, pairs, out)
-    if np.dtype(dtype) == np.float32:
-        central = np.argsort((centred ** 2).sum(axis=1), kind="stable")[:_PITCH_ROWS]
-        pitch_sq = _adjacent_pitch_sq(d2, nn_d2, central)
-    else:
-        pitch_sq = np.median(nn_d2, axis=1)
-    pitch = np.sqrt(np.maximum(pitch_sq, 0.0))
-
     phi = _lattice_angle(cu, cw, nn_idx, nn_d2, pitch)
     c = np.cos(-phi)[:, None]
     s = np.sin(-phi)[:, None]
@@ -521,11 +511,28 @@ def _score_frames(points: np.ndarray, dirs: np.ndarray, dtype=np.float64,
     fu -= np.rint(fu)
     fw -= np.rint(fw)
     score = np.sqrt((fu ** 2 + fw ** 2).mean(axis=1))
-
-    extent = max(np.ptp(pts, axis=0).max(), 1.0)
     score = np.where(pitch > 1e-9 * extent, score, np.inf)
-    return (score.astype(np.float64), pitch.astype(np.float64),
-            phi.astype(np.float64), fu, fw)
+    return score, pitch, phi, fu, fw
+
+
+def _score_frames(points: np.ndarray, dirs: np.ndarray):
+    """float64 ``_fit_lattice`` of each direction row: neighbours from the gram
+    block of the projected points, and the pitch their median distance."""
+    pts = np.asarray(points, dtype=np.float64)
+    cu, cw = _project(pts, dirs)
+    # |p_i - p_j|^2 per direction via one batched gram matmul
+    proj = np.stack([cu, cw], axis=2)                    # (M, N, 2)
+    d2 = proj @ proj.transpose(0, 2, 1)
+    sq = (proj ** 2).sum(axis=2)
+    d2 *= -2.0
+    d2 += sq[:, :, None]
+    d2 += sq[:, None, :]
+    idx = np.arange(len(pts))
+    d2[:, idx, idx] = np.inf
+    nn_idx, nn_d2 = _nearest_neighbours(d2)
+    pitch = np.sqrt(np.maximum(np.median(nn_d2, axis=1), 0.0))
+    extent = max(np.ptp(pts, axis=0).max(), 1.0)
+    return _fit_lattice(cu, cw, nn_idx, nn_d2, pitch, extent)
 
 
 def lattice_score(cloud: SphereCloud | np.ndarray, v) -> tuple[float, float]:
@@ -601,10 +608,23 @@ def _ring_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     ring neighbours are at most ``step`` apart (5268 rows at 2 degrees); and
     each row's refine start: theta, and phi snapped to a multiple of step / 2,
     so the pattern rings of all starts share one lattice and the refine memo.
+    A step whose grid would hold more than ``MAX_RING_ROWS`` rows raises
+    ValueError before any row is formed.
     """
+    counts, total = [], 0
+    # the rings np.arange makes below; each holds a row, so the limit is
+    # passed within MAX_RING_ROWS + 1 rings (about 820 for a tiny step,
+    # whose ring k holds about 2 pi k rows)
+    for k in range(math.ceil(min((90.0 + 1e-9) / step, MAX_RING_ROWS + 1))):
+        counts.append(max(1, math.ceil(360.0 * math.sin(math.radians(k * step)) / step)))
+        total += counts[-1]
+        if total > MAX_RING_ROWS:
+            rows = max(total, 64800.0 / math.pi / step / step)     # 2 pi sr / step^2
+            raise ValueError(f"coarse_step_deg {step:g} would need about {rows:.4g} "
+                             f"directions, above the limit of {MAX_RING_ROWS}")
     thetas = np.arange(0.0, 90.0 + 1e-9, step)
-    st, ct = (np.array([f(math.radians(t)) for t in thetas.tolist()]) for f in (math.sin, math.cos))
-    counts = [max(1, math.ceil(360.0 * s / step)) for s in st.tolist()]
+    st, ct = (np.array([f(math.radians(t)) for t in thetas.tolist()])
+              for f in (math.sin, math.cos))
     ring = np.repeat(np.arange(len(thetas)), counts)
     phi = np.concatenate([360.0 * np.arange(k) / k for k in counts])
     sp, cp = (np.fromiter(map(f, map(math.radians, phi)), float, len(phi))
@@ -624,15 +644,8 @@ _COARSE_BATCH_PAIRS = 1 << 21
 
 
 def _coarse_scores(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """float32 lattice scores of the direction rows, on at most 64 centers.
-
-    One ``_score_directions`` call scores every row: its batches are shared
-    by the usable CPUs under one ``_COARSE_BATCH_PAIRS`` budget, and the
-    scores do not depend on the number of workers. Each row's pitch is read
-    from the adjacent pairs of the patch's central centers (see
-    ``_adjacent_pitch_sq``), which holds just off the true direction, where
-    the median nearest-neighbour distance reads low.
-    """
+    """float32 lattice scores of the direction rows (``_score_coarse``), on
+    at most 64 centers."""
     if len(centers) > _COARSE_SUBSAMPLE:
         # one coherent patch, the centers nearest the centroid: modules keep
         # their lattice neighbours, so adjacent pairs still give the pitch
@@ -658,12 +671,10 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     polish before its projection is returned. Each refine direction is scored
     once per search; ``candidates_evaluated`` still counts every pattern
     point visited. Ties break on the canonicalized direction, so results do
-    not depend on evaluation order. The coarse scan only ranks directions, so
-    it finds projected neighbours in float32 from 3-D pair differences, which
-    is fast and holds wherever the cloud sits; refine and polish produce the
-    outputs and keep the float64 gram form (see ``_score_frames``). Pitch
-    estimation relies on adjacent occupied modules, so matrices missing much
-    more than half their modules may defeat it.
+    not depend on evaluation order. The coarse scan scores in float32, refine
+    and polish in float64 (see ``_score_directions``). Pitch estimation
+    relies on adjacent occupied modules, so matrices missing much more than
+    half their modules may defeat it.
     """
     for name, value in (("coarse_step_deg", coarse_step_deg), ("refine_to_deg", refine_to_deg)):
         if not 0 < value < math.inf:
@@ -756,6 +767,9 @@ def cloud_from_xyz(text: str) -> SphereCloud:
             try:
                 radius = parse_decimal(value[0])
             except (IndexError, ValueError):
-                raise BadLine(lineno, f"radius comment needs a number, got {s!r}") from None
+                radius = math.nan               # refused below with the rest
+            if not 0 <= radius < math.inf:
+                raise BadLine(lineno, f"radius comment needs a number, finite and >= 0, "
+                                      f"got {s!r}")
             break
     return SphereCloud(parse_xyz(text).points, radius)

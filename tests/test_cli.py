@@ -296,9 +296,11 @@ def test_qr3d_project_degenerate_is_domain_error(capsys, tmp_path):
     assert doc["result"]["error"] == "DegenerateProjection"
 
 
-# float alone reads "1_0" as 10 and the Arabic-Indic one as 1
+# float alone reads "1_0" as 10 and the Arabic-Indic one as 1; a NaN radius
+# surfaced later as NaN mesh vertices
 @pytest.mark.parametrize("comment", ["# radius=", "# radius=abc", "# radius=1_0",
-                                     "# radius=\u0661"])
+                                     "# radius=\u0661", "# radius=nan", "# radius=inf",
+                                     "# radius=1e400", "# radius=-1"])
 def test_qr3d_search_bad_radius_comment_is_domain_error(capsys, tmp_path, comment):
     path = tmp_path / "cloud.xyz"
     path.write_text("# sphere cloud\n" + comment + "\n0 0 0\n2 0 0\n0 2 0\n2 2 1\n")
@@ -353,6 +355,7 @@ def _layered_xyz(tmp_path):
     ("qr3d-search", "--refine-to", "inf"), ("qr3d-search", "--coarse-step", "0"),
     ("orient-scan", "--layer-height", "0"), ("orient-scan", "--layer-height", "-0.2"),
     ("qr3d-embed", "--dir", "nan,0,1"), ("recon", "--resample", "2"),
+    ("qr3d-search", "--coarse-step", "0.001"),
 ])
 def test_bad_numeric_arguments_are_envelope_errors(capsys, tmp_path, cube_stl, case):
     verb, flag, value = case

@@ -206,6 +206,12 @@ def test_non_finite_centres_are_refused(bad):
         search_direction(centers)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+def test_bad_sphere_radius_is_refused(radius):
+    with pytest.raises(ValueError, match="sphere radius"):
+        SphereCloud(np.zeros((1, 3)), radius=radius)
+
+
 def test_projection_collapse_raises():
     centers = np.array([[0.0, 0, 0], [0.0, 0, 5], [0.0, 0, 9]])
     with pytest.raises(DegenerateProjection):
@@ -443,12 +449,11 @@ def _ref_canonical(v):
     return v
 
 
-def _gram_nearest_neighbours(dirs, cu, cw, pairs, out=None):
-    """Nearest projected neighbours from |p_i - p_j|^2 expanded around the
-    origin, the form the coarse pass used in float32 before it moved to
-    3-D pair differences (refine and polish still use it in float64).
-    Takes the pair form's call, whose pair differences and block go unused,
-    and returns what it returns, its own (M, N, N) block included."""
+def _gram_block(cu, cw):
+    """The (M, N, N) block of squared projected distances from |p_i - p_j|^2
+    expanded around the origin, the form the coarse pass used in float32
+    before it moved to 3-D pair differences (refine and polish still use it
+    in float64), with +inf where i == j."""
     m, n = cu.shape
     proj = np.stack([cu, cw], axis=2)
     d2 = proj @ proj.transpose(0, 2, 1)
@@ -458,18 +463,19 @@ def _gram_nearest_neighbours(dirs, cu, cw, pairs, out=None):
     d2 += sq[:, None, :]
     idx = np.arange(n)
     d2[:, idx, idx] = np.inf
-    nn_idx = np.argmin(d2, axis=2)
-    return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0], d2
+    return d2
 
 
 def _gram_coarse_scores(points, dirs):
-    """float32 lattice scores with the gram neighbour search."""
-    pair_form = qr3d._nearest_neighbours
-    qr3d._nearest_neighbours = _gram_nearest_neighbours
+    """float32 lattice scores with the gram block of each batch's projected
+    centred points in place of the pair-difference block."""
+    pts = (points - points.mean(axis=0)).astype(np.float32)
+    pair_form = qr3d._pair_block
+    qr3d._pair_block = lambda part, diffs, block: _gram_block(*qr3d._project(pts, part))
     try:
         return qr3d._score_directions(points, dirs, dtype=np.float32)[0]
     finally:
-        qr3d._nearest_neighbours = pair_form
+        qr3d._pair_block = pair_form
 
 
 def _reference_coarse_points(centers):
@@ -606,14 +612,14 @@ def _usable_cpus(monkeypatch, count):
 def test_coarse_scores_do_not_depend_on_the_worker_count(monkeypatch, n, step):
     centers = _planted(seed=n, n=n)[2].centers
     dirs = _coarse_grid(step)
-    score_frames = qr3d._score_frames
+    pair_block = qr3d._pair_block
     batches = []
 
-    def spy(points, part, *args):
+    def spy(part, *args):
         batches.append((threading.current_thread().name, len(part)))
-        return score_frames(points, part, *args)
+        return pair_block(part, *args)
 
-    monkeypatch.setattr(qr3d, "_score_frames", spy)
+    monkeypatch.setattr(qr3d, "_pair_block", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)         # many thread switches inside each batch
     try:
@@ -660,9 +666,12 @@ def test_coarse_workers_share_one_block_budget(monkeypatch):
         _usable_cpus(monkeypatch, cpus)
         qr3d._coarse_scores(centers, dirs)          # warm-up outside the trace
         peaks[cpus] = _coarse_peak_bytes(centers, dirs)
-    # the 1-CPU pass holds one 2^21-entry float32 block at a time
-    assert peaks[1] >= 4 * qr3d._COARSE_BATCH_PAIRS
+    # the 1-CPU pass holds one 2^21-entry float32 block at a time, and what
+    # every pass forms besides its blocks stays within a quarter of them
+    budget = 4 * qr3d._COARSE_BATCH_PAIRS
+    assert peaks[1] >= budget
     assert peaks[8] <= peaks[1] + 2 ** 20
+    assert max(peaks.values()) <= 1.25 * budget
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -670,11 +679,11 @@ def test_coarse_failure_is_raised_after_every_helper_stopped(monkeypatch, cpus):
     centers = _planted(seed=21)[2].centers
     dirs = _coarse_grid()
     _usable_cpus(monkeypatch, cpus)
-    score_frames = qr3d._score_frames
+    pair_block = qr3d._pair_block
     failure = RuntimeError("one batch failed")
     helpers_busy = threading.Barrier(max(cpus - 1, 1))
 
-    def failing(points, part, *args):
+    def failing(part, *args):
         if cpus == 1:
             raise failure                       # no helpers: the one worker's batch
         if threading.current_thread() is not threading.main_thread():
@@ -683,9 +692,9 @@ def test_coarse_failure_is_raised_after_every_helper_stopped(monkeypatch, cpus):
             if helpers_busy.wait(timeout=10) == 0:
                 raise failure
             time.sleep(0.1)
-        return score_frames(points, part, *args)
+        return pair_block(part, *args)
 
-    monkeypatch.setattr(qr3d, "_score_frames", failing)
+    monkeypatch.setattr(qr3d, "_pair_block", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
         qr3d._coarse_scores(centers, dirs)
@@ -736,12 +745,13 @@ def test_ring_grid_covers_the_hemisphere_with_snapped_starts(step):
         assert (len(dirs), polar) == (5268, 8101)
 
 
-def _float32_neighbour_d2(points, dirs, nearest):
-    p32 = points.astype(np.float32)
-    u, w = qr3d._basis_many(dirs)
-    cu = np.ascontiguousarray((p32 @ u.T.astype(np.float32)).T)
-    cw = np.ascontiguousarray((p32 @ w.T.astype(np.float32)).T)
-    return nearest(dirs, cu, cw, qr3d._pair_differences(points))[1]
+def _float32_gram_block(points, dirs):
+    return _gram_block(*qr3d._project(points.astype(np.float32), dirs))
+
+
+def _float32_pair_block(points, dirs):
+    out = np.empty((len(dirs), len(points), len(points)), np.float32)
+    return qr3d._pair_block(dirs, qr3d._pair_differences(points), out)
 
 
 @pytest.mark.parametrize("seed, n", [(1, 13), (2, 21), (3, 21)])
@@ -757,11 +767,11 @@ def test_coarse_neighbour_distances_within_float32_tolerance(seed, n):
     exact = d2.min(axis=2)
     diff = cloud.centers[:, None] - cloud.centers[None]
     tol = 4 * np.finfo(np.float32).eps * (diff ** 2).sum(axis=2).max()
-    gram = _float32_neighbour_d2(cloud.centers, dirs, _gram_nearest_neighbours)
+    gram = qr3d._nearest_neighbours(_float32_gram_block(cloud.centers, dirs))[1]
     assert np.abs(gram - exact).max() <= tol
     # the pair form holds the same bound wherever the cloud sits
     for offset in (0.0, 1e4, 1e6):
-        pair = _float32_neighbour_d2(cloud.centers + offset, dirs, qr3d._nearest_neighbours)
+        pair = qr3d._nearest_neighbours(_float32_pair_block(cloud.centers + offset, dirs))[1]
         assert np.abs(pair - exact).max() <= tol
 
 
@@ -864,7 +874,9 @@ def test_search_scores_each_refine_direction_once(monkeypatch):
 # those values go through the same comparison as the coarse step instead
 @pytest.mark.parametrize("name, value", [
     ("coarse_step_deg", 0.0), ("coarse_step_deg", -1.0), ("coarse_step_deg", math.nan),
-    ("coarse_step_deg", math.inf), ("refine_to_deg", math.inf)])
+    ("coarse_step_deg", math.inf), ("refine_to_deg", math.inf),
+    # about 2e10 ring directions, 154 GiB for one float64 array of them
+    ("coarse_step_deg", 0.001)])
 def test_search_steps_must_be_positive_and_finite(name, value):
     cloud = _planted(seed=24, n=7)[2]
     with pytest.raises(ValueError, match=name):
