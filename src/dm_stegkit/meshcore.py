@@ -437,7 +437,21 @@ def _level_ranges(tz: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.nd
     return first, np.searchsorted(levels, tz.max(axis=1), side="right") - first
 
 
-def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarray,
+def _section_features(triangles: np.ndarray, nverts: int) -> tuple[int, np.ndarray]:
+    """Number the section features of an indexed mesh with ``nverts`` vertices.
+
+    Vertex v is feature v; edge (lo, hi) is nverts + its index among the
+    mesh's distinct sorted edge pairs, each pair sorted as the integer
+    lo * nverts + hi. Returns the feature count and each triangle's six
+    feature ids, (T, 6), in ``_FEATURE_CORNERS`` order.
+    """
+    ends = triangles[:, _FEATURE_CORNERS[3:]]
+    edges, edge_id = np.unique(ends.min(axis=2) * nverts + ends.max(axis=2), return_inverse=True)
+    return nverts + len(edges), np.hstack([triangles, nverts + edge_id.reshape(-1, 3)])
+
+
+def _section_paths(vertices: np.ndarray, triangles: np.ndarray,
+                   features: tuple[int, np.ndarray], levels: np.ndarray,
                    ranges: tuple[np.ndarray, np.ndarray]):
     """Sections of an indexed mesh with planes z = level, as nodes and segments.
 
@@ -451,15 +465,21 @@ def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarr
     in (level, triangle) order, so each level's nodes and segments are
     contiguous runs in level order.
 
+    ``features`` is ``_section_features`` of the triangles: the feature
+    count F and each triangle's feature ids. A node is keyed by the one
+    integer level * F + feature.
+
     ``ranges`` is the per-triangle (first, counts) of ``_level_ranges`` over
-    ascending ``levels``; a caller that stacks meshes, each with its own
-    ascending levels, passes each mesh's ranges offset to its levels, so a
-    mesh meets only those.
+    ascending ``levels``. A caller that stacks copies of a mesh, each with
+    its own ascending levels, passes each copy's ranges offset to its
+    levels, so a copy meets only those, and the copy's feature ids: a
+    level then names its copy, so node keys of different copies differ.
 
     Returns (xy, node_level, a, b): node coordinates (n, 2), each node's
     level index, and the segments (a[e], b[e]) in level order, without
     those that join a feature to itself.
     """
+    count, ids = features
     z = vertices[:, 2]
     tz = z[triangles]
     first, counts = ranges
@@ -473,20 +493,24 @@ def _section_paths(vertices: np.ndarray, triangles: np.ndarray, levels: np.ndarr
     feature = np.concatenate([on, s[:, [0, 0, 1]] * s[:, [1, 2, 2]] < 0], axis=1)
     seg = (feature.sum(axis=1) == 2) & ~((on.sum(axis=1) == 2) & (s.sum(axis=1) < 0))
     rows, cols = np.nonzero(feature[seg])               # two per segment, in order
-    ends = np.sort(triangles[tri[seg]][rows[:, None], _FEATURE_CORNERS[cols]], axis=1)
-    # node key: (level, lower vertex, higher vertex); a vertex feature is (v, v)
-    keys = np.column_stack([lev[seg][rows], ends])
-    firsts, node = _first_occurrence_ids(keys)
-    node_level, lo, hi = keys[firsts].T
-    # an edge is crossed from its end below the plane, so every triangle
-    # that shares it gives the same bits
-    below = np.where(z[lo] < levels[node_level], lo, hi)
-    above = np.where(below == lo, hi, lo)
+    tri = tri[seg][rows]
+    keys = lev[seg][rows] * count + ids[tri, cols]
+    firsts, node = _first_occurrence_ids(keys[:, None])
+    node_level = keys[firsts] // count
+    # the feature's two corners, equal for an on-plane vertex; an edge is
+    # crossed from its end below the plane, so every triangle that shares
+    # it gives the same bits
+    e0, e1 = triangles[tri[firsts, None], _FEATURE_CORNERS[cols[firsts]]].T
+    down = z[e0] < levels[node_level]
+    below = np.where(down, e0, e1)
+    above = np.where(down, e1, e0)
     xy = vertices[below, :2]
     edge = below != above
-    d0 = z[below[edge]] - levels[node_level[edge]]
-    d1 = z[above[edge]] - levels[node_level[edge]]
-    xy[edge] = xy[edge] + (vertices[above[edge], :2] - xy[edge]) * (d0 / (d0 - d1))[:, None]
+    at = levels[node_level]
+    d0 = z[below] - at
+    # a vertex is its own point: its fraction is never read
+    frac = d0 / np.where(edge, d0 - (z[above] - at), 1.0)
+    xy = np.where(edge[:, None], xy + (vertices[above, :2] - xy) * frac[:, None], xy)
     node = node.reshape(-1, 2)
     node = node[node[:, 0] != node[:, 1]]               # a feature joined to itself
     return xy, node_level, node[:, 0], node[:, 1]
@@ -550,7 +574,8 @@ def slice_levels(vertices: np.ndarray, triangles: np.ndarray, levels) -> list[Sl
     """
     levels = np.asarray(levels, dtype=np.float64).reshape(-1)
     results = [SliceLoops(z=float(z)) for z in levels]
-    xy, node_level, a, b = _section_paths(vertices, triangles, levels,
+    xy, node_level, a, b = _section_paths(vertices, triangles,
+                                          _section_features(triangles, len(vertices)), levels,
                                           _level_ranges(vertices[triangles, 2], levels))
     loops, chains = _walk(a, b, len(xy))
     for path in loops:

@@ -9,6 +9,7 @@ disconnected or open contours mean a broken toolpath.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,9 @@ from .meshcore import (
     Rotation,
     TriMesh,
     _dedup_vertices,
+    _first_occurrence_ids,
     _level_ranges,
+    _section_features,
     _section_paths,
     _walk,
     polygon_area,
@@ -31,6 +34,11 @@ _OPEN_CHAIN_PENALTY = 10.0
 # (triangle, level) pairs per section build in the orientation scan; the
 # build holds about 300 bytes per pair, so this bounds the scan's memory
 _SCAN_BATCH_PAIRS = 8192
+# rotations in one orientation grid, so k <= 101 angles per axis. The scan
+# keeps a candidate of about 500 bytes per rotation (tracemalloc, 15-degree
+# grid), so this bounds the report near 540 MB; a 1-degree grid would need
+# 4.7e7 rotations
+MAX_GRID_ROTATIONS = 1 << 20
 
 
 @dataclass
@@ -419,11 +427,12 @@ def _ring_counts(a: np.ndarray, b: np.ndarray, node_level: np.ndarray, nlevels: 
     return components - chains, chains
 
 
-def _slice_stats(batch: list, triangles: np.ndarray) -> list:
+def _slice_stats(batch: list, triangles: np.ndarray, features: tuple[int, np.ndarray]) -> list:
     """Slice a batch of rotated copies of one mesh in one section build.
 
     ``batch`` holds (vertices, levels, ranges) per copy, its ranges from
-    ``_level_ranges`` over its own levels. Returns, per copy: total loops,
+    ``_level_ranges`` over its own levels; ``features`` is
+    ``_section_features`` of the mesh. Returns, per copy: total loops,
     layers with open chains, the most open chains in one layer, and the
     loop area of its first level (a float, summed from 0.0 in walk order).
 
@@ -439,7 +448,9 @@ def _slice_stats(batch: list, triangles: np.ndarray) -> list:
     faces = (triangles[None] + np.arange(len(batch))[:, None, None] * len(verts[0])).reshape(-1, 3)
     ranges = (np.concatenate([first + s for (first, _), s in zip(spans, starts.tolist())]),
               np.concatenate([counts for _, counts in spans]))
+    count, ids = features
     xy, node_level, a, b = _section_paths(np.concatenate(verts), faces,
+                                          (count, np.tile(ids, (len(batch), 1))),
                                           np.concatenate(levels), ranges)
     degree = np.bincount(a, minlength=len(xy)) + np.bincount(b, minlength=len(xy))
     walked = np.zeros(nlevels, dtype=bool)
@@ -490,6 +501,30 @@ def _rotated_batches(vertices: np.ndarray, triangles: np.ndarray, matrices: list
         yield batch
 
 
+def _grid_up_vectors(steps: list) -> tuple[np.ndarray, np.ndarray]:
+    """Number the up-vectors of the grid rotations ``Rotation(rx, ry, rz)``,
+    each angle from ``steps``, by first occurrence in (rx, ry, rz) order.
+
+    Returns each rotation's number, in that order, and the matrix of each
+    number's first rotation. Matrices are products of the same factors,
+    in the same order, as ``Rotation.matrix`` forms, so they have its
+    bits; they are formed one rx slice of k^2 rotations at a time. An
+    up-vector is keyed by its third row rounded to 9 decimals.
+    """
+    k = len(steps)
+    cs = [(math.cos(a), math.sin(a)) for a in map(math.radians, steps)]
+    rx = np.array([[[1, 0, 0], [0, c, -s], [0, s, c]] for c, s in cs])
+    ry = np.array([[[c, 0, s], [0, 1, 0], [-s, 0, c]] for c, s in cs])
+    rz = np.array([[[c, -s, 0], [s, c, 0], [0, 0, 1]] for c, s in cs])
+    keys = np.empty((k, k * k, 3))
+    for i in range(k):
+        # + 0.0 folds -0.0 into +0.0
+        keys[i] = np.round(((rx[i] @ ry)[:, None] @ rz)[:, :, 2].reshape(-1, 3), 9) + 0.0
+    firsts, up = _first_occurrence_ids(keys.reshape(-1, 3).view(np.uint64))
+    ix, iy, iz = np.unravel_index(firsts, (k, k, k))
+    return up, rx[ix] @ ry[iy] @ rz[iz]
+
+
 def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
                      layer_height: float = 0.2) -> OrientationReport:
     """Slice the mesh in every grid orientation and rank by fragmentation.
@@ -500,12 +535,14 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
 
     The grid holds k = 360 / angle_step_deg angles per axis, 360 j / k for
     j < k; a step is accepted when it is within 1e-9 relative of such a
-    divisor of 360.
+    divisor of 360 and k^3 is at most ``MAX_GRID_ROTATIONS``.
 
     Slicing depends only on a rotation's third row (the up-vector): an
     in-plane spin about z leaves every layer's loops, open chains and area
     unchanged. Each up-vector is therefore sliced once, with its first
-    rotation in (rx, ry, rz) order. Consecutive up-vectors share one
+    rotation in (rx, ry, rz) order; ``_grid_up_vectors`` finds them with
+    broadcast matrix products. The mesh's section features are numbered
+    once, by ``_section_features``. Consecutive up-vectors share one
     section build while their (triangle, level) pairs fit
     ``_SCAN_BATCH_PAIRS``, which bounds the scan's memory; loops and open
     chains are counted by ``_slice_stats`` without building most paths.
@@ -515,33 +552,26 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
     k = round(360.0 / angle_step_deg) if 0 < angle_step_deg < math.inf else 0
     if k < 1 or abs(k * angle_step_deg - 360.0) > 1e-9 * 360.0:
         raise ValueError("angle_step_deg must divide 360")
+    if k ** 3 > MAX_GRID_ROTATIONS:
+        raise ValueError(f"angle_step_deg {angle_step_deg:g} gives {k ** 3} rotations, "
+                         f"above the limit of {MAX_GRID_ROTATIONS}")
     if not 0 < layer_height < math.inf:
         raise ValueError(f"layer_height must be positive and finite, got {layer_height}")
-    steps = 360.0 * np.arange(k) / k
+    steps = (360.0 * np.arange(k) / k).tolist()
     verts, index = _dedup_vertices(mesh.vertices)
     faces = index[mesh.triangles]
-
-    up_index, up_matrices, grid = {}, [], []
-    for rx in steps:
-        for ry in steps:
-            for rz in steps:
-                rot = Rotation(rx, ry, rz)
-                mat = rot.matrix()
-                # + 0.0 folds -0.0 into +0.0
-                key = tuple((np.round(mat[2], 9) + 0.0).tolist())
-                if key not in up_index:
-                    up_index[key] = len(up_matrices)
-                    up_matrices.append(mat)
-                grid.append((rot, up_index[key]))
+    features = _section_features(faces, len(verts))
+    up, up_matrices = _grid_up_vectors(steps)
 
     stats = []                              # per up-vector: mean loops, max open, area, score
     for batch in _rotated_batches(verts, faces, up_matrices, layer_height):
         for (_, levels, _), (loops, open_layers, max_open, bottom_area) in zip(
-                batch, _slice_stats(batch, faces)):
+                batch, _slice_stats(batch, faces, features)):
             mean_loops = loops / len(levels)
             frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / len(levels))
             stats.append((mean_loops, max_open, bottom_area, frag))
-    candidates = [OrientationCandidate(rot, *stats[up]) for rot, up in grid]
+    candidates = [OrientationCandidate(Rotation(*angles), *stats[u])
+                  for angles, u in zip(itertools.product(steps, repeat=3), up.tolist())]
 
     def sig9(x: float) -> float:
         return float(f"{x:.9g}")

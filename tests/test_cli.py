@@ -355,7 +355,7 @@ def _layered_xyz(tmp_path):
     ("qr3d-search", "--refine-to", "inf"), ("qr3d-search", "--coarse-step", "0"),
     ("orient-scan", "--layer-height", "0"), ("orient-scan", "--layer-height", "-0.2"),
     ("qr3d-embed", "--dir", "nan,0,1"), ("recon", "--resample", "2"),
-    ("qr3d-search", "--coarse-step", "0.001"),
+    ("qr3d-search", "--coarse-step", "0.001"), ("orient-scan", "--angle-step", "1"),
 ])
 def test_bad_numeric_arguments_are_envelope_errors(capsys, tmp_path, cube_stl, case):
     verb, flag, value = case

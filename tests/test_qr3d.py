@@ -423,6 +423,14 @@ def test_search_recovers_ring_code_seed_253438000():
     _assert_search_recovers(253438000, 35, _ring)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="search ends 26.8 degrees off the planted direction, score 0.391")
+def test_search_recovers_hollow_code_seed_719805():
+    # a draw of the hypothesis test above (n = 37, hollow) that the search
+    # misses; drop the mark when it is recovered
+    _assert_search_recovers(719805, 37, _hollow)
+
+
 def test_coarse_pitch_holds_off_axis():
     # the seed-109005 code scored 1.25 degrees off along (u + w) / sqrt(2):
     # the median nearest-neighbour distance read 1.943 for the true 2.0

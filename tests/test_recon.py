@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from dm_stegkit import (
 )
 from dm_stegkit import recon
 from dm_stegkit.errors import DegenerateLayer, EmptyCloud, TooFewPoints
-from dm_stegkit.meshcore import TriMesh, _dedup_vertices, _level_ranges, _section_paths, _walk, \
-    polygon_area
+from dm_stegkit.meshcore import _FEATURE_CORNERS, TriMesh, _dedup_vertices, \
+    _first_occurrence_ids, _level_ranges, _section_features, _section_paths, _walk, polygon_area
 from conftest import box_mesh, box_unions, boxes_mesh, random_code_grid, two_tower_bridge
 
 
@@ -565,7 +566,8 @@ def _walked_slice_stats(vertices, triangles, levels):
     """Reference figures of one rotation from every path ``_walk`` builds:
     total loops, layers with open chains, the most open chains in one
     layer, and the loop area of level 0 (always a float)."""
-    xy, node_level, a, b = _section_paths(vertices, triangles, levels,
+    xy, node_level, a, b = _section_paths(vertices, triangles,
+                                          _section_features(triangles, len(vertices)), levels,
                                           _level_ranges(vertices[triangles, 2], levels))
     loops, chains = _walk(a, b, len(xy))
     open_counts = np.bincount([node_level[ch[0]] for ch in chains], minlength=1)
@@ -640,6 +642,109 @@ def test_scan_stats_depend_only_on_up_vector(mesh, step):
     assert all(len(stats) == 1 for stats in by_up.values())
 
 
+# --- broadcast grid and feature-keyed sections ----------------------------------------
+
+@pytest.mark.parametrize("step", [15.0, 45.0, 90.0, 14.4, 360 / 7])
+def test_grid_up_vectors_match_rotation_loop(step):
+    k = round(360 / step)
+    steps = (360.0 * np.arange(k) / k).tolist()
+    numbers, firsts, want = {}, [], []
+    for rx in steps:
+        for ry in steps:
+            for rz in steps:
+                rot = Rotation(rx, ry, rz)
+                key = _up_key(rot)
+                if key not in numbers:
+                    numbers[key] = len(firsts)
+                    firsts.append(rot.matrix())
+                want.append(numbers[key])
+    up, matrices = recon._grid_up_vectors(steps)
+    assert up.tolist() == want
+    assert matrices.shape == (len(firsts), 3, 3)
+    assert matrices.tobytes() == np.array(firsts).tobytes()
+
+
+def _reference_section_paths(vertices, triangles, levels, ranges):
+    """``_section_paths`` with nodes keyed by three columns, (level, lower
+    vertex, higher vertex), a vertex feature being (v, v); kept as the
+    reference for the one-integer feature keys."""
+    z = vertices[:, 2]
+    tz = z[triangles]
+    first, counts = ranges
+    lev = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    order = np.argsort(lev, kind="stable")
+    lev = lev[order]
+    tri = np.repeat(np.arange(len(triangles)), counts)[order]
+    s = np.sign(tz[tri] - levels[lev, None]).astype(np.int8)
+    on = s == 0
+    feature = np.concatenate([on, s[:, [0, 0, 1]] * s[:, [1, 2, 2]] < 0], axis=1)
+    seg = (feature.sum(axis=1) == 2) & ~((on.sum(axis=1) == 2) & (s.sum(axis=1) < 0))
+    rows, cols = np.nonzero(feature[seg])
+    ends = np.sort(triangles[tri[seg]][rows[:, None], _FEATURE_CORNERS[cols]], axis=1)
+    keys = np.column_stack([lev[seg][rows], ends])
+    firsts, node = _first_occurrence_ids(keys)
+    node_level, lo, hi = keys[firsts].T
+    below = np.where(z[lo] < levels[node_level], lo, hi)
+    above = np.where(below == lo, hi, lo)
+    xy = vertices[below, :2]
+    edge = below != above
+    d0 = z[below[edge]] - levels[node_level[edge]]
+    d1 = z[above[edge]] - levels[node_level[edge]]
+    xy[edge] = xy[edge] + (vertices[above[edge], :2] - xy[edge]) * (d0 / (d0 - d1))[:, None]
+    node = node.reshape(-1, 2)
+    node = node[node[:, 0] != node[:, 1]]
+    return xy, node_level, node[:, 0], node[:, 1]
+
+
+def _assert_same_sections(got, want):
+    (xy, *ints), (want_xy, *want_ints) = got, want
+    assert xy.shape == want_xy.shape and xy.tobytes() == want_xy.tobytes()
+    for g, w in zip(ints, want_ints):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
+def _scan_checking_sections(mesh, step):
+    """Scan with every section build checked against the reference;
+    returns how many copies of the mesh each build stacked."""
+    copies = []
+
+    def checked(vertices, triangles, features, levels, ranges):
+        copies.append(len(triangles) // len(mesh.triangles))
+        got = _section_paths(vertices, triangles, features, levels, ranges)
+        _assert_same_sections(got, _reference_section_paths(vertices, triangles, levels, ranges))
+        return got
+
+    with mock.patch.object(recon, "_section_paths", checked):
+        orientation_scan(mesh, angle_step_deg=step, layer_height=0.2)
+    return copies
+
+
+@settings(max_examples=25, deadline=None)
+@given(box_unions(), st.sampled_from([0.0, 30.0, 45.0]), st.integers(0, 4),
+       st.integers(0, 2 ** 31))
+def test_section_paths_match_three_column_reference_on_box_unions(mesh, angle, holes, seed):
+    # dropped faces leave open chains; levels at every vertex height and
+    # between them meet on-plane vertices, edges and faces
+    keep = np.random.default_rng(seed).permutation(len(mesh.triangles))[holes:]
+    mesh = TriMesh(mesh.vertices, mesh.triangles[np.sort(keep)])
+    vertices, index = _dedup_vertices(rotate_mesh(mesh, Rotation(angle, angle / 2, 0.0)).vertices)
+    triangles = index[mesh.triangles]
+    zs = np.unique(vertices[:, 2])
+    levels = np.unique(np.concatenate([zs, (zs[1:] + zs[:-1]) / 2]))
+    ranges = _level_ranges(vertices[triangles, 2], levels)
+    _assert_same_sections(
+        _section_paths(vertices, triangles, _section_features(triangles, len(vertices)),
+                       levels, ranges),
+        _reference_section_paths(vertices, triangles, levels, ranges))
+    _scan_checking_sections(mesh, 45.0)
+
+
+@pytest.mark.parametrize("mesh_factory, step", [(two_tower_bridge, 45.0),
+                                                (_sphere_code_mesh, 90.0)])
+def test_stacked_section_builds_match_three_column_reference(mesh_factory, step):
+    assert max(_scan_checking_sections(mesh_factory(), step)) > 1
+
+
 # --- walk-free section counts ---------------------------------------------------------
 
 def _grid_up_matrices(step):
@@ -658,6 +763,7 @@ def _assert_counts_match_walk(mesh, step, layer_height=0.2):
     its own. Returns the number of batches at the default budget."""
     vertices, index = _dedup_vertices(mesh.vertices)
     triangles = index[mesh.triangles]
+    features = _section_features(triangles, len(vertices))
     matrices = _grid_up_matrices(step)
     batches = list(recon._rotated_batches(vertices, triangles, matrices, layer_height))
     singles = [[entry] for batch in batches for entry in batch]
@@ -665,7 +771,7 @@ def _assert_counts_match_walk(mesh, step, layer_height=0.2):
             for batch in singles for rv, levels, _ in batch]
     assert len(want) == len(matrices)
     for grouping in (batches, singles):
-        got = [s for batch in grouping for s in recon._slice_stats(batch, triangles)]
+        got = [s for batch in grouping for s in recon._slice_stats(batch, triangles, features)]
         assert [(*s[:3], s[3].hex()) for s in got] == [(*s[:3], s[3].hex()) for s in want]
     return len(batches)
 
@@ -684,7 +790,8 @@ def _upright_sections(mesh):
     vertices, index = _dedup_vertices(mesh.vertices)
     triangles = index[mesh.triangles]
     [(_, levels, _)] = next(recon._rotated_batches(vertices, triangles, [np.eye(3)], 0.2))
-    return levels, _section_paths(vertices, triangles, levels,
+    return levels, _section_paths(vertices, triangles,
+                                  _section_features(triangles, len(vertices)), levels,
                                   _level_ranges(vertices[triangles, 2], levels))
 
 
@@ -734,6 +841,37 @@ def test_scan_memory_is_bounded_by_the_batch_budget():
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def test_fifteen_degree_scan_memory_is_pinned():
+    # most of the peak is the 13824 candidates and their rotations; the grid
+    # and section tables must not raise it above the 8.9 MB that the scan
+    # peaked at when it built one rotation at a time
+    towers = two_tower_bridge()
+    orientation_scan(towers, angle_step_deg=90.0)
+    tracemalloc.start()
+    try:
+        orientation_scan(towers, angle_step_deg=15.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0e6
+
+
+def test_scan_refuses_grids_above_the_rotation_limit():
+    assert 101 ** 3 <= recon.MAX_GRID_ROTATIONS < 102 ** 3
+
+    class Allocated(Exception):
+        pass
+
+    towers = two_tower_bridge()
+    with mock.patch.object(recon, "_dedup_vertices", side_effect=Allocated):
+        for step in (360 / 102, 1.0):
+            with pytest.raises(ValueError, match=f"above the limit of {recon.MAX_GRID_ROTATIONS}"):
+                orientation_scan(towers, angle_step_deg=step)
+        # 101 angles per axis pass the check and go on to read the mesh
+        with pytest.raises(Allocated):
+            orientation_scan(towers, angle_step_deg=360 / 101)
 
 
 def test_layer_count_absorbs_float_noise():
