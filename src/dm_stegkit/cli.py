@@ -129,8 +129,7 @@ def _cmd_header_extract(run: _Run, args) -> dict:
 
 
 def _cmd_gcode_audit(run: _Run, args) -> dict:
-    program = gcode.parse_gcode(run.read_text(args.file))
-    report = gcode.audit(program, mismatch_threshold=args.threshold)
+    report = gcode.audit(run.read_text(args.file), mismatch_threshold=args.threshold)
     run.warnings.extend(report.warnings)
     doc = report.to_dict()
     doc.pop("warnings")

@@ -80,6 +80,9 @@ _PLAIN_LINE = re.compile(r"(?:[Nn][0-9]+)?"
                          r"[ \t]*(?:\*[ \t]*[0-9]+[ \t]*)?(?:;(.*))?")
 
 
+_CHUNK_CHARS = 1 << 16     # characters per str.splitlines call, cut after a "\n"
+
+
 def parse_gcode(text: str) -> GcodeProgram:
     """Parse one command per nonempty line.
 
@@ -90,34 +93,48 @@ def parse_gcode(text: str) -> GcodeProgram:
     ``M117`` or ``M118`` code word is a message, not arguments; parentheses
     in it are text, but a trailing ``*`` still starts a checksum. Numbers
     are ASCII decimals.
+    """
+    return GcodeProgram([GcodeCommand(*item) for item in _commands(text)])
+
+
+def _commands(text: str):
+    """Yield ``(line_number, code, args, comment)`` for each nonempty line.
+
+    Lines are those of ``text.splitlines()``, read in chunks of about
+    ``_CHUNK_CHARS`` characters, each cut just after a ``"\n"``: no cut
+    falls inside a line or a ``"\r\n"``, so the lines and their numbers
+    are those of the whole text, while only one chunk's lines are held.
 
     A plain line (an integer code word and ASCII letter-and-decimal
     arguments each given once, with an optional line number, checksum and
     ``;`` comment) is read by one regex match; every other line goes through
     ``_parse_line``.
     """
-    commands = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        # a ( comment is never plain; the test is cheaper than a failed match
-        plain = "(" not in line and _PLAIN_LINE.fullmatch(line)
-        if plain:
-            letter, number, argtext, comment = plain.groups()
-            if letter is None:
-                commands.append(GcodeCommand(lineno, "", {}, comment))
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            line = raw.strip()
+            if not line:
                 continue
-            code = letter.upper() + (number.lstrip("0") or "0")
-            words = _ARG_WORD.findall(argtext)
-            args = {a.upper(): float(v) for a, v in words}
-            # a repeated letter or a number too large for a float (or a sum
-            # that overflows) sends the line to _parse_line
-            if len(args) == len(words) and math.isfinite(sum(args.values(), float(number))):
-                commands.append(GcodeCommand(lineno, code, args, comment))
-                continue
-        commands.append(_parse_line(line, lineno))
-    return GcodeProgram(commands)
+            # a ( comment is never plain; the test is cheaper than a failed match
+            plain = "(" not in line and _PLAIN_LINE.fullmatch(line)
+            if plain:
+                letter, number, argtext, comment = plain.groups()
+                if letter is None:
+                    yield lineno, "", {}, comment
+                    continue
+                words = _ARG_WORD.findall(argtext)
+                args = {a.upper(): float(v) for a, v in words}
+                # a repeated letter or a number too large for a float (or a sum
+                # that overflows) sends the line to _parse_line
+                if len(args) == len(words) and math.isfinite(sum(args.values(), float(number))):
+                    yield lineno, letter.upper() + (number.lstrip("0") or "0"), args, comment
+                    continue
+            cmd = _parse_line(line, lineno)
+            yield lineno, cmd.code, cmd.args, cmd.comment
+        start = end
 
 
 def _parse_line(line: str, lineno: int) -> GcodeCommand:
@@ -203,22 +220,39 @@ def _format_code_number(number: str, lineno: int, letter: str) -> str:
 
 
 class _Replay(NamedTuple):
-    """A replayed toolpath's measures."""
+    """A replayed toolpath's measures and its comments' claims."""
     extruded: float                         # mm of filament, retractions not subtracted
     travel: float                           # mm, chord length for arcs
     z_levels: list[float]                   # sorted Z levels of extruding moves
+    claims: list[float]                     # filament claims in mm, in file order
 
 
-def _replay(program: GcodeProgram) -> _Replay:
-    """Replay from the origin in absolute XYZ and E and millimetres; codes other
-    than G0-G3, G20/G21, G90/G91, M82/M83 and G92 change nothing."""
+def _replay(source: str | GcodeProgram) -> _Replay:
+    """Replay G-code text or a parsed program in one pass.
+
+    The replay starts from the origin in absolute XYZ and E and millimetres;
+    codes other than G0-G3, G20/G21, G90/G91, M82/M83 and G92 change
+    nothing. Each comment gives at most one claim, from the first of
+    ``_CLAIM_PATTERNS`` that it matches. Text is read by ``_commands``, so
+    no command is kept once it has been replayed.
+    """
+    if isinstance(source, str):
+        items = _commands(source)
+    else:
+        items = ((c.line_number, c.code, c.args, c.comment) for c in source)
     x = y = z = e = 0.0
     xyz_absolute = e_absolute = True
     scale = 1.0                             # 25.4 when units are inches
     extruded = travel = 0.0
     z_keys = set()                          # quantized z of extruding moves
-    for cmd in program:
-        code, args = cmd.code, cmd.args
+    claims = []
+    for _, code, args, comment in items:
+        if comment is not None:
+            for pattern, to_mm in _CLAIM_PATTERNS:
+                match = pattern.search(comment)
+                if match:
+                    claims.append(float(match.group(1)) * to_mm)
+                    break
         if code in {"G0", "G1", "G2", "G3"}:
             nx, ny, nz = x, y, z
             if "X" in args:
@@ -248,7 +282,8 @@ def _replay(program: GcodeProgram) -> _Replay:
             y = args["Y"] * scale if "Y" in args else y
             z = args["Z"] * scale if "Z" in args else z
             e = args["E"] * scale if "E" in args else e
-    return _Replay(extruded, travel, [round(k * _Z_QUANTUM, 6) for k in sorted(z_keys)])
+    levels = [round(k * _Z_QUANTUM, 6) for k in sorted(z_keys)]
+    return _Replay(extruded, travel, levels, claims)
 
 
 def filament_length(program: GcodeProgram) -> float:
@@ -278,21 +313,9 @@ _CLAIM_PATTERNS = [
 ]
 
 
-def metadata_claims(program: GcodeProgram) -> float | None:
-    """Scan comments for filament-usage claims; first match wins.
-
-    Raises AmbiguousClaims when further matches disagree with the first
-    by more than 0.1%.
-    """
-    claims = []
-    for cmd in program:
-        if cmd.comment is None:
-            continue
-        for pattern, to_mm in _CLAIM_PATTERNS:
-            match = pattern.search(cmd.comment)
-            if match:
-                claims.append(float(match.group(1)) * to_mm)
-                break
+def _declared(claims: list[float]) -> float | None:
+    """The first claim, or None; AmbiguousClaims when a later claim
+    disagrees with the first by more than 0.1%."""
     if not claims:
         return None
     first = claims[0]
@@ -302,15 +325,29 @@ def metadata_claims(program: GcodeProgram) -> float | None:
     return first
 
 
-def audit(program: GcodeProgram, mismatch_threshold: float = 0.02) -> ForensicsReport:
-    """Cross-check declared filament use against the replayed toolpath."""
+def metadata_claims(program: GcodeProgram) -> float | None:
+    """Scan comments for filament-usage claims; first match wins.
+
+    Raises AmbiguousClaims when further matches disagree with the first
+    by more than 0.1%.
+    """
+    return _declared(_replay(program).claims)
+
+
+def audit(source: str | GcodeProgram, mismatch_threshold: float = 0.02) -> ForensicsReport:
+    """Cross-check declared filament use against the replayed toolpath.
+
+    ``source`` is G-code text, read in one streaming pass with no command
+    kept, or a parsed program. The threshold is checked after the pass, so
+    a malformed file reports its ``MalformedNumber`` whatever the threshold.
+    """
+    replay = _replay(source)
     if not 0 <= mismatch_threshold < math.inf:     # NaN fails too
         raise ValueError("mismatch threshold must be finite and >= 0")
-    replay = _replay(program)
     levels = replay.z_levels
     warnings = []
     try:
-        declared = metadata_claims(program)
+        declared = _declared(replay.claims)
     except AmbiguousClaims as exc:
         declared = None
         warnings.append(str(exc))

@@ -9,7 +9,6 @@ disconnected or open contours mean a broken toolpath.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -570,15 +569,19 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
             mean_loops = loops / len(levels)
             frag = mean_loops + _OPEN_CHAIN_PENALTY * (open_layers / len(levels))
             stats.append((mean_loops, max_open, bottom_area, frag))
-    candidates = [OrientationCandidate(Rotation(*angles), *stats[u])
-                  for angles, u in zip(itertools.product(steps, repeat=3), up.tolist())]
 
     def sig9(x: float) -> float:
         return float(f"{x:.9g}")
 
-    # quantized keys so float noise between symmetry-equivalent rotations
-    # cannot defeat the lexicographic tie-break
-    candidates.sort(key=lambda c: (sig9(c.fragmentation_score),
-                                   -sig9(c.bottom_layer_area),
-                                   c.rotation.as_tuple()))
+    # keys quantized once per up-vector, so float noise between
+    # symmetry-equivalent rotations cannot defeat the lexicographic
+    # tie-break; lexsort is stable, and grid index order, (rx, ry, rz)
+    # over ascending steps, is the lexicographic order of the angles
+    frag_key = np.array([sig9(s[3]) for s in stats])[up]
+    area_key = np.array([-sig9(s[2]) for s in stats])[up]
+    order = np.lexsort((area_key, frag_key))
+    ix, iy, iz = np.unravel_index(order, (k, k, k))
+    candidates = [OrientationCandidate(Rotation(steps[a], steps[b], steps[c]), *stats[u])
+                  for a, b, c, u in zip(ix.tolist(), iy.tolist(), iz.tolist(),
+                                        up[order].tolist())]
     return OrientationReport(angle_step_deg, layer_height, candidates)

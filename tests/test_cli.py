@@ -104,6 +104,21 @@ def test_gcode_audit_envelope_matches_to_json(capsys, tmp_path, text):
         assert '"discrepancy_ratio": Infinity' in out
 
 
+@pytest.mark.parametrize("text, result", [
+    # the file is read before the threshold is checked: a malformed file
+    # reports its line whatever the threshold
+    ("; filament used = 10mm\nM82\nG1 X1_0 E1\n",
+     {"error": "MalformedNumber", "message": "line 3: bad number for X: '1_0'"}),
+    ("; filament used = 10mm\nM82\nG1 Z0.2 X10 E30\n",
+     {"error": "ValueError", "message": "mismatch threshold must be finite and >= 0"}),
+])
+def test_gcode_audit_reads_the_file_before_the_threshold(capsys, tmp_path, text, result):
+    path = tmp_path / "p.gcode"
+    path.write_text(text)
+    assert run(["gcode-audit", str(path), "--threshold", "nan"]) == 1
+    assert capsys.readouterr().out == _legacy_envelope("gcode-audit", path, result)
+
+
 def test_orient_scan_envelope_matches_to_json(capsys, tmp_path):
     path = tmp_path / "towers.stl"
     path.write_bytes(write_stl_binary(two_tower_bridge()))

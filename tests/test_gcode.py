@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -60,12 +61,15 @@ def test_numbered_comment_only_line_is_retained():
         ("", {}, "filament used = 3mm"), ("", {}, None)]
 
 
-@pytest.mark.parametrize("line, message", [
+_MALFORMED_WORDS = [
     ("G1 X1 (move", "unbalanced"),
     ("G1 X1) E5", "unbalanced"),
     ("N10 G1 X1 E5*4x", "checksum"),
     ("N1.5 G1 X1", "line number"),
-])
+]
+
+
+@pytest.mark.parametrize("line, message", _MALFORMED_WORDS)
 def test_malformed_line_words_report_line(line, message):
     with pytest.raises(MalformedNumber, match=message) as err:
         parse_gcode("G21\n" + line)
@@ -186,10 +190,11 @@ def test_audit_without_claim():
 
 
 def test_audit_ambiguous_claims_warns_not_fails():
-    program = parse_gcode(";filament used = 100mm\n;filament used = 200mm\nM82\nG1 E100")
-    report = audit(program)
-    assert report.verdict == "no_claim"
-    assert report.warnings
+    text = ";filament used = 100mm\n;filament used = 200mm\nM82\nG1 E100"
+    for source in (parse_gcode(text), text):
+        report = audit(source)
+        assert report.verdict == "no_claim"
+        assert report.warnings == ["conflicting filament claims (mm): [100.0, 200.0]"]
 
 
 def test_audit_report_json_fields():
@@ -342,26 +347,32 @@ def test_message_text_still_ends_at_a_checksum():
 
 # --- number grammar: ASCII decimals only ------------------------------------------
 
-@pytest.mark.parametrize("line, message", [
+_NON_ASCII_NUMBERS = [
     ("G1 X1_0 E1", "bad number for X: '1_0'"),      # float() reads 10
     ("G0_1 X1", "bad number for G: '0_1'"),         # was kept as code G0_1
     ("G1 X\u0661\u0662", "bad number for X: '\u0661\u0662'"),   # Arabic-Indic 12
     ("G1 X\uff11", "bad number for X: '\uff11'"),  # fullwidth 1
     ("N\u0661 G1 X1", "bad line number '\u0661'"),
     ("N1 G1 X1*\u0661", "bad checksum '\u0661'"),
-])
+]
+
+
+@pytest.mark.parametrize("line, message", _NON_ASCII_NUMBERS)
 def test_numbers_are_ascii_decimals(line, message):
     with pytest.raises(MalformedNumber, match=message) as err:
         parse_gcode("G21\n" + line)
     assert err.value.line == 2
 
 
-@pytest.mark.parametrize("line, letter", [
+_LONG_BAD_NUMBERS = [
     ("G1 X" + "9" * 200_000 + "-", "X"),
     ("G" + "9" * 200_000 + "- X1", "G"),
     ("G1 X1." + "9" * 200_000 + "-", "X"),
     ("N5" + " " * 200_000 + "x", "X"),
-])
+]
+
+
+@pytest.mark.parametrize("line, letter", _LONG_BAD_NUMBERS)
 def test_a_long_bad_number_fails_in_linear_time(line, letter):
     # a number grammar that can split a digit run two ways tries every
     # split before it fails: minutes for 200k digits instead of milliseconds
@@ -371,12 +382,15 @@ def test_a_long_bad_number_fails_in_linear_time(line, letter):
     assert time.perf_counter() - start < 2.0
 
 
-@pytest.mark.parametrize("line", [
+_PLAIN_CANDIDATES = [
     "G1 X1 Y-2.5 E.5 ; wall", "g01x+1.e0", "G1 X1 X2", "M0117 X1 ; c", "M104 S210;",
     ";LAYER:0", "G1 X" + "9" * 400, "G" + "9" * 400, "G1 X1e5", "G1\tX1\u2003Y2",
     "N12 G1 X1*85", "n3g1x2 * 7 ;c", "N5", "N5 *3", "*3", "N5 N6 G1", "N05 G1 X1 X2*1",
     "N5 M117 hi*2", "G1 X1 *", "G1 X1*12*13", "N1.5 G1",
-])
+]
+
+
+@pytest.mark.parametrize("line", _PLAIN_CANDIDATES)
 def test_plain_lines_read_as_the_word_parser_reads_them(line):
     try:
         expected = gcode._parse_line(line, 1)
@@ -386,3 +400,104 @@ def test_plain_lines_read_as_the_word_parser_reads_them(line):
         assert str(err.value) == str(exc)
         return
     assert parse_gcode(line).commands == [expected]
+
+
+# --- one streaming pass: text and parsed programs agree ------------------------------
+
+_PARITY_WORDS = ["X", "Y", "Z", "E", "I", "J", "F"]
+_PARITY_VALUES = st.one_of(st.integers(-200, 200).map(str),
+                           st.integers(-20_000, 20_000).map(lambda n: f"{n / 100:.2f}"))
+_CLAIM_FORMS = [";filament used = {}mm", "; filament used [mm] = {}", ";filament used = {}m",
+                ";filament used = {}in", ";FILAMENT_USED: {}", "G1 X1 ; filament used = {}mm"]
+
+
+@st.composite
+def _parity_line(draw):
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return draw(st.sampled_from([
+            "G20", "G21", "G90", "G91", "M82", "M83", "G28", "M104 S210", "; layer",
+            "M117 filament used = 9mm", "m118 (50%) done", "N3 M117 hi*12",
+            "(start) G1 X1 E1", "G1 X2 (move) E2 ; wall", "N7 G1 X1 E1*35"]))
+    if kind == 1:
+        # claims near one value, so programs with two of them are often
+        # ambiguous and sometimes within the 0.1% that agrees
+        value = draw(st.sampled_from(["100", "100.05", "100.2", "0.1", "3.5e1"]))
+        return draw(st.sampled_from(_CLAIM_FORMS)).format(value)
+    code = draw(st.sampled_from(["G0", "G1", "G01", "G2", "G3", "G92", "g1"]))
+    letters = draw(st.lists(st.sampled_from(_PARITY_WORDS), unique=True, max_size=4))
+    return " ".join([code, *(f"{letter}{draw(_PARITY_VALUES)}" for letter in letters)])
+
+
+_PARITY_PROGRAMS = st.lists(st.tuples(_parity_line(), st.sampled_from(["\n", "\n", "\r\n"])),
+                            min_size=1, max_size=40).map(
+    lambda lines: "".join(line + br for line, br in lines))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PARITY_PROGRAMS)
+def test_audit_of_text_matches_audit_of_parsed_program(text):
+    assert audit(text).to_json() == audit(parse_gcode(text)).to_json()
+
+
+def _error(fn):
+    with pytest.raises(MalformedNumber) as err:
+        fn()
+    return type(err.value), str(err.value), err.value.line
+
+
+@pytest.mark.parametrize("line", [line for line, _ in _MALFORMED_WORDS + _NON_ASCII_NUMBERS
+                                  + _LONG_BAD_NUMBERS]
+                         + ["N M117 hi", "M117 hi*x", "M117 (x*1x", "M117 5 * 3 = 15"]
+                         + _PLAIN_CANDIDATES)
+def test_audit_of_text_raises_as_the_parser_does(line):
+    text = ";filament used = 5mm\nG21\n\n" + line + "\nG1 X1 E5\n"
+    try:
+        parse_gcode(text)
+    except MalformedNumber:
+        assert _error(lambda: audit(text)) == _error(lambda: audit(parse_gcode(text)))
+        assert _error(lambda: audit(text))[2] == 4
+    else:
+        assert audit(text).to_json() == audit(parse_gcode(text)).to_json()
+
+
+# every line break str.splitlines knows; "\r\n" is one break
+_BREAKS = ["\r\n", "\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_chunked_reading_keeps_the_lines_of_splitlines(monkeypatch):
+    text = "".join(f"G1 X{k} E1{br}" + ("\r\n" if k % 3 == 0 else "")
+                   for k, br in enumerate(_BREAKS))
+    whole = list(gcode._commands(text))
+    assert len(whole) == len(_BREAKS)
+    assert [lineno for lineno, *_ in whole] == [
+        n for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    bad = text + "G1 X1_0\n"
+    # a chunk of every size from 1 character up puts each break, and each
+    # half of every "\r\n", at the end of the first chunk's nominal size
+    for size in range(1, len(bad) + 2):
+        monkeypatch.setattr(gcode, "_CHUNK_CHARS", size)
+        assert list(gcode._commands(text)) == whole, size
+        with pytest.raises(MalformedNumber) as err:
+            audit(bad)
+        assert err.value.line == len(bad.splitlines())
+
+
+def test_audit_of_text_holds_no_command_per_line():
+    lines = [";filament used = 4000mm", "G21", "G90", "M83"]
+    for k in range(100_000 - len(lines)):
+        if k % 500 == 0:
+            lines.append(f"G1 Z{0.2 * (k // 500 + 1):.3f} ; layer")
+        else:
+            lines.append(f"G1 X{k % 200}.5 Y{k % 97}.25 E0.04 ; wall")
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        report = audit(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.layer_count == 200
+    assert report.declared_filament_mm == 4000.0
+    # a parsed program of these lines peaks at about 72 MB
+    assert peak <= 2 * 2 ** 20, peak

@@ -25,7 +25,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dm_stegkit import TriMesh, parse_gcode, parse_xyz, write_stl_binary
+from dm_stegkit import TriMesh, audit, parse_gcode, parse_xyz, write_stl_binary
 from dm_stegkit.errors import (BadLine, EmptyCloud, MalformedAscii, MalformedNumber,
                                NonFiniteCoordinate, StegkitError)
 from dm_stegkit.meshcore import _ascii_floats, _dedup_vertices, _parse_stl_ascii
@@ -232,6 +232,20 @@ _GCODE_ALPHABET = st.sampled_from(list("GMNTXYZEFgxe0123456789.+- \t;()*,\n\réq
 @given(st.text(_GCODE_ALPHABET, max_size=60))
 def test_parse_gcode_matches_reference_on_any_text(text):
     assert _same(_outcome(_gcode_new, text), _outcome(_parse_gcode_reference, text))
+
+
+def _audit_outcome(source):
+    """The report's JSON, or the error's type, message and line."""
+    try:
+        return "ok", audit(source() if callable(source) else source).to_json()
+    except MalformedNumber as exc:
+        return type(exc).__name__, str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(gcode_texts(), st.text(_GCODE_ALPHABET, max_size=60)))
+def test_audit_of_text_matches_audit_of_parsed_program_on_mutated_texts(text):
+    assert _audit_outcome(text) == _audit_outcome(lambda: parse_gcode(text))
 
 
 def test_parse_gcode_matches_reference_on_a_slicer_program():
