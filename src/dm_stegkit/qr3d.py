@@ -312,7 +312,7 @@ def _score_directions(points: np.ndarray, dirs: np.ndarray,
 
     float32 (``_score_coarse``, the coarse scan) only ranks directions. It
     finds neighbours from each 3-D pair difference d, formed in float64, as
-    |d|^2 - (d.v)^2: one K=3 matmul per batch, and no dependence on where the
+    |d|^2 - (d.v)^2: one K=3 product per batch, and no dependence on where the
     cloud sits (expanding |p_i - p_j|^2 in float32 loses the neighbours of a
     cloud far from the origin), and reads the pitch from adjacent pairs.
     float64 (``_score_frames``, refine and polish, whose values are the
@@ -329,10 +329,8 @@ def _score_coarse(points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.
     batches over the CPUs this process may use (one helper thread per CPU
     beyond the calling one; numpy's kernels release the GIL). The workers'
     (M, N, N) blocks are slices of one array of at most
-    ``_COARSE_BATCH_PAIRS`` entries, or of two rows per worker where two
-    rows exceed it. No batch holds one row unless ``dirs`` does: a one-row
-    matmul takes BLAS's matrix-vector path, which rounds differently. So a
-    row's score does not depend on its batch, nor on the number of workers.
+    ``_COARSE_BATCH_PAIRS`` entries, or of one row where a row exceeds it.
+    A row's score does not depend on its batch, nor on the number of workers.
     """
     # centred, so the float32 ulp is set by the cloud's size, not by its
     # distance from the origin (1.0 at 10^7 against a pitch of 2)
@@ -345,12 +343,11 @@ def _score_coarse(points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.
     m, n = len(dirs), len(points)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    # one worker per CPU while each gets two rows and every worker's two rows
-    # fit the budget; then as few batches as the budget allows, two or more
-    # rows each, and at least one per worker
-    workers = max(1, min(cpus, m // 2, _COARSE_BATCH_PAIRS // (2 * n * n)))
-    rows = max(2, _COARSE_BATCH_PAIRS // (workers * n * n))
-    count = max(workers, min(-(-m // rows), m // 2))
+    # one worker per CPU while each gets a row within the budget; then as few
+    # batches as the budget allows, at least one per worker
+    workers = max(1, min(cpus, m, _COARSE_BATCH_PAIRS // (n * n)))
+    rows = max(1, _COARSE_BATCH_PAIRS // (workers * n * n))
+    count = max(workers, -(-m // rows))
     blocks = np.empty((workers, -(-m // count) * n * n), np.float32)
     score, pitch = np.empty(m), np.empty(m)
     errors = []
@@ -385,11 +382,14 @@ def _score_coarse(points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _project(pts: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, N) coordinates (cu, cw) of ``pts`` on each row's (u, w), in their precision."""
-    u, w = _basis_many(dirs)
-    cu = np.ascontiguousarray((pts @ u.T.astype(pts.dtype)).T)
-    cw = np.ascontiguousarray((pts @ w.T.astype(pts.dtype)).T)
-    return cu, cw
+    """(M, N) coordinates (cu, cw) of ``pts`` on each row's (u, w), in their
+    precision, as broadcast multiply-adds: each row's bits are its own."""
+    x, y, z = np.ascontiguousarray(pts.T)
+    axes = np.concatenate(_basis_many(dirs)).astype(pts.dtype)     # u rows, then w rows
+    uw = axes[:, 0, None] * x
+    uw += axes[:, 1, None] * y
+    uw += axes[:, 2, None] * z
+    return uw[:len(dirs)], uw[len(dirs):]
 
 
 def _pair_differences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,7 +408,9 @@ def _pair_block(dirs: np.ndarray, diffs: tuple[np.ndarray, np.ndarray],
     distances |d|^2 - (d.v)^2 of ``diffs``, the ``_pair_differences`` of
     the points, along each direction row v (+inf where i == j)."""
     diff_t, diff_sq = diffs
-    d2 = np.matmul(np.asarray(dirs, np.float32), diff_t, out=block.reshape(-1, len(diff_sq)))
+    # einsum without ``optimize`` calls no BLAS: a row's bits are its own
+    d2 = np.einsum("mk,kp->mp", np.asarray(dirs, np.float32), diff_t,
+                   out=block.reshape(-1, len(diff_sq)))
     d2 *= d2
     np.subtract(diff_sq, d2, out=d2)
     return block
@@ -688,17 +690,14 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     scores = _coarse_scores(centers, dirs)
     top = _top_directions(scores, dirs, 5)
 
-    # direction bytes -> ((score, canonical direction), pitch). A row's score
-    # does not depend on the rest of its batch, except that a one-row matmul
-    # takes BLAS's matrix-vector path, which rounds differently; a lone
-    # missing direction is therefore scored as a pair with itself.
+    # direction bytes -> ((score, canonical direction), pitch), in any batch
     memo: dict[bytes, tuple[tuple, float]] = {}
 
     def ring_keys(gdirs: list[np.ndarray]) -> list[bytes]:
         keys = [d.tobytes() for d in gdirs]
         todo = {key: d for key, d in zip(keys, gdirs) if key not in memo}
         if todo:
-            batch = np.array(list(todo.values()) * (2 if len(todo) == 1 else 1))
+            batch = np.array(list(todo.values()))
             gscores, gpitches = _score_directions(centers, batch)
             canon = _canonical_rows(batch)
             for k, key in enumerate(todo):

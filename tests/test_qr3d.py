@@ -636,10 +636,14 @@ def test_coarse_scores_do_not_depend_on_the_worker_count(monkeypatch, n, step):
             _usable_cpus(monkeypatch, cpus)
             batches.clear()
             scores[cpus] = qr3d._coarse_scores(centers, dirs).tobytes()
-            expected = min(3 if cpus is None else cpus, len(dirs) // 2) or 1
+            expected = min(3 if cpus is None else cpus, len(dirs))
             assert len({name for name, _ in batches}) == expected
             assert sum(rows for _, rows in batches) == len(dirs)
-            assert min(rows for _, rows in batches) >= min(2, len(dirs))
+            assert min(rows for _, rows in batches) >= 1
+            # with no more rows than workers (the 60- and 100-degree grids),
+            # each batch is one row, and scores as any other
+            if expected == len(dirs):
+                assert all(rows == 1 for _, rows in batches)
     finally:
         sys.setswitchinterval(interval)
     assert len(set(scores.values())) == 1
@@ -810,11 +814,11 @@ def test_search_recovers_cloud_ten_million_from_origin(k):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 60),
-       m=st.integers(2, 12), lattice=st.booleans(),
+       m=st.integers(1, 12), lattice=st.booleans(),
        dtype=st.sampled_from([np.float32, np.float64]))
 def test_score_row_independent_of_batch(seed, n, m, lattice, dtype):
-    # the refine memo and the coarse batching both rely on this: a row's
-    # score and pitch are the same bits in any batch of two or more rows
+    # the refine memo, the coarse batching and lattice_score all rely on
+    # this: a row's score and pitch are the same bits alone and in any batch
     rng = np.random.default_rng(seed)
     if lattice:
         v = random_unit_direction(rng)
@@ -828,11 +832,18 @@ def test_score_row_independent_of_batch(seed, n, m, lattice, dtype):
     score, pitch = qr3d._score_directions(points, dirs, dtype=dtype)
     rev_score, rev_pitch = qr3d._score_directions(points, dirs[::-1].copy(), dtype=dtype)
     for k in range(m):
+        alone_score, alone_pitch = qr3d._score_directions(points, dirs[[k]], dtype=dtype)
         pair_score, pair_pitch = qr3d._score_directions(points, dirs[[k, k]], dtype=dtype)
-        for other in (pair_score[0], rev_score[m - 1 - k]):
+        for other in (alone_score[0], pair_score[0], rev_score[m - 1 - k]):
             assert other.tobytes() == score[k].tobytes()
-        for other in (pair_pitch[0], rev_pitch[m - 1 - k]):
+        for other in (alone_pitch[0], pair_pitch[0], rev_pitch[m - 1 - k]):
             assert other.tobytes() == pitch[k].tobytes()
+    # lattice_score is the float64 scorer on one unit row
+    units = np.array([unit_vector(d) for d in dirs])
+    score, pitch = qr3d._score_directions(points, units)
+    for k in range(m):
+        alone = lattice_score(points, dirs[k])
+        assert tuple(map(float.hex, alone)) == (score[k].hex(), pitch[k].hex())
 
 
 def test_top_directions_match_sorted_with_ties():
@@ -869,13 +880,11 @@ def test_search_scores_each_refine_direction_once(monkeypatch):
     coarse = sum(len(d) for t, d in calls if t == np.float32)
     *rings, polish = [d for t, d in calls if t == np.float64]
     assert len(polish) == 1
-    # a lone missing direction goes to BLAS as a pair with itself, never alone
-    assert all(len(d) >= 2 for d in rings)
-    pairs = sum(len(d) == 2 and d[0].tobytes() == d[1].tobytes() for d in rings)
-    assert pairs > 0
+    # no float64 batch repeats a row, a lone missing direction included
+    assert any(len(d) == 1 for d in rings)
     rows = [r.tobytes() for d in rings for r in d]
-    assert len(set(rows)) == len(rows) - pairs
-    assert len(set(rows)) < (result.candidates_evaluated - coarse - 1) / 2
+    assert len(set(rows)) == len(rows)
+    assert len(rows) < (result.candidates_evaluated - coarse - 1) / 2
 
 
 # a refine step of 0, -1 or NaN would hang a search that skips the check, so

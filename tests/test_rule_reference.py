@@ -52,14 +52,20 @@ def _unit_icosphere_reference(subdivisions):
     return np.array(verts), faces
 
 
+def _coordinates_reference(points, axis):
+    """The points' coordinates along ``axis`` as the scorers form them: the
+    x, y and z terms added in that order, with no BLAS product."""
+    return points[:, 0] * axis[0] + points[:, 1] * axis[1] + points[:, 2] * axis[2]
+
+
 def _frame_reference(points, v):
     """The fit ``_score_frames`` made before it returned residuals: score,
     pitch and phi, plus the anchor (the rotated point nearest the centroid)."""
     score, pitch, phi, _, _ = qr3d._score_frames(points, v[None, :])
     u, w = qr3d._basis_many(v[None, :])
     pts = points.astype(np.float64)
-    cu = np.ascontiguousarray((pts @ u.T.astype(np.float64)).T)
-    cw = np.ascontiguousarray((pts @ w.T.astype(np.float64)).T)
+    cu = _coordinates_reference(pts, u[0])[None, :]
+    cw = _coordinates_reference(pts, w[0])[None, :]
     c = np.cos(-phi)[:, None]
     s = np.sin(-phi)[:, None]
     ru = c * cu - s * cw
@@ -76,8 +82,8 @@ def _polish_direction_reference(points, v, iterations=3):
             return v
         u, w = qr3d._basis_many(v[None, :])
         u, w = u[0], w[0]
-        cu = points @ u
-        cw = points @ w
+        cu = _coordinates_reference(points, u)
+        cw = _coordinates_reference(points, w)
         depth = points @ v
         if np.ptp(depth) < 1e-9 * max(np.ptp(points), 1.0):
             return v
