@@ -354,7 +354,10 @@ def audit(source: str | GcodeProgram, mismatch_threshold: float = 0.02) -> Foren
     ratio = None
     verdict = "no_claim"
     if declared is not None:
-        ratio = replay.extruded / declared if declared else math.inf
+        if declared:
+            ratio = replay.extruded / declared
+        else:       # a 0 mm claim agrees with a toolpath that extrudes nothing
+            ratio = 1.0 if replay.extruded == 0 else math.inf
         verdict = "mismatch" if abs(1.0 - ratio) > mismatch_threshold else "consistent"
     return ForensicsReport(
         computed_filament_mm=replay.extruded,

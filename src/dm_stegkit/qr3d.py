@@ -11,8 +11,6 @@ well the projected centers fit a square lattice.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,12 +323,9 @@ def _score_directions(points: np.ndarray, dirs: np.ndarray,
 
 
 def _score_coarse(points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float32 lattice score and pitch of each direction row, in near-equal
-    batches over the CPUs this process may use (one helper thread per CPU
-    beyond the calling one; numpy's kernels release the GIL). The workers'
-    (M, N, N) blocks are slices of one array of at most
-    ``_COARSE_BATCH_PAIRS`` entries, or of one row where a row exceeds it.
-    A row's score does not depend on its batch, nor on the number of workers.
+    """float32 lattice score and pitch of each direction row, in batches whose
+    (M, N, N) block holds at most ``_COARSE_BATCH_PAIRS`` entries, or one row
+    where a row exceeds it. A row's score does not depend on its batch.
     """
     # centred, so the float32 ulp is set by the cloud's size, not by its
     # distance from the origin (1.0 at 10^7 against a pitch of 2)
@@ -341,43 +336,17 @@ def _score_coarse(points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.
     extent = max(np.ptp(pts, axis=0).max(), 1.0)
 
     m, n = len(dirs), len(points)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    # one worker per CPU while each gets a row within the budget; then as few
-    # batches as the budget allows, at least one per worker
-    workers = max(1, min(cpus, m, _COARSE_BATCH_PAIRS // (n * n)))
-    rows = max(1, _COARSE_BATCH_PAIRS // (workers * n * n))
-    count = max(workers, -(-m // rows))
-    blocks = np.empty((workers, -(-m // count) * n * n), np.float32)
+    rows = max(1, _COARSE_BATCH_PAIRS // (n * n))
+    block = np.empty(min(rows, m) * n * n, np.float32)
     score, pitch = np.empty(m), np.empty(m)
-    errors = []
-
-    def run(worker: int) -> None:
-        try:
-            for k in range(worker, count, workers):
-                if errors:
-                    return
-                lo, hi = k * m // count, (k + 1) * m // count
-                block = blocks[worker, :(hi - lo) * n * n].reshape(hi - lo, n, n)
-                d2 = _pair_block(dirs[lo:hi], diffs, block)
-                nn_idx, nn_d2 = _nearest_neighbours(d2)
-                part = np.sqrt(np.maximum(_adjacent_pitch_sq(d2, nn_d2, central), 0.0))
-                cu, cw = _project(pts, dirs[lo:hi])
-                score[lo:hi] = _fit_lattice(cu, cw, nn_idx, nn_d2, part, extent)[0]
-                pitch[lo:hi] = part
-        except BaseException as exc:        # raised again on the calling thread
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    try:
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    for lo in range(0, m, rows):
+        batch = dirs[lo:lo + rows]
+        d2 = _pair_block(batch, diffs, block[:len(batch) * n * n].reshape(-1, n, n))
+        nn_idx, nn_d2 = _nearest_neighbours(d2)
+        part = np.sqrt(np.maximum(_adjacent_pitch_sq(d2, nn_d2, central), 0.0))
+        cu, cw = _project(pts, batch)
+        score[lo:lo + rows] = _fit_lattice(cu, cw, nn_idx, nn_d2, part, extent)[0]
+        pitch[lo:lo + rows] = part
     return score, pitch
 
 
@@ -636,12 +605,10 @@ def _ring_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 _COARSE_SUBSAMPLE = 64
-# direction x center-pair entries in the float32 pairwise blocks of one
-# coarse pass, shared by all its workers: at 64 centers the blocks hold 512
-# directions in all (8 MB), whatever the number of workers. A smaller budget
-# does not lower the process's peak: what each worker allocates per batch
-# stays resident in its thread's malloc arena, which is also why the
-# adjacent-pair pitch reads the block through views instead of copying rows
+# direction x center-pair entries in the float32 pairwise block of one coarse
+# batch: at 64 centers a block holds 512 directions (8 MB). The adjacent-pair
+# pitch reads the block through views instead of copying rows, so the block
+# and a few (M, N) temporaries are all a batch holds
 _COARSE_BATCH_PAIRS = 1 << 21
 
 
@@ -664,10 +631,9 @@ def search_direction(cloud: SphereCloud | np.ndarray,
                      refine_to_deg: float = 0.05) -> DirectionSearchResult:
     """Find the viewing direction by hemisphere scan plus local refinement.
 
-    Coarse latitude rings are scored in cache-sized batches shared by the
-    usable CPUs, with the same scores on any number of them (clouds beyond
-    64 centers are scored on the 64 nearest their centroid, with the pitch
-    from adjacent pairs), the 5 best
+    Coarse latitude rings are scored in cache-sized batches, with the same
+    scores in any batch (clouds beyond 64 centers are scored on the 64
+    nearest their centroid, with the pitch from adjacent pairs), the 5 best
     descend 3x3 step-halving pattern grids from lattice-snapped starts until
     the step drops below ``refine_to_deg``, and the winner gets a regression
     polish before its projection is returned. Each refine direction is scored

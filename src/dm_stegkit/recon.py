@@ -38,6 +38,15 @@ _SCAN_BATCH_PAIRS = 8192
 # grid), so this bounds the report near 540 MB; a 1-degree grid would need
 # 4.7e7 rotations
 MAX_GRID_ROTATIONS = 1 << 20
+# layers in one orientation's slice. Every level of a connected mesh crosses
+# at least one triangle, so a rotation's section build holds at least one
+# (triangle, level) pair of about 300 bytes per layer: this bounds that
+# floor near 20 MB. 2^16 layers of 0.2 mm slice a part 13 m tall
+MAX_SCAN_LAYERS = 1 << 16
+# samples per lofted ring. The loft holds about 72 bytes per sample and layer
+# (a vertex and a quad's two triangles), so this bounds a layer near 4.7 MB;
+# 2^16 is 40 times the 1500 points of a dense scan's layer
+MAX_RESAMPLE_COUNT = 1 << 16
 
 
 @dataclass
@@ -297,12 +306,17 @@ def loft_layers(stack: LayerStack, resample_count: int = 128) -> TriMesh:
     Adjacent rings are resampled to the same count and connected with quad
     strips (each split along its shorter diagonal); the bottom and top
     rings are capped with centroid fans, so the result is watertight by
-    construction. Layers whose outline has no area raise DegenerateLayer.
+    construction. Layers whose outline has no area raise DegenerateLayer; a
+    ``resample_count`` outside [3, ``MAX_RESAMPLE_COUNT``] raises ValueError
+    before any outline is traced.
     """
     if stack.layer_count < 2:
         raise ValueError("lofting needs at least 2 layers")
     if resample_count < 3:
         raise ValueError(f"resample_count must be at least 3, got {resample_count}")
+    if resample_count > MAX_RESAMPLE_COUNT:
+        raise ValueError(f"resample_count {resample_count} is above the limit of "
+                         f"{MAX_RESAMPLE_COUNT}")
     rings = []
     for z, pts in stack.layers:
         outline = layer_outline(pts, z=z)
@@ -474,8 +488,12 @@ def _slice_stats(batch: list, triangles: np.ndarray, features: tuple[int, np.nda
 def _layer_count(height: float, layer_height: float) -> int:
     """Layers that fit in ``height``; a height within 1e-9 layers of a whole
     multiple counts as that multiple, so rotation float noise cannot drop
-    the top layer."""
-    return max(1, math.floor(height / layer_height + 1e-9))
+    the top layer. More than ``MAX_SCAN_LAYERS`` raise ValueError."""
+    layers = float(height) / layer_height + 1e-9       # inf on overflow, refused below
+    if not layers < MAX_SCAN_LAYERS + 1:
+        raise ValueError(f"layer_height {layer_height:g} gives {layers:.4g} layers in one "
+                         f"orientation, above the limit of {MAX_SCAN_LAYERS}")
+    return max(1, math.floor(layers))
 
 
 def _rotated_batches(vertices: np.ndarray, triangles: np.ndarray, matrices: list,
@@ -534,7 +552,9 @@ def orientation_scan(mesh: TriMesh, angle_step_deg: float = 15.0,
 
     The grid holds k = 360 / angle_step_deg angles per axis, 360 j / k for
     j < k; a step is accepted when it is within 1e-9 relative of such a
-    divisor of 360 and k^3 is at most ``MAX_GRID_ROTATIONS``.
+    divisor of 360 and k^3 is at most ``MAX_GRID_ROTATIONS``. A layer height
+    that cuts some orientation into more than ``MAX_SCAN_LAYERS`` layers
+    raises ValueError before that orientation's levels are formed.
 
     Slicing depends only on a rotation's third row (the up-vector): an
     in-plane spin about z leaves every layer's loops, open chains and area

@@ -183,7 +183,10 @@ class MorseParams:
 
 
 def text_to_segments(text: str, params: MorseParams = MorseParams()) -> list[SketchSegment]:
-    """Encode A-Z, 0-9, and spaces as a row of vertical strokes."""
+    """Encode A-Z, 0-9, and spaces as a row of vertical strokes.
+
+    A unit so large that a coordinate overflows raises ValueError.
+    """
     d = params.d
     segments = []
     x = 0.0
@@ -204,6 +207,8 @@ def text_to_segments(text: str, params: MorseParams = MorseParams()) -> list[Ske
             x += length
             pending_gap = d
         pending_gap = 0.0
+    if not math.isfinite(x):        # x only grows: it bounds every coordinate
+        raise ValueError(f"unit d {d:g} overflows a stroke coordinate of this text")
     return segments
 
 

@@ -388,9 +388,11 @@ def test_bad_numeric_arguments_are_envelope_errors(capsys, tmp_path, cube_stl, c
     assert not out.exists()
 
 
-# each was accepted, or refused for another option's sake: NaN read as a
-# consistent audit and as NaN jitter, Morse units and z tolerances, and a
-# negative --top as "all but the last three"
+# each was accepted, refused for another option's sake or left numpy's error
+# without an envelope: NaN read as a consistent audit and as NaN jitter, Morse
+# units and z tolerances, a negative --top as "all but the last three", a
+# Morse unit whose strokes overflow written as Infinity, and a layer height or
+# a resample count that asks for terabytes
 @pytest.mark.parametrize("verb, flag, value, message", [
     ("gcode-audit", "--threshold", "nan", "mismatch threshold"),
     ("gcode-audit", "--threshold", "inf", "mismatch threshold"),
@@ -400,6 +402,9 @@ def test_bad_numeric_arguments_are_envelope_errors(capsys, tmp_path, cube_stl, c
     ("morse-encode", "--unit", "nan", "unit d"), ("morse-encode", "--unit", "inf", "unit d"),
     ("recon", "--z-tol", "nan", "z_tol"), ("recon", "--z-tol", "inf", "z_tol"),
     ("orient-scan", "--top", "-3", "top"),
+    ("morse-encode", "--unit", "1e308", "unit d"),
+    ("orient-scan", "--layer-height", "1e-12", "layer_height"),
+    ("recon", "--resample", "1000000000000", "resample_count"),
 ])
 def test_nan_and_out_of_range_options_are_value_errors(capsys, tmp_path, cube_stl, verb, flag,
                                                        value, message):

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -181,6 +182,16 @@ def test_audit_mismatch_scenario():
 def test_audit_small_error_is_consistent():
     program = parse_gcode(";filament used = 100.0mm\nM82\nG1 E99.5")
     assert audit(program).verdict == "consistent"
+
+
+@pytest.mark.parametrize("text, ratio, verdict", [
+    (";filament used = 0mm\nG0 X1\n", 1.0, "consistent"),       # nothing claimed, none used
+    (";filament used = 0mm\nM82\nG1 X5 E3.5\n", math.inf, "mismatch"),
+])
+def test_audit_of_a_zero_claim(text, ratio, verdict):
+    for source in (parse_gcode(text), text):
+        report = audit(source)
+        assert (report.discrepancy_ratio, report.verdict) == (ratio, verdict)
 
 
 def test_audit_without_claim():

@@ -1,8 +1,4 @@
 import math
-import os
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -602,62 +598,38 @@ def test_coarse_top5_matches_gram_reference(seed, n):
     assert qr3d._top_directions(scores, dirs, 5) == qr3d._top_directions(expected, dirs, 5)
 
 
-# --- the coarse pass on several CPUs --------------------------------------------------
-
-def _usable_cpus(monkeypatch, count):
-    """Make the coarse pass see ``count`` CPUs; None removes
-    os.sched_getaffinity, so os.cpu_count (mocked to 3) gives the count."""
-    if count is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-
+# --- the coarse pass in batches ----------------------------------------------------
 
 @pytest.mark.parametrize("n, step", [(13, 2.0), (21, 2.0), (33, 2.0),
                                      (21, 45.0), (21, 60.0), (21, 100.0)])
 def test_coarse_scores_do_not_depend_on_the_worker_count(monkeypatch, n, step):
     centers = _planted(seed=n, n=n)[2].centers
     dirs = _coarse_grid(step)
+    pairs = min(len(centers), qr3d._COARSE_SUBSAMPLE) ** 2
     pair_block = qr3d._pair_block
     batches = []
 
     def spy(part, *args):
-        batches.append((threading.current_thread().name, len(part)))
+        batches.append(len(part))
         return pair_block(part, *args)
 
     monkeypatch.setattr(qr3d, "_pair_block", spy)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)         # many thread switches inside each batch
-    try:
-        scores = {}
-        for cpus in (1, 2, 3, 8, None):
-            _usable_cpus(monkeypatch, cpus)
-            batches.clear()
-            scores[cpus] = qr3d._coarse_scores(centers, dirs).tobytes()
-            expected = min(3 if cpus is None else cpus, len(dirs))
-            assert len({name for name, _ in batches}) == expected
-            assert sum(rows for _, rows in batches) == len(dirs)
-            assert min(rows for _, rows in batches) >= 1
-            # with no more rows than workers (the 60- and 100-degree grids),
-            # each batch is one row, and scores as any other
-            if expected == len(dirs):
-                assert all(rows == 1 for _, rows in batches)
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(set(scores.values())) == 1
-
-
-def test_search_does_not_depend_on_the_worker_count(monkeypatch):
-    cloud = _planted(seed=25)[2]
-    results = []
-    for cpus in (1, 2):
-        _usable_cpus(monkeypatch, cpus)
-        r = search_direction(cloud)
-        results.append((r.direction.tobytes(), r.score.hex(), r.estimated_pitch.hex(),
-                        r.candidates_evaluated, r.grid.bits.tobytes()))
-    assert results[0] == results[1]
+    scores, uneven = set(), False
+    # one-row batches (a budget below one row, then exactly one), batches of
+    # 2 and 5 rows and the default's, whose last batch is short on some
+    # grids, and one batch for all rows
+    for budget in (1, pairs, 2 * pairs, 5 * pairs + 1, qr3d._COARSE_BATCH_PAIRS,
+                   len(dirs) * pairs):
+        rows = max(1, budget // pairs)
+        monkeypatch.setattr(qr3d, "_COARSE_BATCH_PAIRS", budget)
+        batches.clear()
+        scores.add(qr3d._coarse_scores(centers, dirs).tobytes())
+        assert batches[:-1] == [rows] * (len(batches) - 1)
+        assert 1 <= batches[-1] <= rows
+        assert sum(batches) == len(dirs)
+        uneven |= batches[-1] < rows
+    assert uneven or len(dirs) == 1
+    assert len(scores) == 1
 
 
 def _coarse_peak_bytes(centers, dirs):
@@ -669,49 +641,16 @@ def _coarse_peak_bytes(centers, dirs):
         tracemalloc.stop()
 
 
-def test_coarse_workers_share_one_block_budget(monkeypatch):
+def test_coarse_workers_share_one_block_budget():
     centers = _planted(seed=21)[2].centers
     assert len(centers) > qr3d._COARSE_SUBSAMPLE
     dirs = _coarse_grid()
-    peaks = {}
-    for cpus in (1, 8):
-        _usable_cpus(monkeypatch, cpus)
-        qr3d._coarse_scores(centers, dirs)          # warm-up outside the trace
-        peaks[cpus] = _coarse_peak_bytes(centers, dirs)
-    # the 1-CPU pass holds one 2^21-entry float32 block at a time, and what
-    # every pass forms besides its blocks stays within a quarter of them
+    qr3d._coarse_scores(centers, dirs)              # warm-up outside the trace
+    peak = _coarse_peak_bytes(centers, dirs)
+    # the pass holds one 2^21-entry float32 block at a time, and what it
+    # forms besides the block stays within a quarter of it
     budget = 4 * qr3d._COARSE_BATCH_PAIRS
-    assert peaks[1] >= budget
-    assert peaks[8] <= peaks[1] + 2 ** 20
-    assert max(peaks.values()) <= 1.25 * budget
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-def test_coarse_failure_is_raised_after_every_helper_stopped(monkeypatch, cpus):
-    centers = _planted(seed=21)[2].centers
-    dirs = _coarse_grid()
-    _usable_cpus(monkeypatch, cpus)
-    pair_block = qr3d._pair_block
-    failure = RuntimeError("one batch failed")
-    helpers_busy = threading.Barrier(max(cpus - 1, 1))
-
-    def failing(part, *args):
-        if cpus == 1:
-            raise failure                       # no helpers: the one worker's batch
-        if threading.current_thread() is not threading.main_thread():
-            # one helper fails once every helper is inside a batch; the
-            # others are still busy when it does
-            if helpers_busy.wait(timeout=10) == 0:
-                raise failure
-            time.sleep(0.1)
-        return pair_block(part, *args)
-
-    monkeypatch.setattr(qr3d, "_pair_block", failing)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError) as excinfo:
-        qr3d._coarse_scores(centers, dirs)
-    assert excinfo.value is failure
-    assert threading.active_count() == before
+    assert budget <= peak <= 1.25 * budget
 
 
 def _covering_radius_deg(dirs, samples):

@@ -874,6 +874,25 @@ def test_scan_refuses_grids_above_the_rotation_limit():
             orientation_scan(towers, angle_step_deg=360 / 101)
 
 
+def test_scan_refuses_layer_counts_above_the_limit():
+    # one facet standing 1 mm tall in the xz-plane: the first orientation
+    # sliced, the identity, cuts it into 1 / layer_height layers
+    facet = TriMesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                    np.array([[0, 1, 2]]))
+    limit = recon.MAX_SCAN_LAYERS
+
+    class Allocated(Exception):
+        pass
+
+    with mock.patch.object(recon, "_level_ranges", side_effect=Allocated):
+        for layer_height in (1e-12, 1e-300, 5e-324, 1 / (limit + 1)):
+            with pytest.raises(ValueError, match=f"above the limit of {limit}"):
+                orientation_scan(facet, angle_step_deg=90, layer_height=layer_height)
+        # exactly the limit passes the check and goes on to slice
+        with pytest.raises(Allocated):
+            orientation_scan(facet, angle_step_deg=90, layer_height=1 / limit)
+
+
 def test_layer_count_absorbs_float_noise():
     assert recon._layer_count(9.999999999999998, 0.2) == 50
     assert recon._layer_count(10.0, 0.2) == 50
@@ -902,6 +921,16 @@ def test_scan_bridge_axis_group_shares_layer_count():
 def test_orientation_scan_layer_height_must_be_positive_and_finite(layer_height):
     with pytest.raises(ValueError, match="layer_height"):
         orientation_scan(box_mesh(0, 0, 0, 1, 1, 1), angle_step_deg=90, layer_height=layer_height)
+
+
+def test_loft_refuses_sample_counts_above_the_limit():
+    stack = group_layers(cylinder_cloud(height=2.0))
+    limit = recon.MAX_RESAMPLE_COUNT
+    with mock.patch.object(recon, "layer_outline", side_effect=AssertionError("traced")):
+        for count in (limit + 1, 10 ** 12):
+            with pytest.raises(ValueError, match=f"above the limit of {limit}"):
+                loft_layers(stack, resample_count=count)
+    assert loft_layers(stack, resample_count=limit).triangles.shape[0] > 0
 
 
 @pytest.mark.parametrize("count", [2, 0, -5])

@@ -270,6 +270,19 @@ def test_encoder_unit_parameter_scales_geometry():
     assert segments_to_text(segs, MorseParams(d=2.5)) == "SOS"
 
 
+@pytest.mark.parametrize("text, unit", [("SOS", 1e308), ("SOS", 1e307), ("E E", 1e308)])
+def test_encoder_refuses_a_unit_that_overflows_a_coordinate(text, unit):
+    # SOS spans 27 units: 2.7e308 is beyond the float range
+    with pytest.raises(ValueError, match="overflows"):
+        text_to_segments(text, MorseParams(d=unit))
+
+
+def test_encoder_keeps_a_huge_unit_whose_coordinates_are_finite():
+    segs = text_to_segments("E", MorseParams(d=1e308))
+    assert segments_from_json(segments_to_json(segs)) == segs
+    assert segments_to_text(segs, MorseParams(d=1e308)) == "E"
+
+
 def test_segments_json_roundtrip():
     segs = text_to_segments("JSON 42")
     again = segments_from_json(segments_to_json(segs))
