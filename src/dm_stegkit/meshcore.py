@@ -107,6 +107,17 @@ class PointCloud:
             raise NonFiniteCoordinate("point cloud contains NaN/Inf")
 
 
+def _euler_factors(ax, ay, az) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, 3, 3) stacks of x, y and z factor matrices for the lists of
+    angles ``ax``, ``ay`` and ``az``, in degrees: the ``Rotation`` of angles
+    (ax[i], ay[j], az[l]) is x[i] @ y[j] @ z[l]."""
+    cx, cy, cz = ([(math.cos(r), math.sin(r)) for r in map(math.radians, a)]
+                  for a in (ax, ay, az))
+    return (np.array([[[1, 0, 0], [0, c, -s], [0, s, c]] for c, s in cx]),
+            np.array([[[c, 0, s], [0, 1, 0], [-s, 0, c]] for c, s in cy]),
+            np.array([[[c, -s, 0], [s, c, 0], [0, 0, 1]] for c, s in cz]))
+
+
 @dataclass(frozen=True)
 class Rotation:
     """Intrinsic x->y->z Euler rotation, degrees, about the origin."""
@@ -121,14 +132,8 @@ class Rotation:
         object.__setattr__(self, "rz", float(self.rz) % 360.0)
 
     def matrix(self) -> np.ndarray:
-        ax, ay, az = (math.radians(a) for a in (self.rx, self.ry, self.rz))
-        cx, sx = math.cos(ax), math.sin(ax)
-        cy, sy = math.cos(ay), math.sin(ay)
-        cz, sz = math.cos(az), math.sin(az)
-        rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-        ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-        rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-        return rx @ ry @ rz
+        rx, ry, rz = _euler_factors([self.rx], [self.ry], [self.rz])
+        return rx[0] @ ry[0] @ rz[0]
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.rx, self.ry, self.rz)

@@ -282,14 +282,13 @@ def project_to_grid(cloud: SphereCloud | np.ndarray, v, pitch: float) -> BitGrid
     """Snap centers projected along v onto a module grid of the given pitch.
 
     The tight bounding box of occupied cells defines the grid; a
-    rectangular result is padded with empty modules to stay square.
+    rectangular result is padded with empty modules to stay square. The
+    centers are projected by ``_project``, as the search scores them.
     """
     centers = _centers(cloud)
     if not pitch > 0:
         raise ValueError("pitch must be positive")
-    u, w = basis_for(unit_vector(v))
-    cu = centers @ u
-    cw = centers @ w
+    (cu,), (cw,) = _project(centers, unit_vector(v)[None])
     cols = np.rint((cu - cu.min()) / pitch)
     rows = np.rint((cw.max() - cw) / pitch)
     n = max(rows.max(), cols.max()) + 1
@@ -309,13 +308,15 @@ def _score_directions(points: np.ndarray, dirs: np.ndarray,
     """Lattice score and pitch of each direction row; ``dtype`` picks the scorer.
 
     float32 (``_score_coarse``, the coarse scan) only ranks directions. It
-    finds neighbours from each 3-D pair difference d, formed in float64, as
-    |d|^2 - (d.v)^2: one K=3 product per batch, and no dependence on where the
-    cloud sits (expanding |p_i - p_j|^2 in float32 loses the neighbours of a
-    cloud far from the origin), and reads the pitch from adjacent pairs.
-    float64 (``_score_frames``, refine and polish, whose values are the
-    outputs) keeps the gram form and the median nearest-neighbour pitch;
-    both then fit the lattice (``_fit_lattice``) and return float64 arrays.
+    picks its own patch of at most 64 centers and finds neighbours from each
+    3-D pair difference d, formed in float64, as |d|^2 - (d.v)^2: one K=3
+    product per batch, and no dependence on where the cloud sits (expanding
+    |p_i - p_j|^2 in float32 loses the neighbours of a cloud far from the
+    origin), and reads the pitch from adjacent pairs. float64
+    (``_score_frames``, refine and polish, whose values are the outputs)
+    keeps the gram form and the median nearest-neighbour pitch; both project
+    with ``_project``, as ``project_to_grid`` does, then fit the lattice
+    (``_fit_lattice``) and return float64 arrays.
     """
     if np.dtype(dtype) == np.float32:
         return _score_coarse(points, dirs)
@@ -323,10 +324,18 @@ def _score_directions(points: np.ndarray, dirs: np.ndarray,
 
 
 def _score_coarse(points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float32 lattice score and pitch of each direction row, in batches whose
-    (M, N, N) block holds at most ``_COARSE_BATCH_PAIRS`` entries, or one row
-    where a row exceeds it. A row's score does not depend on its batch.
+    """float32 lattice score and pitch of each direction row, on at most
+    ``_COARSE_SUBSAMPLE`` centers (beyond that, the patch nearest the
+    centroid, chosen here), in batches whose (M, N, N) block holds at most
+    ``_COARSE_BATCH_PAIRS`` entries, or one row where a row exceeds it. A
+    row's score does not depend on its batch.
     """
+    if len(points) > _COARSE_SUBSAMPLE:
+        # one coherent patch, the centers nearest the centroid: modules keep
+        # their lattice neighbours, so adjacent pairs still give the pitch
+        # (a scattered subset has almost no adjacent modules)
+        d2 = ((points - points.mean(axis=0)) ** 2).sum(axis=1)
+        points = points[np.sort(np.argsort(d2, kind="stable")[:_COARSE_SUBSAMPLE])]
     # centred, so the float32 ulp is set by the cloud's size, not by its
     # distance from the origin (1.0 at 10^7 against a pitch of 2)
     centred = points - points.mean(axis=0)
@@ -437,16 +446,13 @@ def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
     ang4 = 4.0 * np.arctan2(dy, dx)
     # in-plane angle from pitch-length pairs only: axis-aligned neighbors
     # fold to 0 mod 90 exactly, while sqrt(2)/sqrt(5)-length pairs between
-    # isolated modules would bias the circular mean
+    # isolated modules would bias the circular mean; a row with no such pair
+    # takes all of its pairs
     nn_d = np.sqrt(np.maximum(nn_d2, 0.0))
     near = np.abs(nn_d - pitch[:, None]) <= 0.2 * pitch[:, None]
-    count = near.sum(axis=1)
+    near |= ~near.any(axis=1, keepdims=True)
     cos_sum = np.where(near, np.cos(ang4), 0.0).sum(axis=1)
     sin_sum = np.where(near, np.sin(ang4), 0.0).sum(axis=1)
-    fallback = count == 0
-    if fallback.any():
-        cos_sum = np.where(fallback, np.cos(ang4).sum(axis=1), cos_sum)
-        sin_sum = np.where(fallback, np.sin(ang4).sum(axis=1), sin_sum)
     return np.arctan2(sin_sum, cos_sum) / 4.0
 
 
@@ -612,37 +618,24 @@ _COARSE_SUBSAMPLE = 64
 _COARSE_BATCH_PAIRS = 1 << 21
 
 
-def _coarse_scores(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """float32 lattice scores of the direction rows (``_score_coarse``), on
-    at most 64 centers."""
-    if len(centers) > _COARSE_SUBSAMPLE:
-        # one coherent patch, the centers nearest the centroid: modules keep
-        # their lattice neighbours, so adjacent pairs still give the pitch
-        # (a scattered subset has almost no adjacent modules)
-        d2 = ((centers - centers.mean(axis=0)) ** 2).sum(axis=1)
-        coarse_pts = centers[np.sort(np.argsort(d2, kind="stable")[:_COARSE_SUBSAMPLE])]
-    else:
-        coarse_pts = centers
-    return _score_directions(coarse_pts, dirs, np.float32)[0]
-
-
 def search_direction(cloud: SphereCloud | np.ndarray,
                      coarse_step_deg: float = 2.0,
                      refine_to_deg: float = 0.05) -> DirectionSearchResult:
     """Find the viewing direction by hemisphere scan plus local refinement.
 
     Coarse latitude rings are scored in cache-sized batches, with the same
-    scores in any batch (clouds beyond 64 centers are scored on the 64
-    nearest their centroid, with the pitch from adjacent pairs), the 5 best
-    descend 3x3 step-halving pattern grids from lattice-snapped starts until
-    the step drops below ``refine_to_deg``, and the winner gets a regression
-    polish before its projection is returned. Each refine direction is scored
-    once per search; ``candidates_evaluated`` still counts every pattern
-    point visited. Ties break on the canonicalized direction, so results do
-    not depend on evaluation order. The coarse scan scores in float32, refine
-    and polish in float64 (see ``_score_directions``). Pitch estimation
-    relies on adjacent occupied modules, so matrices missing much more than
-    half their modules may defeat it.
+    scores in any batch (the coarse scorer scores clouds beyond 64 centers on
+    the 64 nearest their centroid, with the pitch from adjacent pairs), the 5
+    best descend 3x3 step-halving pattern grids from lattice-snapped starts
+    until the step drops below ``refine_to_deg``, and the least of the refine
+    memo gets a regression polish before its projection (``_project``, as
+    the scores) is returned. Each refine direction is scored once per search;
+    ``candidates_evaluated`` still counts every pattern point visited. Ties
+    break on the canonicalized direction, so results do not depend on
+    evaluation order. The coarse scan scores in float32, refine and polish in
+    float64 (see ``_score_directions``). Pitch estimation relies on adjacent
+    occupied modules, so matrices missing much more than half their modules
+    may defeat it.
     """
     for name, value in (("coarse_step_deg", coarse_step_deg), ("refine_to_deg", refine_to_deg)):
         if not 0 < value < math.inf:
@@ -653,11 +646,12 @@ def search_direction(cloud: SphereCloud | np.ndarray,
 
     dirs, starts = _ring_grid(coarse_step_deg)
     evaluated = len(dirs)
-    scores = _coarse_scores(centers, dirs)
+    scores = _score_directions(centers, dirs, np.float32)[0]
     top = _top_directions(scores, dirs, 5)
 
-    # direction bytes -> ((score, canonical direction), pitch), in any batch
-    memo: dict[bytes, tuple[tuple, float]] = {}
+    # direction bytes -> ((score, canonical direction), pitch, direction), in
+    # any batch; every entry lies on a visited ring, so the least is the best
+    memo: dict[bytes, tuple[tuple, float, np.ndarray]] = {}
 
     def ring_keys(gdirs: list[np.ndarray]) -> list[bytes]:
         keys = [d.tobytes() for d in gdirs]
@@ -666,13 +660,10 @@ def search_direction(cloud: SphereCloud | np.ndarray,
             batch = np.array(list(todo.values()))
             gscores, gpitches = _score_directions(centers, batch)
             canon = _canonical_rows(batch)
-            for k, key in enumerate(todo):
-                memo[key] = ((gscores[k], tuple(canon[k])), float(gpitches[k]))
+            for k, (key, d) in enumerate(todo.items()):
+                memo[key] = ((gscores[k], tuple(canon[k])), float(gpitches[k]), d)
         return keys
 
-    best_dir = None
-    best_key = None
-    best_pitch = None
     for i in top:
         step = coarse_step_deg / 2.0
         cur = tuple(starts[i].tolist())
@@ -688,25 +679,19 @@ def search_direction(cloud: SphereCloud | np.ndarray,
                 kbest = min(range(len(gdirs)), key=lambda k: memo[keys[k]][0])
                 moved = grid_angles[kbest] != cur
                 cur = grid_angles[kbest]
-                cand_key, cand_pitch = memo[keys[kbest]]
-                if best_key is None or cand_key < best_key:
-                    best_key = cand_key
-                    best_dir = gdirs[kbest]
-                    best_pitch = cand_pitch
                 if not moved:
                     break
             if step < refine_to_deg:
                 break
             step /= 2.0
 
+    best_key, best_pitch, best_dir = min(memo.values(), key=lambda entry: entry[0])
     polished = _polish_direction(centers, unit_vector(best_dir))
     pscore, ppitch = _score_directions(centers, polished[None, :])
     evaluated += 1
     pkey = (float(pscore[0]), tuple(_canonical_direction(polished)))
     if pkey < best_key:
-        best_key = pkey
-        best_dir = polished
-        best_pitch = float(ppitch[0])
+        best_key, best_pitch, best_dir = pkey, float(ppitch[0]), polished
 
     direction = _canonical_direction(unit_vector(best_dir))
     grid = project_to_grid(centers, direction, best_pitch)

@@ -21,6 +21,7 @@ from .meshcore import (
     Rotation,
     TriMesh,
     _dedup_vertices,
+    _euler_factors,
     _first_occurrence_ids,
     _level_ranges,
     _section_features,
@@ -288,7 +289,7 @@ def _resample_ring(ring: np.ndarray, m: int) -> np.ndarray:
     rel = ring - centroid
     ang = np.arctan2(rel[:, 1], rel[:, 0])
     r2 = (rel ** 2).sum(axis=1)
-    start = min(range(len(ring)), key=lambda i: (ang[i], r2[i], i))
+    start = int(np.lexsort((r2, ang))[0])      # stable: ties to the lower index
     ring = np.roll(ring, -start, axis=0)
     closed = np.vstack([ring, ring[:1]])
     seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
@@ -523,16 +524,13 @@ def _grid_up_vectors(steps: list) -> tuple[np.ndarray, np.ndarray]:
     each angle from ``steps``, by first occurrence in (rx, ry, rz) order.
 
     Returns each rotation's number, in that order, and the matrix of each
-    number's first rotation. Matrices are products of the same factors,
-    in the same order, as ``Rotation.matrix`` forms, so they have its
-    bits; they are formed one rx slice of k^2 rotations at a time. An
-    up-vector is keyed by its third row rounded to 9 decimals.
+    number's first rotation. Matrices are products of the factors of
+    ``_euler_factors``, in the order ``Rotation.matrix`` multiplies them,
+    so they have its bits; they are formed one rx slice of k^2 rotations at
+    a time. An up-vector is keyed by its third row rounded to 9 decimals.
     """
     k = len(steps)
-    cs = [(math.cos(a), math.sin(a)) for a in map(math.radians, steps)]
-    rx = np.array([[[1, 0, 0], [0, c, -s], [0, s, c]] for c, s in cs])
-    ry = np.array([[[c, 0, s], [0, 1, 0], [-s, 0, c]] for c, s in cs])
-    rz = np.array([[[c, -s, 0], [s, c, 0], [0, 0, 1]] for c, s in cs])
+    rx, ry, rz = _euler_factors(steps, steps, steps)
     keys = np.empty((k, k * k, 3))
     for i in range(k):
         # + 0.0 folds -0.0 into +0.0

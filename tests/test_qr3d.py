@@ -594,7 +594,7 @@ def test_coarse_top5_matches_gram_reference(seed, n):
     parts = -(-len(dirs) * len(coarse_pts) ** 2 // qr3d._COARSE_BATCH_PAIRS)
     expected = np.concatenate([_gram_coarse_scores(coarse_pts, part)
                                for part in np.array_split(dirs, parts)])
-    scores = qr3d._coarse_scores(cloud.centers, dirs)
+    scores = qr3d._score_directions(cloud.centers, dirs, np.float32)[0]
     assert qr3d._top_directions(scores, dirs, 5) == qr3d._top_directions(expected, dirs, 5)
 
 
@@ -602,7 +602,7 @@ def test_coarse_top5_matches_gram_reference(seed, n):
 
 @pytest.mark.parametrize("n, step", [(13, 2.0), (21, 2.0), (33, 2.0),
                                      (21, 45.0), (21, 60.0), (21, 100.0)])
-def test_coarse_scores_do_not_depend_on_the_worker_count(monkeypatch, n, step):
+def test_coarse_scores_do_not_depend_on_the_batch_budget(monkeypatch, n, step):
     centers = _planted(seed=n, n=n)[2].centers
     dirs = _coarse_grid(step)
     pairs = min(len(centers), qr3d._COARSE_SUBSAMPLE) ** 2
@@ -623,7 +623,7 @@ def test_coarse_scores_do_not_depend_on_the_worker_count(monkeypatch, n, step):
         rows = max(1, budget // pairs)
         monkeypatch.setattr(qr3d, "_COARSE_BATCH_PAIRS", budget)
         batches.clear()
-        scores.add(qr3d._coarse_scores(centers, dirs).tobytes())
+        scores.add(qr3d._score_directions(centers, dirs, np.float32)[0].tobytes())
         assert batches[:-1] == [rows] * (len(batches) - 1)
         assert 1 <= batches[-1] <= rows
         assert sum(batches) == len(dirs)
@@ -635,22 +635,60 @@ def test_coarse_scores_do_not_depend_on_the_worker_count(monkeypatch, n, step):
 def _coarse_peak_bytes(centers, dirs):
     tracemalloc.start()
     try:
-        qr3d._coarse_scores(centers, dirs)
+        qr3d._score_directions(centers, dirs, np.float32)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_coarse_workers_share_one_block_budget():
+def test_coarse_pass_holds_one_block():
     centers = _planted(seed=21)[2].centers
     assert len(centers) > qr3d._COARSE_SUBSAMPLE
     dirs = _coarse_grid()
-    qr3d._coarse_scores(centers, dirs)              # warm-up outside the trace
+    qr3d._score_directions(centers, dirs, np.float32)   # warm-up outside the trace
     peak = _coarse_peak_bytes(centers, dirs)
     # the pass holds one 2^21-entry float32 block at a time, and what it
     # forms besides the block stays within a quarter of it
     budget = 4 * qr3d._COARSE_BATCH_PAIRS
     assert budget <= peak <= 1.25 * budget
+
+
+def _two_branch_lattice_angle(cu, cw, nn_idx, nn_d2, pitch):
+    """``_lattice_angle`` with a second sum, over all of a row, for rows
+    that have no pitch-length pair."""
+    dx = np.take_along_axis(cu, nn_idx, axis=1) - cu
+    dy = np.take_along_axis(cw, nn_idx, axis=1) - cw
+    ang4 = 4.0 * np.arctan2(dy, dx)
+    nn_d = np.sqrt(np.maximum(nn_d2, 0.0))
+    near = np.abs(nn_d - pitch[:, None]) <= 0.2 * pitch[:, None]
+    cos_sum = np.where(near, np.cos(ang4), 0.0).sum(axis=1)
+    sin_sum = np.where(near, np.sin(ang4), 0.0).sum(axis=1)
+    fallback = near.sum(axis=1) == 0
+    cos_sum = np.where(fallback, np.cos(ang4).sum(axis=1), cos_sum)
+    sin_sum = np.where(fallback, np.sin(ang4).sum(axis=1), sin_sum)
+    return np.arctan2(sin_sum, cos_sum) / 4.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [4, 64, 441])
+@pytest.mark.parametrize("seed", range(3))
+def test_lattice_angle_matches_two_branch_form(seed, n, dtype):
+    rng = np.random.default_rng([seed, n])
+    m = 200
+    cu, cw = rng.normal(scale=10.0, size=(2, m, n)).astype(dtype)
+    nn_idx = (np.arange(n) + rng.integers(1, n, size=(m, n))) % n
+    nn_d2 = rng.uniform(1.0, 9.0, size=(m, n)).astype(dtype)
+    pitch = rng.uniform(1.0, 3.0, size=m).astype(dtype)
+    nn_d2[:, rng.integers(n)] = pitch ** 2
+    # about half the rows get a pitch whose band starts above every distance
+    lone = rng.random(m) < 0.5
+    pitch[lone] = 10.0
+    near = np.abs(np.sqrt(nn_d2) - pitch[:, None]) <= 0.2 * pitch[:, None]
+    assert np.array_equal(~near.any(axis=1), lone) and 0.4 * m <= lone.sum() <= 0.6 * m
+    expected = _two_branch_lattice_angle(cu, cw, nn_idx, nn_d2, pitch)
+    got = qr3d._lattice_angle(cu, cw, nn_idx, nn_d2, pitch)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 def _covering_radius_deg(dirs, samples):
