@@ -330,12 +330,18 @@ def write_stl_binary(mesh: TriMesh) -> bytes:
     """
     rec = np.zeros(len(mesh.triangles), dtype=_STL_RECORD)
     rec["v"] = mesh.vertices.astype(np.float32)[mesh.triangles]
-    v = rec["v"]
+    rec["n"] = _unit_normals(rec["v"])
+    return b"".join((mesh.header, struct.pack("<I", len(rec)), rec))
+
+
+def _unit_normals(v: np.ndarray) -> np.ndarray:
+    """float64 right-hand-rule unit normals of the (T, 3, 3) corners ``v``,
+    the zero vector for a degenerate triangle. Its float64 temporaries are
+    freed on return, before the STL bytes are joined."""
     normals = np.cross((v[:, 1] - v[:, 0]).astype(np.float64),
                        (v[:, 2] - v[:, 0]).astype(np.float64))
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    rec["n"] = np.divide(normals, norms, out=np.zeros_like(normals), where=norms > 0)
-    return b"".join((mesh.header, struct.pack("<I", len(rec)), rec))
+    return np.divide(normals, norms, out=np.zeros_like(normals), where=norms > 0)
 
 
 # --- XYZ point clouds ---------------------------------------------------------

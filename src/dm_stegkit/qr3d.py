@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import recon
 from .errors import BadLine, DegenerateProjection, NonFiniteCoordinate, TooFewSpheres
 from .meshcore import TriMesh, _first_occurrence_ids, _is_ascii_digits, parse_decimal, \
     parse_xyz, write_xyz
@@ -303,95 +304,15 @@ def project_to_grid(cloud: SphereCloud | np.ndarray, v, pitch: float) -> BitGrid
     return BitGrid(bits)
 
 
-def _score_directions(points: np.ndarray, dirs: np.ndarray,
-                      dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice score and pitch of each direction row; ``dtype`` picks the scorer.
-
-    float32 (``_score_coarse``, the coarse scan) only ranks directions. It
-    picks its own patch of at most 64 centers and finds neighbours from each
-    3-D pair difference d, formed in float64, as |d|^2 - (d.v)^2: one K=3
-    product per batch, and no dependence on where the cloud sits (expanding
-    |p_i - p_j|^2 in float32 loses the neighbours of a cloud far from the
-    origin), and reads the pitch from adjacent pairs. float64
-    (``_score_frames``, refine and polish, whose values are the outputs)
-    keeps the gram form and the median nearest-neighbour pitch; both project
-    with ``_project``, as ``project_to_grid`` does, then fit the lattice
-    (``_fit_lattice``) and return float64 arrays.
-    """
-    if np.dtype(dtype) == np.float32:
-        return _score_coarse(points, dirs)
-    return _score_frames(points, dirs)[:2]
-
-
-def _score_coarse(points: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float32 lattice score and pitch of each direction row, on at most
-    ``_COARSE_SUBSAMPLE`` centers (beyond that, the patch nearest the
-    centroid, chosen here), in batches whose (M, N, N) block holds at most
-    ``_COARSE_BATCH_PAIRS`` entries, or one row where a row exceeds it. A
-    row's score does not depend on its batch.
-    """
-    if len(points) > _COARSE_SUBSAMPLE:
-        # one coherent patch, the centers nearest the centroid: modules keep
-        # their lattice neighbours, so adjacent pairs still give the pitch
-        # (a scattered subset has almost no adjacent modules)
-        d2 = ((points - points.mean(axis=0)) ** 2).sum(axis=1)
-        points = points[np.sort(np.argsort(d2, kind="stable")[:_COARSE_SUBSAMPLE])]
-    # centred, so the float32 ulp is set by the cloud's size, not by its
-    # distance from the origin (1.0 at 10^7 against a pitch of 2)
-    centred = points - points.mean(axis=0)
-    pts = centred.astype(np.float32)
-    diffs = _pair_differences(points)
-    central = np.argsort((centred ** 2).sum(axis=1), kind="stable")[:_PITCH_ROWS]
-    extent = max(np.ptp(pts, axis=0).max(), 1.0)
-
-    m, n = len(dirs), len(points)
-    rows = max(1, _COARSE_BATCH_PAIRS // (n * n))
-    block = np.empty(min(rows, m) * n * n, np.float32)
-    score, pitch = np.empty(m), np.empty(m)
-    for lo in range(0, m, rows):
-        batch = dirs[lo:lo + rows]
-        d2 = _pair_block(batch, diffs, block[:len(batch) * n * n].reshape(-1, n, n))
-        nn_idx, nn_d2 = _nearest_neighbours(d2)
-        part = np.sqrt(np.maximum(_adjacent_pitch_sq(d2, nn_d2, central), 0.0))
-        cu, cw = _project(pts, batch)
-        score[lo:lo + rows] = _fit_lattice(cu, cw, nn_idx, nn_d2, part, extent)[0]
-        pitch[lo:lo + rows] = part
-    return score, pitch
-
-
 def _project(pts: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, N) coordinates (cu, cw) of ``pts`` on each row's (u, w), in their
-    precision, as broadcast multiply-adds: each row's bits are its own."""
+    """(M, N) coordinates (cu, cw) of ``pts`` on each row's (u, w), as
+    broadcast multiply-adds: each row's bits are its own."""
     x, y, z = np.ascontiguousarray(pts.T)
-    axes = np.concatenate(_basis_many(dirs)).astype(pts.dtype)     # u rows, then w rows
+    axes = np.concatenate(_basis_many(dirs))        # u rows, then w rows
     uw = axes[:, 0, None] * x
     uw += axes[:, 1, None] * y
     uw += axes[:, 2, None] * z
     return uw[:len(dirs)], uw[len(dirs):]
-
-
-def _pair_differences(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 3-D pair differences d = p_i - p_j, formed in float64 and cast to
-    float32, as a (3, N^2) array, and |d|^2, with +inf where i == j."""
-    p = np.asarray(points, dtype=np.float64)
-    diff = (p[:, None, :] - p[None, :, :]).reshape(-1, 3).astype(np.float32)
-    diff_sq = (diff * diff).sum(axis=1)
-    diff_sq[::len(p) + 1] = np.inf
-    return np.ascontiguousarray(diff.T), diff_sq
-
-
-def _pair_block(dirs: np.ndarray, diffs: tuple[np.ndarray, np.ndarray],
-                block: np.ndarray) -> np.ndarray:
-    """The (M, N, N) float32 ``block`` filled with the squared projected
-    distances |d|^2 - (d.v)^2 of ``diffs``, the ``_pair_differences`` of
-    the points, along each direction row v (+inf where i == j)."""
-    diff_t, diff_sq = diffs
-    # einsum without ``optimize`` calls no BLAS: a row's bits are its own
-    d2 = np.einsum("mk,kp->mp", np.asarray(dirs, np.float32), diff_t,
-                   out=block.reshape(-1, len(diff_sq)))
-    d2 *= d2
-    np.subtract(diff_sq, d2, out=d2)
-    return block
 
 
 def _nearest_neighbours(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,39 +320,6 @@ def _nearest_neighbours(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nearest other center in the (M, N, N) block ``d2`` (+inf where i == j)."""
     nn_idx = np.argmin(d2, axis=2)
     return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0]
-
-
-# the coarse pitch reads the pairs of the centers nearest the centroid whose
-# distance lies within 0.7-1.3 times the median nearest-neighbour distance:
-# adjacent modules, not the sqrt(2)-pitch diagonals
-_PITCH_ROWS = 8
-_ADJACENT_BAND = (0.49, 1.69)
-
-
-def _adjacent_pitch_sq(d2: np.ndarray, nn_d2: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared lattice pitch per direction row: the mean squared distance of
-    the adjacent pairs, those in the ``rows`` of the (M, N, N) block ``d2``
-    within ``_ADJACENT_BAND`` times the median nearest-neighbour squared
-    distance (that median where a row has no such pair).
-
-    Off the true direction, depth blur scatters each center's neighbours
-    about the pitch, so the nearest of them reads low while all of them
-    average to it: 1.943 and 1.991 for a pitch of 2.0, 1.25 degrees off
-    along a lattice diagonal. Each row of the block is read through a view,
-    so the band costs a few (M, N) temporaries, and the +inf diagonal is
-    masked, not multiplied.
-    """
-    med = np.median(nn_d2, axis=1)
-    lo, hi = (f * med[:, None] for f in _ADJACENT_BAND)
-    total = np.zeros_like(med)
-    count = np.zeros_like(med)
-    for i in rows.tolist():
-        row = d2[:, i, :]
-        band = row >= lo
-        band &= row <= hi
-        total += row.sum(axis=1, where=band)
-        count += band.sum(axis=1)
-    return np.divide(total, count, out=med, where=count > 0)
 
 
 def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
@@ -517,7 +405,7 @@ def lattice_score(cloud: SphereCloud | np.ndarray, v) -> tuple[float, float]:
     centers = _centers(cloud)
     if len(centers) < 2:
         raise ValueError("lattice_score needs at least 2 centers")
-    score, pitch = _score_directions(centers, unit_vector(v)[None, :])
+    score, pitch = _score_frames(centers, unit_vector(v)[None, :])[:2]
     return float(score[0]), float(pitch[0])
 
 
@@ -563,29 +451,23 @@ def _canonical_direction(v: np.ndarray) -> np.ndarray:
     return _canonical_rows(v[None, :])[0]
 
 
-def _top_directions(scores: np.ndarray, dirs: np.ndarray, k: int) -> list[int]:
-    """Indices of the k smallest (score, canonical direction) keys, in order.
-
-    Equal keys keep index order, as a stable sort on the same keys would.
-    """
-    canon = _canonical_rows(dirs)
-    order = np.lexsort((canon[:, 2], canon[:, 1], canon[:, 0], scores))
-    return order[:k].tolist()
-
-
 def _sph_dir(theta_deg: float, phi_deg: float) -> np.ndarray:
     t = math.radians(theta_deg)
     p = math.radians(phi_deg)
     return np.array([math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t)])
 
 
-def _ring_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
+def _angles(v: np.ndarray) -> tuple[float, float]:
+    """(theta, phi) in degrees of the unit v, as ``_sph_dir`` takes them."""
+    return math.degrees(math.acos(min(1.0, max(-1.0, float(v[2]))))), \
+        math.degrees(math.atan2(float(v[1]), float(v[0])))
+
+
+def _ring_grid(step: float) -> np.ndarray:
     """The pole, then rings theta = step, 2 step, ... <= 90 of k = ceil(360
     sin(theta) / step) rows ``_sph_dir(theta, 360 j / k)``, bit for bit, so
-    ring neighbours are at most ``step`` apart (5268 rows at 2 degrees); and
-    each row's refine start: theta, and phi snapped to a multiple of step / 2,
-    so the pattern rings of all starts share one lattice and the refine memo.
-    A step whose grid would hold more than ``MAX_RING_ROWS`` rows raises
+    ring neighbours are at most ``step`` apart (5268 rows at 2 degrees). A
+    step whose grid would hold more than ``MAX_RING_ROWS`` rows raises
     ValueError before any row is formed.
     """
     counts, total = [], 0
@@ -606,36 +488,133 @@ def _ring_grid(step: float) -> tuple[np.ndarray, np.ndarray]:
     phi = np.concatenate([360.0 * np.arange(k) / k for k in counts])
     sp, cp = (np.fromiter(map(f, map(math.radians, phi)), float, len(phi))
               for f in (math.sin, math.cos))
-    starts = np.column_stack([thetas[ring], np.rint(phi / (step / 2)) * (step / 2)])
-    return np.column_stack([st[ring] * cp, st[ring] * sp, ct[ring]]), starts
+    return np.column_stack([st[ring] * cp, st[ring] * sp, ct[ring]])
 
 
-_COARSE_SUBSAMPLE = 64
-# direction x center-pair entries in the float32 pairwise block of one coarse
-# batch: at 64 centers a block holds 512 directions (8 MB). The adjacent-pair
-# pitch reads the block through views instead of copying rows, so the block
-# and a few (M, N) temporaries are all a batch holds
-_COARSE_BATCH_PAIRS = 1 << 21
+# direction rows x max(bins, centers) entries in one batch of the spectral
+# pass: each array a batch forms holds about 1 MB or less
+_SPECTRUM_BATCH = 1 << 17
+
+
+def _spectral_scale(centred: np.ndarray) -> tuple[float, int, int]:
+    """(r, bins, kmin) of the spectral pass over the ``centred`` points.
+
+    r is the cloud's radius and d_min the least distance between two
+    centers. The histograms span [-r, r] in the next power of two of at
+    least 64 and 16 r / d_min bins, and keep the frequencies k >= kmin =
+    ceil(2r / (1.05 d_min)): no two modules lie closer than the pitch, so
+    lattice rows are at most about d_min apart, while the depth jitter
+    alone gives broad low-frequency peaks. Coincident centers, and a cloud
+    wider than 2 ``MAX_GRID_SIDE`` times d_min (which caps the bins at
+    2^16), raise DegenerateProjection.
+    """
+    r = math.sqrt(float((centred ** 2).sum(axis=1).max()))
+    d_min = math.sqrt(float(recon._brute_nearest_d2(centred, np.arange(len(centred))).min()))
+    if d_min == 0:
+        raise DegenerateProjection("coincident sphere centers: no lattice to search")
+    if r > MAX_GRID_SIDE * d_min:
+        raise DegenerateProjection(f"cloud diameter {2 * r:.4g} is above {2 * MAX_GRID_SIDE} "
+                                   f"times the least center distance {d_min:.4g}")
+    bins = 1 << max(6, (math.ceil(16 * r / d_min) - 1).bit_length())
+    return r, bins, math.ceil(2 * r / (1.05 * d_min))
+
+
+def _spectral_peaks(centred: np.ndarray, dirs: np.ndarray,
+                    scale: tuple[float, int, int]) -> np.ndarray:
+    """Lattice-row periodicity of each direction row t: the largest |F_k| / N,
+    k >= kmin, of the FFT of the histogram of t.p over the ``centred``
+    points, binned as ``_spectral_scale`` gives. A t normal to one family
+    of lattice rows and to v projects every center onto its row whatever
+    its depth, so t.p is periodic there and only there. Rows are projected
+    with ``_project``'s multiply-adds in batches of at most
+    ``_SPECTRUM_BATCH`` entries; a row's peak does not depend on its batch.
+    """
+    r, bins, kmin = scale
+    n = len(centred)
+    x, y, z = np.ascontiguousarray(centred.T)
+    rows = max(1, _SPECTRUM_BATCH // max(bins, n))
+    peaks = np.empty(len(dirs))
+    for lo in range(0, len(dirs), rows):
+        t = dirs[lo:lo + rows]
+        proj = t[:, 0, None] * x
+        proj += t[:, 1, None] * y
+        proj += t[:, 2, None] * z
+        proj += r
+        proj *= bins / (2 * r)
+        idx = np.minimum(proj.astype(np.int64), bins - 1)
+        idx += bins * np.arange(len(t))[:, None]
+        hist = np.bincount(idx.ravel(), minlength=len(t) * bins).reshape(len(t), bins)
+        peaks[lo:lo + len(t)] = np.abs(np.fft.rfft(hist, axis=1)[:, kmin:]).max(axis=1)
+    return peaks / n
+
+
+def _least_variance_axis(centred: np.ndarray) -> np.ndarray:
+    """Unit normal of the least-squares plane of the ``centred`` points: the
+    eigenvector of the least eigenvalue of their 3x3 scatter, which einsum
+    sums without BLAS."""
+    return np.linalg.eigh(np.einsum("ni,nj->ij", centred, centred))[1][:, 0]
+
+
+def _rank(memo: dict, dirs: list[np.ndarray], rank) -> list[bytes]:
+    """The memo keys (direction bytes) of ``dirs``. The directions ``memo``
+    lacks are ranked in one batch by ``rank``, which gives one (value,
+    payload) per row, and kept as ((value, canonical direction), payload,
+    direction): each direction is ranked once, and ties break on the
+    canonical direction, whatever the order of evaluation."""
+    keys = [d.tobytes() for d in dirs]
+    todo = {key: d for key, d in zip(keys, dirs) if key not in memo}
+    if todo:
+        batch = np.array(list(todo.values()))
+        for (key, d), canon, (value, payload) in zip(todo.items(), _canonical_rows(batch),
+                                                     rank(batch)):
+            memo[key] = ((value, tuple(canon)), payload, d)
+    return keys
+
+
+def _pattern_walk(cur: tuple[float, float], step: float, stop: float, rank,
+                  memo: dict) -> tuple[tuple[float, float], int]:
+    """3x3 (theta, phi) pattern search from ``cur`` degrees for the least
+    ``_rank`` key: walk the ring at this step until its centre is the
+    least, then halve the step, until a ring below ``stop`` is walked.
+    Returns the last centre and the pattern points visited."""
+    visited = 0
+    while True:
+        for _ in range(16):
+            angles = [(cur[0] + dt * step, cur[1] + dp * step)
+                      for dt in (-1, 0, 1) for dp in (-1, 0, 1)]
+            keys = _rank(memo, [_sph_dir(t, p) for t, p in angles], rank)
+            visited += len(keys)
+            best = min(range(len(keys)), key=lambda k: memo[keys[k]][0])
+            moved = angles[best] != cur
+            cur = angles[best]
+            if not moved:
+                break
+        if step < stop:
+            return cur, visited
+        step /= 2.0
 
 
 def search_direction(cloud: SphereCloud | np.ndarray,
                      coarse_step_deg: float = 2.0,
                      refine_to_deg: float = 0.05) -> DirectionSearchResult:
-    """Find the viewing direction by hemisphere scan plus local refinement.
+    """Find the viewing direction from lattice-plane periodicity, then refine.
 
-    Coarse latitude rings are scored in cache-sized batches, with the same
-    scores in any batch (the coarse scorer scores clouds beyond 64 centers on
-    the 64 nearest their centroid, with the pitch from adjacent pairs), the 5
-    best descend 3x3 step-halving pattern grids from lattice-snapped starts
-    until the step drops below ``refine_to_deg``, and the least of the refine
-    memo gets a regression polish before its projection (``_project``, as
-    the scores) is returned. Each refine direction is scored once per search;
-    ``candidates_evaluated`` still counts every pattern point visited. Ties
-    break on the canonicalized direction, so results do not depend on
-    evaluation order. The coarse scan scores in float32, refine and polish in
-    float64 (see ``_score_directions``). Pitch estimation relies on adjacent
-    occupied modules, so matrices missing much more than half their modules
-    may defeat it.
+    The spectral start is the indexing step of DPS (Steller, Bolotovsky &
+    Rossmann, J. Appl. Cryst. 30 (1997) 1036): every row t of the coarse
+    ring grid gets its ``_spectral_peaks`` value, in O(N) per row on all
+    centers; t1 is the strongest row and t2 the strongest at least 20
+    degrees from it, and each climbs a ``_pattern_walk`` from half the
+    coarse step to below 1/64 of it. The start is whichever of t1 x t2 and
+    the ``_least_variance_axis`` (the one candidate when the grid has no t2)
+    ``_score_frames`` ranks lower. One float64 walk from the start, at a
+    quarter of the coarse step halved until below ``refine_to_deg``, scores
+    each direction once in a memo, and the least of the memo gets a
+    regression polish before its projection (``_project``, as the scores)
+    is returned. ``candidates_evaluated`` counts the grid rows, every
+    pattern point visited, the start candidates and the polish. Ties break
+    on the canonicalized direction, so results do not depend on evaluation
+    order. Pitch estimation relies on adjacent occupied modules, so
+    matrices missing much more than half their modules may defeat it.
     """
     for name, value in (("coarse_step_deg", coarse_step_deg), ("refine_to_deg", refine_to_deg)):
         if not 0 < value < math.inf:
@@ -644,56 +623,51 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     if len(centers) < 4:
         raise TooFewSpheres(f"need at least 4 centers, got {len(centers)}")
 
-    dirs, starts = _ring_grid(coarse_step_deg)
+    dirs = _ring_grid(coarse_step_deg)
+    centred = centers - centers.mean(axis=0)
+    scale = _spectral_scale(centred)
+    peaks = _spectral_peaks(centred, dirs, scale)
     evaluated = len(dirs)
-    scores = _score_directions(centers, dirs, np.float32)[0]
-    top = _top_directions(scores, dirs, 5)
 
-    # direction bytes -> ((score, canonical direction), pitch, direction), in
-    # any batch; every entry lies on a visited ring, so the least is the best
-    memo: dict[bytes, tuple[tuple, float, np.ndarray]] = {}
+    def peak(batch):
+        return ((-p, None) for p in _spectral_peaks(centred, batch, scale))
 
-    def ring_keys(gdirs: list[np.ndarray]) -> list[bytes]:
-        keys = [d.tobytes() for d in gdirs]
-        todo = {key: d for key, d in zip(keys, gdirs) if key not in memo}
-        if todo:
-            batch = np.array(list(todo.values()))
-            gscores, gpitches = _score_directions(centers, batch)
-            canon = _canonical_rows(batch)
-            for k, (key, d) in enumerate(todo.items()):
-                memo[key] = ((gscores[k], tuple(canon[k])), float(gpitches[k]), d)
-        return keys
+    def lattice(batch):
+        return zip(*_score_frames(centers, batch)[:2])
 
-    for i in top:
-        step = coarse_step_deg / 2.0
-        cur = tuple(starts[i].tolist())
-        while True:
-            # pattern search: walk the 3x3 ring at this step until the
-            # center is the local argmin, then halve the step
-            for _ in range(16):
-                grid_angles = [(cur[0] + dt * step, cur[1] + dp * step)
-                               for dt in (-1, 0, 1) for dp in (-1, 0, 1)]
-                gdirs = [_sph_dir(t, p) for t, p in grid_angles]
-                keys = ring_keys(gdirs)
-                evaluated += len(gdirs)
-                kbest = min(range(len(gdirs)), key=lambda k: memo[keys[k]][0])
-                moved = grid_angles[kbest] != cur
-                cur = grid_angles[kbest]
-                if not moved:
-                    break
-            if step < refine_to_deg:
-                break
-            step /= 2.0
+    # direction bytes -> ((value, canonical direction), payload, direction),
+    # one memo for the peak walks and one for the refine
+    normals: dict[bytes, tuple] = {}
+    memo: dict[bytes, tuple] = {}
+    starts = [_least_variance_axis(centred)]
+    first = int(np.argmax(peaks))
+    apart = np.abs((dirs * dirs[first]).sum(axis=1)) < math.cos(math.radians(20.0))
+    if apart.any():
+        second = int(np.argmax(np.where(apart, peaks, -np.inf)))
+        ts = []
+        for row in (first, second):
+            end, visited = _pattern_walk(_angles(dirs[row]), coarse_step_deg / 2.0,
+                                         coarse_step_deg / 64.0, peak, normals)
+            evaluated += visited
+            ts.append(_sph_dir(*end))
+        starts.insert(0, unit_vector(np.cross(*ts)))
+
+    keys = _rank(memo, starts, lattice)
+    evaluated += len(keys)
+    start = memo[min(keys, key=lambda key: memo[key][0])][2]
+    evaluated += _pattern_walk(_angles(start), coarse_step_deg / 4.0, refine_to_deg,
+                               lattice, memo)[1]
 
     best_key, best_pitch, best_dir = min(memo.values(), key=lambda entry: entry[0])
     polished = _polish_direction(centers, unit_vector(best_dir))
-    pscore, ppitch = _score_directions(centers, polished[None, :])
+    pscore, ppitch = _score_frames(centers, polished[None, :])[:2]
     evaluated += 1
     pkey = (float(pscore[0]), tuple(_canonical_direction(polished)))
     if pkey < best_key:
-        best_key, best_pitch, best_dir = pkey, float(ppitch[0]), polished
+        best_key, best_pitch, best_dir = pkey, ppitch[0], polished
 
     direction = _canonical_direction(unit_vector(best_dir))
+    best_pitch = float(best_pitch)
     grid = project_to_grid(centers, direction, best_pitch)
     return DirectionSearchResult(
         direction=direction,
