@@ -118,7 +118,8 @@ def _cmd_header_embed(run: _Run, args) -> dict:
     else:
         data = meshcore.write_stl_binary(meshcore.parse_stl(data))
     header = stego.stl_header_frame(message)
-    _write_bytes(args.output, header + data[len(header):])
+    # one copy of the cover: the header joined to a view of the rest
+    _write_bytes(args.output, header + memoryview(data)[len(header):])
     return {"output": args.output, "message_bytes": len(message),
             "header_hex": header.hex()}
 

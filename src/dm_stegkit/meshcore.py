@@ -25,6 +25,9 @@ from .errors import (
 _STL_HEADER_LEN = 80
 _STL_RECORD = np.dtype([("n", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
 _STL_RECORD_LEN = _STL_RECORD.itemsize
+# triangles whose records ``write_stl_binary`` fills at once: each float64
+# (T, 3) array of its normals holds about 100 KB
+_STL_WRITE_CHUNK = 1 << 12
 
 
 def _is_ascii_digits(text: str) -> bool:
@@ -321,23 +324,31 @@ def _first_occurrence_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # --- STL writing --------------------------------------------------------------
 
-def write_stl_binary(mesh: TriMesh) -> bytes:
-    """Serialize to binary STL: 80-byte header, u32 count, 50-byte records.
+def write_stl_binary(mesh: TriMesh) -> bytearray:
+    """Serialize to binary STL: 80-byte header, u32 count, 50-byte records,
+    in one ``bytearray`` (equal to the same ``bytes``), returned uncopied.
 
-    Corners are cast to float32 once, into the record array; facet normals
-    are recomputed from them by the right-hand rule (zero vector for
+    Corners are cast to float32 once; the records are filled in place
+    ``_STL_WRITE_CHUNK`` triangles at a time, with facet normals recomputed
+    from the float32 corners by the right-hand rule (zero vector for
     degenerate triangles); attribute bytes are zero.
     """
-    rec = np.zeros(len(mesh.triangles), dtype=_STL_RECORD)
-    rec["v"] = mesh.vertices.astype(np.float32)[mesh.triangles]
-    rec["n"] = _unit_normals(rec["v"])
-    return b"".join((mesh.header, struct.pack("<I", len(rec)), rec))
+    tris = mesh.triangles
+    out = bytearray(_STL_HEADER_LEN + 4 + _STL_RECORD_LEN * len(tris))
+    out[:_STL_HEADER_LEN] = mesh.header
+    struct.pack_into("<I", out, _STL_HEADER_LEN, len(tris))
+    rec = np.frombuffer(out, dtype=_STL_RECORD, offset=_STL_HEADER_LEN + 4)
+    corners = mesh.vertices.astype(np.float32)
+    for lo in range(0, len(tris), _STL_WRITE_CHUNK):
+        chunk = rec[lo:lo + _STL_WRITE_CHUNK]
+        chunk["v"] = corners[tris[lo:lo + _STL_WRITE_CHUNK]]
+        chunk["n"] = _unit_normals(chunk["v"])
+    return out
 
 
 def _unit_normals(v: np.ndarray) -> np.ndarray:
     """float64 right-hand-rule unit normals of the (T, 3, 3) corners ``v``,
-    the zero vector for a degenerate triangle. Its float64 temporaries are
-    freed on return, before the STL bytes are joined."""
+    the zero vector for a degenerate triangle."""
     normals = np.cross((v[:, 1] - v[:, 0]).astype(np.float64),
                        (v[:, 2] - v[:, 0]).astype(np.float64))
     norms = np.linalg.norm(normals, axis=1, keepdims=True)

@@ -315,13 +315,6 @@ def _project(pts: np.ndarray, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return uw[:len(dirs)], uw[len(dirs):]
 
 
-def _nearest_neighbours(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and squared distance, (M, N) each, of each projected center's
-    nearest other center in the (M, N, N) block ``d2`` (+inf where i == j)."""
-    nn_idx = np.argmin(d2, axis=2)
-    return nn_idx, np.take_along_axis(d2, nn_idx[:, :, None], axis=2)[:, :, 0]
-
-
 def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
                    nn_d2: np.ndarray, pitch: np.ndarray) -> np.ndarray:
     """In-plane lattice angle per direction row, in radians within pi/4
@@ -336,7 +329,7 @@ def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
     # fold to 0 mod 90 exactly, while sqrt(2)/sqrt(5)-length pairs between
     # isolated modules would bias the circular mean; a row with no such pair
     # takes all of its pairs
-    nn_d = np.sqrt(np.maximum(nn_d2, 0.0))
+    nn_d = np.sqrt(nn_d2)
     near = np.abs(nn_d - pitch[:, None]) <= 0.2 * pitch[:, None]
     near |= ~near.any(axis=1, keepdims=True)
     cos_sum = np.where(near, np.cos(ang4), 0.0).sum(axis=1)
@@ -381,21 +374,13 @@ def _fit_lattice(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray, nn_d2: np.n
 
 
 def _score_frames(points: np.ndarray, dirs: np.ndarray):
-    """float64 ``_fit_lattice`` of each direction row: neighbours from the gram
-    block of the projected points, and the pitch their median distance."""
+    """float64 ``_fit_lattice`` of each direction row: each projected center's
+    nearest neighbour from one ``recon._nearest_neighbours`` search of all
+    rows, in O(M N) memory, and the pitch their median distance."""
     pts = np.asarray(points, dtype=np.float64)
     cu, cw = _project(pts, dirs)
-    # |p_i - p_j|^2 per direction via one batched gram matmul
-    proj = np.stack([cu, cw], axis=2)                    # (M, N, 2)
-    d2 = proj @ proj.transpose(0, 2, 1)
-    sq = (proj ** 2).sum(axis=2)
-    d2 *= -2.0
-    d2 += sq[:, :, None]
-    d2 += sq[:, None, :]
-    idx = np.arange(len(pts))
-    d2[:, idx, idx] = np.inf
-    nn_idx, nn_d2 = _nearest_neighbours(d2)
-    pitch = np.sqrt(np.maximum(np.median(nn_d2, axis=1), 0.0))
+    nn_idx, nn_d2 = recon._nearest_neighbours(np.stack([cu, cw], axis=2))
+    pitch = np.sqrt(np.median(nn_d2, axis=1))
     extent = max(np.ptp(pts, axis=0).max(), 1.0)
     return _fit_lattice(cu, cw, nn_idx, nn_d2, pitch, extent)
 
@@ -509,7 +494,7 @@ def _spectral_scale(centred: np.ndarray) -> tuple[float, int, int]:
     2^16), raise DegenerateProjection.
     """
     r = math.sqrt(float((centred ** 2).sum(axis=1).max()))
-    d_min = math.sqrt(float(recon._brute_nearest_d2(centred, np.arange(len(centred))).min()))
+    d_min = math.sqrt(float(recon._nearest_neighbours(centred[None])[1].min()))
     if d_min == 0:
         raise DegenerateProjection("coincident sphere centers: no lattice to search")
     if r > MAX_GRID_SIDE * d_min:

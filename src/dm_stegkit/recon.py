@@ -103,82 +103,105 @@ def group_layers(cloud: PointCloud, z_tol: float | None = None) -> LayerStack:
     return LayerStack(layers, mean_sp, median_sp)
 
 
-# Pairs of points compared per vectorized block: keeps the pairwise working
-# set of the nearest-neighbour search to a few hundred KB at any layer size.
-_PAIR_BLOCK = 1 << 12
+# Pairs of points compared per vectorized block: the nearest-neighbour
+# search's pairwise working set stays near 1 MB, and a small call is one block.
+_PAIR_BLOCK = 1 << 15
 
 
-def _grid_cells(pts: np.ndarray, side: float) -> np.ndarray:
-    """(n, 2) integer cells of a grid of the given side anchored at the
-    lower-left corner of the points' bounding box."""
-    return np.floor((pts - pts.min(axis=0)) / side).astype(np.int64)
+def _brute_nearest(coords: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance of the nearest other point in its row (the
+    lowest index on ties) of each point ``far`` numbers in the (D, M, N)
+    coordinates ``coords``, comparing every pair, in blocks of bounded size."""
+    n = coords.shape[2]
+    idx = np.empty(len(far), dtype=np.int64)
+    out = np.empty(len(far))
+    step = max(1, _PAIR_BLOCK // n)
+    for s in range(0, len(far), step):
+        row, col = np.divmod(far[s:s + step], n)
+        # the terms of ((p_i - p_j) ** 2).sum(-1) in its order
+        d2 = (coords[0, row, col, None] - coords[0, row]) ** 2
+        for c in coords[1:]:
+            d2 += (c[row, col, None] - c[row]) ** 2
+        d2[np.arange(len(col)), col] = np.inf
+        idx[s:s + step] = np.argmin(d2, axis=1)
+        out[s:s + step] = d2[np.arange(len(col)), idx[s:s + step]]
+    return idx, out
 
 
-def _brute_nearest_d2(pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared distance from each of ``rows`` to its nearest other point,
-    comparing every pair, in row blocks of bounded size."""
-    out = np.empty(len(rows))
-    step = max(1, _PAIR_BLOCK // len(pts))
-    for s in range(0, len(rows), step):
-        block = rows[s:s + step]
-        d2 = ((pts[block, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(len(block)), block] = np.inf
-        out[s:s + step] = d2.min(axis=1)
-    return out
+def _nearest_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance, (M, N) each, of the nearest other point
+    of each point in each row of the (M, N, D) float64 stack ``pts``. Ties
+    go to the lowest index, as ``np.argmin`` gives them, and each distance
+    has the bits of ``((p_i - p_j) ** 2).sum(-1)``.
 
-
-def _nearest_d2(pts: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to its nearest other point.
-
-    Points are bucketed into a grid of about one point per cell (Bentley,
-    Stanat & Williams' fixed-radius search) and each point's nearest
-    neighbour is sought in its 3x3 block of cells. That block holds every
-    point within one cell side, so a nearest candidate at most one side
-    away is exact; only the points whose nearest candidate lies farther are
-    compared with all points. Working memory is O(n).
+    Each row is bucketed into its own grid of about one point per cell
+    (Bentley, Stanat & Williams' fixed-radius search, Inf. Proc. Letters 6
+    (1977) 209-212), and each point's nearest neighbour is sought in its 3^D
+    block of cells. That block holds every point within one cell side, so a
+    nearest candidate at most one side away is exact; only the points whose
+    nearest candidate lies farther are compared with every point of their
+    row. One stable argsort orders the cells of all rows, and pairs are
+    compared in blocks of about ``_PAIR_BLOCK``: working memory is O(M N 3^D).
     """
-    n = len(pts)
-    extent = np.ptp(pts, axis=0)
-    # about one point per cell, and at most n + 1 cells along either axis
-    side = max(math.sqrt(extent[0] * extent[1] / n), extent.max() / n)
-    best = np.full(n, np.inf)
-    if side > 0:
-        cells = _grid_cells(pts, side) + 1      # neighbour offsets stay >= 0
-        ncols = int(cells[:, 1].max()) + 2
-        key = cells[:, 0] * ncols + cells[:, 1]
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        offsets = (np.arange(-1, 2)[:, None] * ncols + np.arange(-1, 2)).ravel()
-        near = (key[:, None] + offsets).ravel()          # 9 cells per point
-        lo = np.searchsorted(sorted_key, near, side="left")
-        counts = np.searchsorted(sorted_key, near, side="right") - lo
-        # pairs of each point, from bounds[p] to bounds[p + 1]; >= 1 (itself)
-        bounds = np.concatenate([[0], np.cumsum(counts.reshape(n, 9).sum(axis=1))])
-        start = 0
-        while start < n:
-            # as many points as fit in one block of pairs, at least one
-            stop = max(start + 1, int(np.searchsorted(
-                bounds, bounds[start] + _PAIR_BLOCK, side="right")) - 1)
-            cnt = counts[9 * start:9 * stop]
-            head = np.cumsum(cnt) - cnt
-            pos = np.repeat(lo[9 * start:9 * stop] - head, cnt) + np.arange(cnt.sum())
-            i = np.repeat(np.arange(start, stop), np.diff(bounds[start:stop + 1]))
-            j = order[pos]
-            d2 = ((pts[i] - pts[j]) ** 2).sum(axis=1)
-            d2[i == j] = np.inf
-            best[start:stop] = np.minimum.reduceat(d2, bounds[start:stop] - bounds[start])
-            start = stop
+    m, n, dim = pts.shape
+    coords = np.ascontiguousarray(np.moveaxis(pts, 2, 0))      # (D, M, N)
+    flat = coords.reshape(dim, m * n)
+    lo = pts.min(axis=1)
+    # about one point per cell in the span of the k widest axes, for the k
+    # that gives the widest cell: at most n + 1 cells along any axis, O(n) in all
+    wide = np.cumprod(-np.sort(lo - pts.max(axis=1), axis=1), axis=1)
+    side = ((wide / n) ** (1.0 / np.arange(1, dim + 1))).max(axis=1)
+    cells = ((pts - lo[:, None]) / np.where(side > 0, side, 1.0)[:, None, None])
+    cells = cells.astype(np.int64) + 1          # floor; neighbour cells stay >= 0
+    dims = cells.max(axis=1) + 2
+    strides = np.ones((m, dim), dtype=np.int64)
+    for k in range(dim - 2, -1, -1):
+        strides[:, k] = strides[:, k + 1] * dims[:, k + 1]
+    size = strides[:, 0] * dims[:, 0]           # cells of each row's grid
+    key = np.einsum("mnd,md->mn", cells, strides) + (np.cumsum(size) - size)[:, None]
+    order = np.argsort(key, axis=None, kind="stable")
+    # the points of cell c are order[cell_first[c]:cell_first[c + 1]]
+    cell_first = np.concatenate([[0], np.cumsum(np.bincount(key.ravel(), minlength=size.sum()))])
+    shifts = np.indices((3,) * dim).reshape(dim, -1).T - 1
+    near = (key[:, :, None] + np.einsum("kd,md->mk", shifts, strides)[:, None, :]).ravel()
+    first = cell_first[near]
+    counts = cell_first[near + 1] - first
+    blk = len(shifts)
+    # pairs of each point, from bounds[p] to bounds[p + 1]; >= 1 (itself)
+    bounds = np.concatenate([[0], np.cumsum(counts.reshape(m * n, blk).sum(axis=1))])
+    idx = np.empty(m * n, dtype=np.int64)
+    best = np.empty(m * n)
+    start = 0
+    while start < m * n:
+        # as many points as fit in one block of pairs, at least one
+        stop = max(start + 1, int(np.searchsorted(
+            bounds, bounds[start] + _PAIR_BLOCK, side="right")) - 1)
+        cnt = counts[blk * start:blk * stop]
+        pos = np.repeat(first[blk * start:blk * stop] - (np.cumsum(cnt) - cnt), cnt)
+        pos += np.arange(len(pos))
+        seg = np.repeat(np.arange(stop - start), np.diff(bounds[start:stop + 1]))
+        i = seg + start
+        j = order[pos]
+        # the terms of ((p_i - p_j) ** 2).sum(-1) in its order
+        d2 = (flat[0, i] - flat[0, j]) ** 2
+        for c in flat[1:]:
+            d2 += (c[i] - c[j]) ** 2
+        d2[i == j] = np.inf
+        cuts = bounds[start:stop] - bounds[start]
+        best[start:stop] = low = np.minimum.reduceat(d2, cuts)
+        idx[start:stop] = np.minimum.reduceat(np.where(d2 == low[seg], j, m * n), cuts)
+        start = stop
+    idx -= np.repeat(n * np.arange(m), n)       # index within the row
     # a candidate within the block is nearest only if no cell outside the
     # block can be closer; the margin absorbs rounding in the cell index
-    far = np.nonzero(~(best <= (side * (1.0 - 1e-6)) ** 2))[0]
-    if len(far):
-        best[far] = _brute_nearest_d2(pts, far)
-    return best
+    far = np.nonzero(~(best <= np.repeat((side * (1.0 - 1e-6)) ** 2, n)))[0]
+    idx[far], best[far] = _brute_nearest(coords, far)
+    return idx.reshape(m, n), best.reshape(m, n)
 
 
 def _nearest_neighbor_median(pts: np.ndarray) -> float:
     """Median distance from each point to its nearest other point."""
-    return float(np.sqrt(np.median(_nearest_d2(pts))))
+    return float(np.sqrt(np.median(_nearest_neighbours(pts[None])[1][0])))
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
@@ -214,7 +237,7 @@ def _greedy_chain(pts: np.ndarray, start: int, jump_limit: float) -> list:
     # the margin absorbs rounding in the cell index; the extent term keeps
     # the grid at most ~2**20 cells wide however small the jumps are
     side = max(jump_limit * (1.0 + 1e-6), extent * 2.0 ** -20)
-    cells = _grid_cells(pts, side).tolist()
+    cells = np.floor((pts - pts.min(axis=0)) / side).astype(np.int64).tolist()
     buckets = {}
     for i, cell in enumerate(cells):
         buckets.setdefault(tuple(cell), []).append(i)

@@ -19,6 +19,7 @@ from dm_stegkit import (
     slice_mesh,
     write_stl_binary,
 )
+from dm_stegkit import meshcore
 from dm_stegkit.meshcore import SliceLoops, _binary_stl_corners, _dedup_vertices, \
     is_binary_stl, parse_integer, slice_levels, stl_header
 from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_vector
@@ -659,6 +660,29 @@ def test_binary_write_peak_memory_is_bounded():
         tracemalloc.stop()
     assert len(data) == 84 + 50 * 40000
     assert peak < 4.0 * len(data)               # the output counts once
+
+
+def test_binary_write_holds_the_output_and_one_chunk():
+    import tracemalloc
+
+    mesh = parse_stl(_torus_stl(200, 100))      # 40k triangles
+    tracemalloc.start()
+    try:
+        data = write_stl_binary(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the records are filled in place, a chunk of normals at a time
+    assert isinstance(data, bytearray)
+    assert peak <= 1.5 * len(data)
+
+
+def test_binary_write_does_not_depend_on_the_chunk(monkeypatch):
+    mesh = parse_stl(_torus_stl(40, 30))        # 2400 triangles
+    data = write_stl_binary(mesh)
+    for chunk in (1, 7, 2400, 1 << 20):
+        monkeypatch.setattr(meshcore, "_STL_WRITE_CHUNK", chunk)
+        assert write_stl_binary(mesh) == data
 
 
 @settings(max_examples=60, deadline=None)

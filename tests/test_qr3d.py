@@ -434,6 +434,21 @@ def test_search_recovers_hollow_code_seed_640462066():
     _assert_search_recovers(640462066, 50, _hollow)
 
 
+def test_search_peak_memory_is_bounded():
+    # each refine batch was scored on an (M, N, N) float64 gram block: one
+    # search of this n = 77 plain code peaked at 521 MB
+    v, cloud = _shaped_code(77, 77, lambda b: b)
+    assert len(cloud.centers) == 2744
+    tracemalloc.start()
+    try:
+        result = search_direction(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert angle_between_deg(result.direction, v) <= 0.1
+    assert peak <= 64 * 2 ** 20
+
+
 def _jittered_code(rng_seed, n, depth_jitter, seed):
     rng = np.random.default_rng(rng_seed)
     grid = random_code_grid(rng, n=n)

@@ -126,6 +126,11 @@ def test_outline_scattered_interior_falls_back_to_hull():
 
 
 
+def _nearest_d2(pts):
+    """The shared neighbour search on one row, distances only."""
+    return recon._nearest_neighbours(pts[None])[1][0]
+
+
 # Brute-force references: every pair of points is compared, O(n^2) memory.
 
 def _nearest_d2_reference(pts):
@@ -207,7 +212,7 @@ def test_outline_matches_brute_force_reference(kind, n, seed):
     pts = _layer_points(kind, n, seed)
     distinct = np.unique(pts, axis=0)
     assume(len(distinct) >= 3)
-    nearest = recon._nearest_d2(distinct)
+    nearest = _nearest_d2(distinct)
     assert nearest.tobytes() == _nearest_d2_reference(distinct).tobytes()
     assert recon._nearest_neighbor_median(distinct) == _nn_median_reference(distinct)
     ring, method, degenerate = _outline_reference(pts)
@@ -240,7 +245,7 @@ def test_nn_median_far_points_fall_back_exactly():
     cluster = np.vstack([rng.uniform(0, 1, size=(200, 2)),
                          [[500.0, 500.0], [500.0, 740.0], [-300.0, 90.0]]])
     for pts in (line, cluster):
-        assert recon._nearest_d2(pts).tobytes() == _nearest_d2_reference(pts).tobytes()
+        assert _nearest_d2(pts).tobytes() == _nearest_d2_reference(pts).tobytes()
 
 
 @pytest.mark.parametrize("kind", _KINDS)
@@ -250,7 +255,65 @@ def test_nn_median_exact_across_pair_blocks(kind, monkeypatch):
     pts = np.unique(_layer_points(kind, 500, 3), axis=0)
     pts = np.vstack([pts, np.full((60, 2), 0.25) + np.arange(60)[:, None] * 1e-3,
                      [[400.0, -300.0]]])
-    assert recon._nearest_d2(pts).tobytes() == _nearest_d2_reference(pts).tobytes()
+    assert _nearest_d2(pts).tobytes() == _nearest_d2_reference(pts).tobytes()
+
+
+def _neighbours_reference(stack):
+    d2 = ((stack[:, :, None, :] - stack[:, None, :, :]) ** 2).sum(axis=3)
+    i = np.arange(stack.shape[1])
+    d2[:, i, i] = np.inf
+    idx = np.argmin(d2, axis=2)
+    return idx, np.take_along_axis(d2, idx[:, :, None], axis=2)[:, :, 0]
+
+
+_ROW_KINDS = ["uniform", "lattice", "coincident", "collinear", "outlier"]
+
+
+def _row_points(kind, n, dim, rng):
+    if kind == "uniform":
+        return rng.uniform(-3, 3, size=(n, dim))
+    if kind == "lattice":                   # equal distances everywhere
+        return rng.integers(0, int(n ** (1.0 / dim)) + 2, size=(n, dim)).astype(np.float64)
+    if kind == "coincident":                # points that project onto each other
+        pool = rng.normal(size=(max(1, n // 3), dim))
+        return pool[rng.integers(0, len(pool), size=n)]
+    if kind == "collinear":
+        return rng.uniform(-5, 5, size=(n, 1)) * rng.normal(size=dim) + rng.normal(size=dim)
+    pts = rng.uniform(0, 1, size=(n, dim))  # one far outlier: it falls back
+    pts[rng.integers(n)] = 1e4 * rng.normal(size=dim)
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=4), st.integers(1, 300),
+       st.sampled_from([2, 3]), st.integers(0, 2 ** 31))
+@example(["lattice", "outlier", "coincident"], 300, 2, 0)
+@example(["collinear", "outlier"], 200, 3, 1)
+def test_nearest_neighbours_match_argmin_reference(kinds, n, dim, seed):
+    # index and distance bits of np.argmin over all pairs, lowest index on
+    # ties, in (M, N, 2) stacks as qr3d scores them and 3-D rows as its
+    # least center distance
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_row_points(kind, n, dim, rng) for kind in kinds])
+    idx, d2 = recon._nearest_neighbours(stack)
+    ref_idx, ref_d2 = _neighbours_reference(stack)
+    assert idx.tobytes() == ref_idx.tobytes()
+    assert d2.tobytes() == ref_d2.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("block", [40, recon._PAIR_BLOCK])
+def test_nearest_neighbours_of_a_row_do_not_depend_on_its_batch(dim, block, monkeypatch):
+    monkeypatch.setattr(recon, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(dim)
+    stack = np.stack([_row_points(kind, 250, dim, rng) for kind in _ROW_KINDS])
+    idx, d2 = recon._nearest_neighbours(stack)
+    rev_idx, rev_d2 = recon._nearest_neighbours(stack[::-1].copy())
+    for r in range(len(stack)):
+        alone_idx, alone_d2 = recon._nearest_neighbours(stack[r:r + 1])
+        for other_idx, other_d2 in ((alone_idx[0], alone_d2[0]), (rev_idx[-1 - r], rev_d2[-1 - r])):
+            assert other_idx.tobytes() == idx[r].tobytes()
+            assert other_d2.tobytes() == d2[r].tobytes()
 
 
 def test_outline_memory_is_linear_in_layer_size():
