@@ -172,10 +172,10 @@ def parse_stl(data: bytes) -> TriMesh:
         verts, tris = _dedup_vertices(corners.reshape(-1, 3))
         return TriMesh(verts, tris.reshape(-1, 3), data[:_STL_HEADER_LEN])
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError:
         text = None
-    if text is not None and text.lstrip().lower().startswith("solid"):
+    if text is not None and text.lstrip()[:5].lower() == "solid":
         return _parse_stl_ascii(text)
     count, _ = _binary_stl_records(data)
     if count is not None:
@@ -219,8 +219,9 @@ def _binary_stl_corners(data: bytes) -> np.ndarray | None:
     if records is None:
         return None
     corners = records["v"]  # stored normals ignored
-    if not np.all(np.isfinite(corners)):
-        raise NonFiniteCoordinate("binary STL contains non-finite vertex")
+    bad = ~np.isfinite(corners).all(axis=(1, 2))
+    if bad.any():
+        raise NonFiniteCoordinate(f"facet {bad.argmax()}: binary STL contains non-finite vertex")
     return corners
 
 
@@ -357,61 +358,50 @@ def _unit_normals(v: np.ndarray) -> np.ndarray:
 
 # --- XYZ point clouds ---------------------------------------------------------
 
-# an XYZ text in the plain grammar: lines split by "\n" or "\r\n", each blank,
-# a '#' comment or three tokens of the characters of ASCII decimals apart by
-# spaces, tabs and commas. Token and separator characters are disjoint, so a
-# line matches one way only.
-_XYZ_TOKEN = r"[-+.0-9eE]+"
-_XYZ_POINT = rf"[ \t,]*{_XYZ_TOKEN}[ \t,]+{_XYZ_TOKEN}[ \t,]+{_XYZ_TOKEN}[ \t,]*"
-_XYZ_LINE = re.compile(rf"(?:{_XYZ_POINT}|[ \t]*(?:#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?)\r?")
-_XYZ_LINES = re.compile(rf"(?:{_XYZ_LINE.pattern}\n)*")
-_XYZ_COMMENT = re.compile(r"^[ \t]*#.*", re.MULTILINE)
-
-
-def _bulk_xyz_points(text: str) -> np.ndarray | None:
-    """The (n, 3) points of a text whose every line is in the plain grammar,
-    or None if a line is not or a token is not a finite decimal."""
-    # a match, not a fullmatch, of the terminated lines: it stops at the
-    # first line that is not plain instead of retrying every shorter prefix
-    end = _XYZ_LINES.match(text).end()
-    if not _XYZ_LINE.fullmatch(text, end):
-        return None
-    body = _XYZ_COMMENT.sub("", text) if "#" in text else text
-    tokens = body.replace(",", " ").split()
-    try:
-        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
-    except ValueError:      # decimal characters that are not a decimal
-        return None
-    return values.reshape(-1, 3) if np.isfinite(values).all() else None
-
-
 def parse_xyz(text: str) -> PointCloud:
     """Parse whitespace/comma separated x y z lines; '#' starts a comment.
 
-    A text that is entirely in the plain grammar is checked by regex and its
-    tokens converted in bulk. Any other text, or one that holds a token that
-    is not a finite decimal, is read line by line, so an error names its line.
+    One pass over ``str.splitlines`` keeps each data line's three tokens
+    and line number, up to the first line with another token count. When
+    the tokens are ASCII without underscores, where ``float`` reads what
+    ``parse_decimal`` reads, they are converted in one call; only when
+    that fails or gives a non-finite value are the kept lines read one by
+    one, so an error names the first line at fault. A line with another
+    token count is reported only after every line before it has passed.
     """
-    pts = _bulk_xyz_points(text)
-    if pts is None:
-        pts = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 3:
-                raise BadLine(lineno)
+    linenos: list[int] = []
+    tokens: list[str] = []
+    bad = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        parts = line.replace(",", " ").split()
+        if len(parts) != 3:
+            bad = BadLine(lineno)
+            break
+        linenos.append(lineno)
+        tokens += parts
+    values = None
+    joined = "".join(tokens)
+    if joined.isascii() and "_" not in joined:
+        try:
+            values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        except ValueError:
+            pass
+    if values is None or not np.isfinite(values).all():
+        for i, lineno in enumerate(linenos):
             try:
-                p = [parse_decimal(v) for v in parts]
+                point = [parse_decimal(v) for v in tokens[3 * i:3 * i + 3]]
             except ValueError:
                 raise BadLine(lineno, "not a number") from None
-            if not all(math.isfinite(v) for v in p):
+            if not all(map(math.isfinite, point)):
                 raise BadLine(lineno, "non-finite coordinate")
-            pts.append(p)
-    if not len(pts):
+    if bad is not None:
+        raise bad
+    if not tokens:
         raise EmptyCloud("no data lines in XYZ input")
-    return PointCloud(pts)
+    return PointCloud(values.reshape(-1, 3))
 
 
 def write_xyz(points: np.ndarray, comments: list[str] | None = None) -> str:

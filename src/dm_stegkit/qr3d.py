@@ -320,7 +320,7 @@ def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
     """In-plane lattice angle per direction row, in radians within pi/4
     either way: the fourth-harmonic circular mean of the headings from each
     projected center to its nearest neighbour. Its (M, N) temporaries are
-    freed on return, before ``_fit_lattice`` forms the residuals.
+    freed on return, before ``_score_frames`` forms the residuals.
     """
     dx = np.take_along_axis(cu, nn_idx, axis=1) - cu
     dy = np.take_along_axis(cw, nn_idx, axis=1) - cw
@@ -337,15 +337,21 @@ def _lattice_angle(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray,
     return np.arctan2(sin_sum, cos_sum) / 4.0
 
 
-def _fit_lattice(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray, nn_d2: np.ndarray,
-                 pitch: np.ndarray, extent: float):
-    """(score, pitch, phi, res_u, res_w) per direction row: the projected
-    centers against the square lattice of ``pitch``, rotated by
-    ``_lattice_angle``, anchored at the point nearest the centroid. The
-    score is the RMS distance to the nearest site in pitch units (inf where
-    the pitch falls below 1e-9 of ``extent``); the residuals are each
-    center's offset from its site in pitch units, in the phi-rotated frame.
+def _score_frames(points: np.ndarray, dirs: np.ndarray):
+    """(score, pitch, phi, res_u, res_w) per direction row, in float64: the
+    centers projected by ``_project`` against the square lattice of
+    ``pitch``, rotated by ``_lattice_angle``, anchored at the point nearest
+    the centroid. Each projected center's nearest neighbour comes from one
+    ``recon._nearest_neighbours`` search of all rows, in O(M N) memory, and
+    the pitch is their median distance. The score is the RMS distance to
+    the nearest site in pitch units (inf where the pitch falls below 1e-9 of
+    the cloud's extent); the residuals are each center's offset from its
+    site in pitch units, in the phi-rotated frame.
     """
+    pts = np.asarray(points, dtype=np.float64)
+    cu, cw = _project(pts, dirs)
+    nn_idx, nn_d2 = recon._nearest_neighbours(np.stack([cu, cw], axis=2))
+    pitch = np.sqrt(np.median(nn_d2, axis=1))
     phi = _lattice_angle(cu, cw, nn_idx, nn_d2, pitch)
     c = np.cos(-phi)[:, None]
     s = np.sin(-phi)[:, None]
@@ -369,20 +375,8 @@ def _fit_lattice(cu: np.ndarray, cw: np.ndarray, nn_idx: np.ndarray, nn_d2: np.n
     fu -= np.rint(fu)
     fw -= np.rint(fw)
     score = np.sqrt((fu ** 2 + fw ** 2).mean(axis=1))
-    score = np.where(pitch > 1e-9 * extent, score, np.inf)
+    score = np.where(pitch > 1e-9 * max(np.ptp(pts, axis=0).max(), 1.0), score, np.inf)
     return score, pitch, phi, fu, fw
-
-
-def _score_frames(points: np.ndarray, dirs: np.ndarray):
-    """float64 ``_fit_lattice`` of each direction row: each projected center's
-    nearest neighbour from one ``recon._nearest_neighbours`` search of all
-    rows, in O(M N) memory, and the pitch their median distance."""
-    pts = np.asarray(points, dtype=np.float64)
-    cu, cw = _project(pts, dirs)
-    nn_idx, nn_d2 = recon._nearest_neighbours(np.stack([cu, cw], axis=2))
-    pitch = np.sqrt(np.median(nn_d2, axis=1))
-    extent = max(np.ptp(pts, axis=0).max(), 1.0)
-    return _fit_lattice(cu, cw, nn_idx, nn_d2, pitch, extent)
 
 
 def lattice_score(cloud: SphereCloud | np.ndarray, v) -> tuple[float, float]:
@@ -593,13 +587,14 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     the ``_least_variance_axis`` (the one candidate when the grid has no t2)
     ``_score_frames`` ranks lower. One float64 walk from the start, at a
     quarter of the coarse step halved until below ``refine_to_deg``, scores
-    each direction once in a memo, and the least of the memo gets a
-    regression polish before its projection (``_project``, as the scores)
-    is returned. ``candidates_evaluated`` counts the grid rows, every
-    pattern point visited, the start candidates and the polish. Ties break
-    on the canonicalized direction, so results do not depend on evaluation
-    order. Pitch estimation relies on adjacent occupied modules, so
-    matrices missing much more than half their modules may defeat it.
+    each direction once in a memo. The least of the memo gets a regression
+    polish, ranked as one more memo entry, and the projection (``_project``,
+    as the scores) of the least entry is returned. ``candidates_evaluated``
+    counts the grid rows, every pattern point visited, the start candidates
+    and the polish. Ties break on the canonicalized direction, so results
+    do not depend on evaluation order. Pitch estimation relies on adjacent
+    occupied modules, so matrices missing much more than half their
+    modules may defeat it.
     """
     for name, value in (("coarse_step_deg", coarse_step_deg), ("refine_to_deg", refine_to_deg)):
         if not 0 < value < math.inf:
@@ -643,21 +638,15 @@ def search_direction(cloud: SphereCloud | np.ndarray,
     evaluated += _pattern_walk(_angles(start), coarse_step_deg / 4.0, refine_to_deg,
                                lattice, memo)[1]
 
+    best = min(memo.values(), key=lambda entry: entry[0])[2]
+    evaluated += len(_rank(memo, [_polish_direction(centers, unit_vector(best))], lattice))
     best_key, best_pitch, best_dir = min(memo.values(), key=lambda entry: entry[0])
-    polished = _polish_direction(centers, unit_vector(best_dir))
-    pscore, ppitch = _score_frames(centers, polished[None, :])[:2]
-    evaluated += 1
-    pkey = (float(pscore[0]), tuple(_canonical_direction(polished)))
-    if pkey < best_key:
-        best_key, best_pitch, best_dir = pkey, ppitch[0], polished
-
     direction = _canonical_direction(unit_vector(best_dir))
-    best_pitch = float(best_pitch)
     grid = project_to_grid(centers, direction, best_pitch)
     return DirectionSearchResult(
         direction=direction,
         score=float(best_key[0]),
-        estimated_pitch=best_pitch,
+        estimated_pitch=float(best_pitch),
         grid=grid,
         candidates_evaluated=evaluated,
     )

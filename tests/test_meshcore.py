@@ -62,6 +62,27 @@ def test_parse_ascii_crlf_and_mixed_case():
     assert len(mesh.triangles) == 1
 
 
+def test_parse_ascii_after_a_bom_or_leading_space_in_upper_case():
+    assert len(parse_stl(b"\xef\xbb\xbf" + ASCII_ONE_FACET.encode()).triangles) == 1
+    text = " \n\t" + ASCII_ONE_FACET.replace("solid", "SOLID")
+    assert len(parse_stl(text.encode()).triangles) == 1
+
+
+@pytest.mark.parametrize("line, replacement", [
+    ("vertex 1 0 0", "vertex 1 0"),
+    ("endloop", "endloops"),
+    ("endsolid demo", "endsolidfoo"),
+])
+def test_ascii_errors_after_a_bom_name_the_same_lines(line, replacement):
+    data = ASCII_ONE_FACET.replace(line, replacement).encode()
+    errors = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        with pytest.raises(MalformedAscii) as err:
+            parse_stl(bom + data)
+        errors.append((err.value.line, str(err.value)))
+    assert errors[0] == errors[1]
+
+
 def test_parse_binary_single_triangle_header_preserved():
     header = b"made by bench fixture".ljust(80, b"\x00")
     data = one_triangle_binary(header)
@@ -108,8 +129,18 @@ def test_ascii_facet_keywords_are_whole_words(line, replacement, lineno, message
 
 def test_binary_nan_vertex_rejected():
     body = struct.pack("<12f", 0, 0, 1, math.nan, 0, 0, 1, 0, 0, 0, 1, 0) + b"\x00\x00"
-    with pytest.raises(NonFiniteCoordinate):
+    with pytest.raises(NonFiniteCoordinate, match="^facet 0: "):
         parse_stl(b"\x00" * 80 + struct.pack("<I", 1) + body)
+
+
+def test_binary_non_finite_vertex_names_its_first_facet():
+    data = bytearray(write_stl_binary(box_mesh(0, 0, 0, 1, 1, 1)))
+    # z of corner 2 of facet 7, then of corner 0 of facet 5
+    for at in (84 + 50 * 7 + 12 + 24 + 8, 84 + 50 * 5 + 12 + 8):
+        data[at:at + 4] = struct.pack("<f", math.inf)
+    with pytest.raises(NonFiniteCoordinate) as err:
+        parse_stl(bytes(data))
+    assert str(err.value) == "facet 5: binary STL contains non-finite vertex"
 
 
 def test_write_single_triangle_is_134_bytes():
@@ -648,6 +679,21 @@ def test_binary_parse_peak_memory_is_bounded():
     assert peak < 4.5 * len(data)
 
 
+def test_parse_xyz_peak_memory_is_bounded():
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    text = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in rng.normal(size=(200_000, 3)))
+    tracemalloc.start()
+    try:
+        cloud = parse_xyz(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cloud.points) == 200_000
+    assert peak <= 12 * len(text)
+
+
 def test_binary_write_peak_memory_is_bounded():
     import tracemalloc
 
@@ -748,6 +794,7 @@ def test_a_long_bad_number_fails_in_linear_time(read, text, error):
     ("1 2 3\r4 5 6", [[1, 2, 3], [4, 5, 6]]),          # a lone CR ends a line too
     ("\u00a01 2 3\u2028 4 5 6", [[1, 2, 3], [4, 5, 6]]),
     ("1 2 3\n# c\n4\u00a05 6\n7 8 9", [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),   # plain head
+    ("# \u00e9\n1 2 3", [[1, 2, 3]]),
 ])
 def test_parse_xyz_plain_and_other_line_grammars(text, points):
     assert parse_xyz(text).points.tolist() == points
@@ -761,6 +808,10 @@ def test_parse_xyz_plain_and_other_line_grammars(text, points):
     ("# 1 2\r1 2\n", 2, "expected 3 numbers"),          # the comment ends at the CR
     ("1 2 3\r\n4 5 6\n7\u00a08 9\n1 2\n", 4, "expected 3 numbers"),
     ("1 2 3\n1.2.3 2 3\n\u00a01 2 3\n", 2, "not a number"),
+    # a line with another token count is reported after the lines before it
+    ("1 2 inf\n1 2\n", 1, "non-finite coordinate"),
+    ("1 2 x\n1 2\n", 1, "not a number"),
+    ("1 2 3\n\u0661 2 3\n", 2, "not a number"),
 ])
 def test_parse_xyz_errors_name_their_line(text, line, message):
     with pytest.raises(BadLine, match=message) as err:

@@ -1,13 +1,12 @@
 """The ingest parsers against the line-by-line parsers they replaced.
 
 ``parse_gcode`` reads plain lines with one regex match, ``parse_xyz``
-converts the plain lines at the head of a text in bulk and VRML tokens are
-named tuples. On every
-input the result must equal the reference's, or both must raise the same
-exception type with the same message and line. The references read numbers
-with ``float``, which also takes PEP 515 underscores and non-ASCII digits,
-so the generated inputs hold neither; those cases have their own tests in
-test_gcode.py and test_meshcore.py.
+converts the tokens of all its lines in one call and VRML tokens are named
+tuples. On every input the result must equal the reference's, or both must
+raise the same exception type with the same message and line. The
+references read numbers with ``float``, which also takes PEP 515
+underscores and non-ASCII digits, so the generated inputs hold neither;
+those cases have their own tests in test_gcode.py and test_meshcore.py.
 
 The STL writer fills one record array in place and the ASCII STL reader
 takes each line with one expect step; their references are the writer that
