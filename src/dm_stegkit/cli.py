@@ -21,6 +21,7 @@ is a MalformedSketch naming the item.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import sys
@@ -32,14 +33,20 @@ from . import __version__, gcode, meshcore, qr3d, recon, stego, vrml
 from .errors import StegkitError
 
 
+# bytes ``_Run.stream_text`` reads and decodes at a time
+_READ_BLOCK = 1 << 16
+
+
 def _read_bytes(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
 
 
-def _write_bytes(path: str, data: bytes):
+def _write_bytes(path: str, *parts: bytes):
+    """Write ``parts`` to ``path``, one after another."""
     with open(path, "wb") as fh:
-        fh.write(data)
+        for part in parts:
+            fh.write(part)
 
 
 def _payload_repr(data: bytes) -> dict:
@@ -78,6 +85,38 @@ class _Run:
 
     def read_text(self, path: str) -> str:
         return self.read_bytes(path).decode("utf-8")
+
+    def stream_text(self, path: str, consume):
+        """``consume(pieces)`` on the UTF-8 text of a file, decoded as an
+        iterator of str pieces, one block of ``_READ_BLOCK`` bytes at a time.
+
+        Outcomes are those of ``consume(self.read_text(path))``: the file's
+        CRC is recorded once every byte has been read, the rest of the file
+        is read after an error of ``consume``, and a file that is not UTF-8
+        raises the UnicodeDecodeError of a whole-file decode, before any
+        error of ``consume``.
+        """
+        with open(path, "rb") as fh:
+            decode = codecs.getincrementaldecoder("utf-8")().decode
+
+            def pieces():
+                crc = 0
+                while block := fh.read(_READ_BLOCK):
+                    crc = zlib.crc32(block, crc)
+                    yield decode(block)
+                yield decode(b"", final=True)
+                self.inputs[path] = f"{crc:08x}"
+
+            blocks = pieces()
+            try:
+                try:
+                    return consume(blocks)
+                finally:
+                    for _ in blocks:                # the rest: its CRC and decoding
+                        pass
+            except UnicodeDecodeError:
+                self.read_text(path)                # raises the whole-file error
+                raise
 
     def envelope(self, result: dict) -> dict:
         return {
@@ -118,8 +157,8 @@ def _cmd_header_embed(run: _Run, args) -> dict:
     else:
         data = meshcore.write_stl_binary(meshcore.parse_stl(data))
     header = stego.stl_header_frame(message)
-    # one copy of the cover: the header joined to a view of the rest
-    _write_bytes(args.output, header + memoryview(data)[len(header):])
+    # the cover is not copied: the header, then a view of the rest
+    _write_bytes(args.output, header, memoryview(data)[len(header):])
     return {"output": args.output, "message_bytes": len(message),
             "header_hex": header.hex()}
 
@@ -130,7 +169,8 @@ def _cmd_header_extract(run: _Run, args) -> dict:
 
 
 def _cmd_gcode_audit(run: _Run, args) -> dict:
-    report = gcode.audit(run.read_text(args.file), mismatch_threshold=args.threshold)
+    report = run.stream_text(args.file, lambda pieces: gcode.audit(
+        pieces, mismatch_threshold=args.threshold))
     run.warnings.extend(report.warnings)
     doc = report.to_dict()
     doc.pop("warnings")

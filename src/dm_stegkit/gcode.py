@@ -11,7 +11,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousClaims, MalformedNumber
 from .meshcore import _is_ascii_digits, parse_decimal
@@ -97,23 +97,24 @@ def parse_gcode(text: str) -> GcodeProgram:
     return GcodeProgram([GcodeCommand(*item) for item in _commands(text)])
 
 
-def _commands(text: str):
+def _commands(text: str | Iterable[str]):
     """Yield ``(line_number, code, args, comment)`` for each nonempty line.
 
-    Lines are those of ``text.splitlines()``, read in chunks of about
-    ``_CHUNK_CHARS`` characters, each cut just after a ``"\n"``: no cut
-    falls inside a line or a ``"\r\n"``, so the lines and their numbers
-    are those of the whole text, while only one chunk's lines are held.
+    ``text`` is one string or the pieces of one, in order, such as the
+    blocks of a file decoded one at a time. Lines are those of the whole
+    text's ``splitlines()``, read in chunks of ``_line_chunks``, each cut
+    just after a ``"\n"`` or a lone ``"\r"``: no cut falls inside a line
+    or a ``"\r\n"``, so the lines and their numbers are those of the whole
+    text, while only one chunk's lines are held.
 
     A plain line (an integer code word and ASCII letter-and-decimal
     arguments each given once, with an optional line number, checksum and
     ``;`` comment) is read by one regex match; every other line goes through
     ``_parse_line``.
     """
-    lineno = start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        for raw in text[start:end].splitlines():
+    lineno = 0
+    for chunk in _line_chunks([text] if isinstance(text, str) else text):
+        for raw in chunk.splitlines():
             lineno += 1
             line = raw.strip()
             if not line:
@@ -134,7 +135,29 @@ def _commands(text: str):
                     continue
             cmd = _parse_line(line, lineno)
             yield lineno, cmd.code, cmd.args, cmd.comment
-        start = end
+
+
+def _line_chunks(pieces: Iterable[str]):
+    """The text the pieces join to, in chunks that each end at a line end:
+    a piece is cut after its last ``"\n"``, or after a later ``"\r"`` that
+    another character of the piece follows, and further just after a
+    ``"\n"`` every ``_CHUNK_CHARS`` or more characters. A last chunk holds
+    what follows the last cut."""
+    held = []                               # pieces since the last cut
+    for piece in pieces:
+        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
+        if not cut:
+            held.append(piece)
+            continue
+        text = "".join(held) + piece
+        cut += len(text) - len(piece)
+        start = 0
+        while start < cut:
+            end = text.find("\n", start + _CHUNK_CHARS, cut) + 1 or cut
+            yield text[start:end]
+            start = end
+        held = [text[cut:]]
+    yield "".join(held)
 
 
 def _parse_line(line: str, lineno: int) -> GcodeCommand:
@@ -227,8 +250,8 @@ class _Replay(NamedTuple):
     claims: list[float]                     # filament claims in mm, in file order
 
 
-def _replay(source: str | GcodeProgram) -> _Replay:
-    """Replay G-code text or a parsed program in one pass.
+def _replay(source: str | Iterable[str] | GcodeProgram) -> _Replay:
+    """Replay G-code text, its pieces or a parsed program in one pass.
 
     The replay starts from the origin in absolute XYZ and E and millimetres;
     codes other than G0-G3, G20/G21, G90/G91, M82/M83 and G92 change
@@ -236,10 +259,10 @@ def _replay(source: str | GcodeProgram) -> _Replay:
     ``_CLAIM_PATTERNS`` that it matches. Text is read by ``_commands``, so
     no command is kept once it has been replayed.
     """
-    if isinstance(source, str):
-        items = _commands(source)
-    else:
+    if isinstance(source, GcodeProgram):
         items = ((c.line_number, c.code, c.args, c.comment) for c in source)
+    else:
+        items = _commands(source)
     x = y = z = e = 0.0
     xyz_absolute = e_absolute = True
     scale = 1.0                             # 25.4 when units are inches
@@ -334,12 +357,14 @@ def metadata_claims(program: GcodeProgram) -> float | None:
     return _declared(_replay(program).claims)
 
 
-def audit(source: str | GcodeProgram, mismatch_threshold: float = 0.02) -> ForensicsReport:
+def audit(source: str | Iterable[str] | GcodeProgram,
+          mismatch_threshold: float = 0.02) -> ForensicsReport:
     """Cross-check declared filament use against the replayed toolpath.
 
-    ``source`` is G-code text, read in one streaming pass with no command
-    kept, or a parsed program. The threshold is checked after the pass, so
-    a malformed file reports its ``MalformedNumber`` whatever the threshold.
+    ``source`` is G-code text or its pieces in order, read in one streaming
+    pass with no command kept, or a parsed program. The threshold is
+    checked after the pass, so a malformed file reports its
+    ``MalformedNumber`` whatever the threshold.
     """
     replay = _replay(source)
     if not 0 <= mismatch_threshold < math.inf:     # NaN fails too

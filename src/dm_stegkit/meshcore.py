@@ -28,6 +28,8 @@ _STL_RECORD_LEN = _STL_RECORD.itemsize
 # triangles whose records ``write_stl_binary`` fills at once: each float64
 # (T, 3) array of its normals holds about 100 KB
 _STL_WRITE_CHUNK = 1 << 12
+# triangles whose signed tetrahedron volumes ``signed_volume`` forms at once
+_VOLUME_CHUNK = 1 << 12
 
 
 def _is_ascii_digits(text: str) -> bool:
@@ -169,7 +171,7 @@ def parse_stl(data: bytes) -> TriMesh:
     """
     corners = _binary_stl_corners(data)
     if corners is not None:
-        verts, tris = _dedup_vertices(corners.reshape(-1, 3))
+        verts, tris = _dedup_vertices(corners)
         return TriMesh(verts, tris.reshape(-1, 3), data[:_STL_HEADER_LEN])
     try:
         text = data.decode("utf-8-sig")
@@ -287,40 +289,55 @@ def _parse_stl_ascii(text: str) -> TriMesh:
 def _dedup_vertices(corners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge bit-identical positions, keeping first-occurrence order.
 
+    ``corners`` is an (..., 3) array whose rows are read in C order, such
+    as the (T, 3, 3) record view of a binary STL, which is not copied.
     Rows are compared as bit patterns of their own width (float32 corners
     of a binary STL as u4, anything else as float64 and u8), so -0.0 and
     +0.0 stay distinct; only the kept rows are widened to float64, which
     is exact.
     """
-    dtype = np.float32 if corners.dtype == np.float32 else np.float64
-    corners = np.ascontiguousarray(corners, dtype=dtype).reshape(-1, 3)
+    if corners.dtype != np.float32:
+        corners = np.asarray(corners, dtype=np.float64)
     firsts, inverse = _first_occurrence_ids(corners.view(f"u{corners.itemsize}"))
-    return corners[firsts].astype(np.float64, copy=False), inverse
+    kept = corners[np.unravel_index(firsts, corners.shape[:-1])]
+    return kept.astype(np.float64, copy=False), inverse
 
 
 def _first_occurrence_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows of an integer array by first occurrence.
+    """Number the distinct rows of an (..., k) integer array by first occurrence.
 
-    Returns (firsts, ids): the ascending row index of each number's first
-    occurrence, and each row's number. A stable lexsort groups equal rows
-    with each group's first occurrence at its head; the output never
-    depends on the sort order.
+    Rows are read in C order. Returns (firsts, ids): the ascending row
+    index of each number's first occurrence, and each row's number. A
+    stable lexsort on the columns groups equal rows with each group's
+    first occurrence at its head; the first two columns of u4 rows sort as
+    one u8 key. Heads are found one key at a time, the keys are released,
+    and the U heads, ranked among themselves, number every row through the
+    sort order. The output never depends on the sort order.
     """
-    if not len(rows):
+    keys = [rows[..., j] for j in range(rows.shape[-1])]
+    if rows.dtype == np.uint32 and len(keys) > 1:
+        key = keys[0].astype(np.uint64)
+        key <<= 32
+        key |= keys[1]
+        keys[:2] = [key]
+    keys = [key.reshape(-1) for key in keys]
+    n = len(keys[0])
+    if not n:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    order = np.lexsort(rows.T[::-1])
-    head = np.zeros(len(order), dtype=bool)     # sorted row differs from the one before
+    order = np.lexsort(keys[::-1])
+    head = np.zeros(n, dtype=bool)              # sorted row differs from the one before
     head[0] = True
-    for k in range(rows.shape[1]):
-        col = rows[order, k]
+    for key in keys:
+        col = key[order]
         head[1:] |= col[1:] != col[:-1]
-    firsts = order[head]                        # first occurrence of each group
-    is_first = np.zeros(len(order), dtype=bool)
-    is_first[firsts] = True
-    index = np.cumsum(is_first) - 1             # number, read at first occurrences
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = index[firsts][np.cumsum(head) - 1]
-    return np.nonzero(is_first)[0], ids
+    del keys, key, col
+    heads = order[head]                         # each group's first occurrence
+    by_first = np.argsort(heads)
+    rank = np.empty(len(heads), dtype=np.int64)
+    rank[by_first] = np.arange(len(heads))
+    ids = np.empty(n, dtype=np.int64)
+    ids[order] = np.repeat(rank, np.diff(np.flatnonzero(head), append=n))
+    return heads[by_first], ids
 
 
 # --- STL writing --------------------------------------------------------------
@@ -361,8 +378,9 @@ def _unit_normals(v: np.ndarray) -> np.ndarray:
 def parse_xyz(text: str) -> PointCloud:
     """Parse whitespace/comma separated x y z lines; '#' starts a comment.
 
-    One pass over ``str.splitlines`` keeps each data line's three tokens
-    and line number, up to the first line with another token count. When
+    One leading U+FEFF byte order mark is skipped. One pass over
+    ``str.splitlines`` keeps each data line's three tokens and line
+    number, up to the first line with another token count. When
     the tokens are ASCII without underscores, where ``float`` reads what
     ``parse_decimal`` reads, they are converted in one call; only when
     that fails or gives a non-finite value are the kept lines read one by
@@ -372,7 +390,7 @@ def parse_xyz(text: str) -> PointCloud:
     linenos: list[int] = []
     tokens: list[str] = []
     bad = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -418,11 +436,20 @@ def rotate_mesh(mesh: TriMesh, rotation: Rotation) -> TriMesh:
 
 
 def signed_volume(mesh: TriMesh) -> float:
-    """Divergence-theorem sum of signed tetrahedra against the origin."""
-    if not len(mesh.triangles):
+    """Divergence-theorem sum of signed tetrahedra against the origin.
+
+    Each triangle's a . (b x c) is formed ``_VOLUME_CHUNK`` triangles at a
+    time and the T products are summed in triangle order, as one
+    ``einsum("ij,ij->")`` over all of them would add them.
+    """
+    tris = mesh.triangles
+    if not len(tris):
         return 0.0
-    p = mesh.triangle_points
-    return float(np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])) / 6.0)
+    dots = np.empty(len(tris))
+    for lo in range(0, len(tris), _VOLUME_CHUNK):
+        p = mesh.vertices[tris[lo:lo + _VOLUME_CHUNK]]
+        dots[lo:lo + _VOLUME_CHUNK] = np.einsum("ij,ij->i", p[:, 0], np.cross(p[:, 1], p[:, 2]))
+    return float(np.add.accumulate(dots, out=dots)[-1] / 6.0)
 
 
 def mesh_volume(mesh: TriMesh) -> float:

@@ -657,8 +657,11 @@ def cloud_to_xyz(cloud: SphereCloud) -> str:
 
 
 def cloud_from_xyz(text: str) -> SphereCloud:
+    """The sphere cloud of ``parse_xyz(text)``, its radius read from the
+    first ``# radius=`` comment (0 without one); one leading U+FEFF byte
+    order mark is skipped."""
     radius = 0.0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         s = line.strip()
         if s.startswith("#") and "radius=" in s:
             value = s.split("radius=", 1)[1].split()

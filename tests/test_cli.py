@@ -9,9 +9,10 @@ import pytest
 
 from dm_stegkit import __version__, audit, grid_from_pbm, mesh_volume, orientation_scan, \
     parse_gcode, parse_stl, unit_vector, write_stl_binary
-from dm_stegkit import meshcore
+from dm_stegkit import cli, meshcore
 from dm_stegkit.cli import run
 from conftest import box_mesh, two_tower_bridge, vrml_scene
+from test_gcode import AUDIT_PROGRAMS
 
 
 def invoke(capsys, *argv):
@@ -117,6 +118,84 @@ def test_gcode_audit_reads_the_file_before_the_threshold(capsys, tmp_path, text,
     path.write_text(text)
     assert run(["gcode-audit", str(path), "--threshold", "nan"]) == 1
     assert capsys.readouterr().out == _legacy_envelope("gcode-audit", path, result)
+
+
+def _whole_text_audit(monkeypatch, capsys, path):
+    """The gcode-audit output when the file is read and decoded whole."""
+    with monkeypatch.context() as m:
+        m.setattr(cli._Run, "stream_text", lambda run, p, consume: consume(run.read_text(p)))
+        run(["gcode-audit", str(path)])
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\f"])
+def test_streamed_audit_envelopes_match_the_whole_text_audit(capsys, tmp_path, monkeypatch, brk):
+    path = tmp_path / "p.gcode"
+    for program in AUDIT_PROGRAMS:
+        # multi-byte characters, which blocks of 1, 2, 3 and 5 bytes cut
+        lines = ["; na\u00efve \u20ac \U0001F600 M117", *program.splitlines()]
+        path.write_bytes((brk.join(lines) + brk).encode())
+        whole = _whole_text_audit(monkeypatch, capsys, path)
+        for block in (1, 2, 3, 5, 1 << 16) if len(program) < 1000 else (4096,):
+            monkeypatch.setattr(cli, "_READ_BLOCK", block)
+            run(["gcode-audit", str(path)])
+            assert capsys.readouterr().out == whole, (program[:80], block)
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff;filament used = 5mm\nG1 X1 E5\n",
+    b";filament used = 5mm\nG1 X1 E5\n; caf\xc3",                     # cut short at the end
+    b"; filament used = 5mm\nG1 X1_0 E5\n" + b"G1 X1 E1\n" * 50 + b"; \xed\xa0\x80\n",
+    b"; \xe2\x82\xac ok\n; \xe2\x82 G1\n",
+], ids=["first-byte", "cut-short", "after-a-malformed-line", "cut-sequence"])
+def test_streamed_audit_of_invalid_utf8_is_the_whole_file_error(capsys, tmp_path,
+                                                                monkeypatch, data):
+    # the decode error comes first, even after a malformed line (third case)
+    path = tmp_path / "p.gcode"
+    path.write_bytes(data)
+    whole = _whole_text_audit(monkeypatch, capsys, path)
+    assert '"error": "UnicodeDecodeError"' in whole
+    for block in (1, 2, 3, 1 << 16):
+        monkeypatch.setattr(cli, "_READ_BLOCK", block)
+        assert run(["gcode-audit", str(path)]) == 1
+        assert capsys.readouterr().out == whole, block
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"])
+def test_streamed_audit_holds_no_copy_of_the_file(capsys, tmp_path, brk):
+    import tracemalloc
+
+    path = tmp_path / "long.gcode"
+    path.write_bytes(brk.join(["; filament used = 3990mm", "M83"]
+                              + [f"G1 X{k % 200} Y{k % 150} E0.1 ; wall" for k in range(39_900)]
+                              ).encode())
+    tracemalloc.start()
+    try:
+        assert run(["gcode-audit", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "consistent"
+    # 0.6 MB for the parser and one chunk's lines on this 0.9 MB file; the
+    # whole-text read held the bytes and the str, twice the file
+    assert peak <= 0.75 * path.stat().st_size, peak
+
+
+def test_header_embed_holds_one_copy_of_the_cover(capsys, tmp_path):
+    import tracemalloc
+
+    cover, out = tmp_path / "cover.stl", tmp_path / "marked.stl"
+    n = 40_000
+    cover.write_bytes(bytes(80) + struct.pack("<I", n) + struct.pack("<12fH", *range(12), 0) * n)
+    tracemalloc.start()
+    try:
+        assert run(["header-embed", str(cover), "--message", "hi", "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes()[80:] == cover.read_bytes()[80:]
+    # the bytes read, and not a joined copy of them
+    assert peak <= 1.5 * cover.stat().st_size, peak
 
 
 def test_orient_scan_envelope_matches_to_json(capsys, tmp_path):
@@ -282,6 +361,37 @@ def test_recon_subcommand(capsys, tmp_path):
     analytic = math.pi * 25 * 10
     assert doc["result"]["volume_mm3"] == pytest.approx(analytic, rel=0.01)
     assert out.exists()
+
+
+def test_xyz_verbs_skip_one_byte_order_mark(capsys, tmp_path):
+    pbm, cloud, scan = tmp_path / "g.pbm", tmp_path / "cloud.xyz", tmp_path / "scan.xyz"
+    pbm.write_text(_SMOKE_PBM)
+    invoke(capsys, "qr3d-embed", "--grid", str(pbm), "--dir", "0.3,-0.5,0.8", "--pitch", "2",
+           "--seed", "7", "-o", str(cloud))
+    assert cloud.read_text().startswith("# radius=")
+    scan.write_text("".join(f"{x} {y} {z}\n" for z in range(6)
+                            for x, y in [(0, 0), (4, 0), (5, 3), (2, 6), (-1, 3)]))
+    for path in (cloud, scan):
+        (tmp_path / f"bom_{path.name}").write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+    def result(*argv):
+        status, doc = invoke(capsys, *argv)
+        assert status == 0, doc
+        doc["result"].pop("output", None)
+        return doc["result"]
+
+    assert (result("qr3d-search", str(cloud))
+            == result("qr3d-search", str(tmp_path / "bom_cloud.xyz")))
+    assert (result("recon", str(scan), "-o", str(tmp_path / "a.stl"))
+            == result("recon", str(tmp_path / "bom_scan.xyz"), "-o", str(tmp_path / "b.stl")))
+    assert (tmp_path / "a.stl").read_bytes() == (tmp_path / "b.stl").read_bytes()
+    # the radius comment after the mark is read: a NaN radius on line 1 is refused
+    bad = tmp_path / "bom_nan.xyz"
+    bad.write_bytes(b"\xef\xbb\xbf# radius=nan\n" + cloud.read_bytes().split(b"\n", 1)[1])
+    status, doc = invoke(capsys, "qr3d-search", str(bad))
+    assert status == 1
+    assert doc["result"]["error"] == "BadLine"
+    assert doc["result"]["message"].startswith("line 1: radius comment needs a number")
 
 
 def test_orient_scan_subcommand(capsys, tmp_path):

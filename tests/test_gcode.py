@@ -161,14 +161,15 @@ def test_agreeing_claims_return_first():
     assert metadata_claims(program) == pytest.approx(100.0)
 
 
+_MISMATCH_TEXT = ("; sliced for bench part\n"
+                  ";filament used = 4290.7mm\n"
+                  "G21\nG90\nM82\n"
+                  "G1 Z0.2\n"
+                  "G1 X50 Y0 E3198.14\n")
+
+
 def _mismatch_scenario():
-    return parse_gcode(
-        "; sliced for bench part\n"
-        ";filament used = 4290.7mm\n"
-        "G21\nG90\nM82\n"
-        "G1 Z0.2\n"
-        "G1 X50 Y0 E3198.14\n"
-    )
+    return parse_gcode(_MISMATCH_TEXT)
 
 
 def test_audit_mismatch_scenario():
@@ -232,33 +233,36 @@ def test_audit_replays_once_and_agrees_with_z_profile(monkeypatch):
     levels, count, max_z = z_profile(program)
     assert (report.z_levels, report.layer_count, report.max_z_mm) == (levels, count, max_z)
 
+
+_SLICER_TEXT = "\n".join([
+    "; generated by desktop slicer 5.1",
+    "; layer_height = 0.2",
+    ";filament used [mm] = 45.8",
+    "M140 S60",
+    "M104 S210",
+    "G28 ; home all",
+    "M109 S210",
+    "G21",
+    "G90",
+    "M82",
+    "G92 E0",
+    "G1 Z0.2 F3000",
+    "G1 X20 Y20 E10.4 F1500",
+    "G1 X40 E20.8",
+    "G1 E18.8 F2400 ; retract",
+    "G0 X0 Y0",
+    "G1 E20.8 ; deretract",
+    "G1 Z0.4",
+    "G1 X20 E41.6",
+    "G92 E0",
+    "G1 E2.2 ; purge",
+    "M104 S0",
+    "M84",
+])
+
+
 def test_realistic_slicer_preamble_and_print():
-    text = "\n".join([
-        "; generated by desktop slicer 5.1",
-        "; layer_height = 0.2",
-        ";filament used [mm] = 45.8",
-        "M140 S60",
-        "M104 S210",
-        "G28 ; home all",
-        "M109 S210",
-        "G21",
-        "G90",
-        "M82",
-        "G92 E0",
-        "G1 Z0.2 F3000",
-        "G1 X20 Y20 E10.4 F1500",
-        "G1 X40 E20.8",
-        "G1 E18.8 F2400 ; retract",
-        "G0 X0 Y0",
-        "G1 E20.8 ; deretract",
-        "G1 Z0.4",
-        "G1 X20 E41.6",
-        "G92 E0",
-        "G1 E2.2 ; purge",
-        "M104 S0",
-        "M84",
-    ])
-    report = audit(parse_gcode(text))
+    report = audit(parse_gcode(_SLICER_TEXT))
     # positive deltas only: 10.4 + 10.4 + 2.0 (deretract) + 20.8 + 2.2
     assert report.computed_filament_mm == pytest.approx(45.8)
     assert report.layer_count == 2
@@ -492,6 +496,31 @@ def test_chunked_reading_keeps_the_lines_of_splitlines(monkeypatch):
         with pytest.raises(MalformedNumber) as err:
             audit(bad)
         assert err.value.line == len(bad.splitlines())
+    # so does the text in pieces of every size, as a file decoded block by block
+    monkeypatch.undo()
+    for size in range(1, len(bad) + 2):
+        pieces = [text[i:i + size] for i in range(0, len(text), size)]
+        assert list(gcode._commands(iter(pieces))) == whole, size
+        with pytest.raises(MalformedNumber) as err:
+            audit(bad[i:i + size] for i in range(0, len(bad), size))
+        assert err.value.line == len(bad.splitlines())
+
+
+# every program above whose audit the command line can report: the CLI tests
+# audit each, with other line breaks, as a file read in blocks
+AUDIT_PROGRAMS = [
+    _MISMATCH_TEXT, _SLICER_TEXT, "", "\n\n", "G1 X10 E5 ; wall", ";filament used = 3198.14mm",
+    "N5 (start) ;filament used = 3mm\nN6", "\nM117 X0\n\nT1\n",
+    "G00 X1\nG01 X2 E5\nM082\nG092.1\nG0.5\nT01", "G20\nM83\nG1 E1\nG21\nG1 E25.4",
+    "G1 Z0.2000\nG1 X5 E1\nG1 Z0.2004\nG1 X0 E2", ";filament used = 100.0mm\nM82\nG1 E99.5",
+    ";filament used = 0mm\nG0 X1\n", ";filament used = 0mm\nM82\nG1 X5 E3.5\n",
+    ";filament used = 100mm\n;filament used = 200mm\nM82\nG1 E100",
+    ";filament used = 100.0mm\n;filament used [mm] = 100.05",
+    "; filament used = 30.0mm\nM82\n" + "\n".join(_MESSAGES) + "\nG1 Z0.2 X10 E10\nM117 Done",
+    *(";filament used = 5mm\nG21\n\n" + line + "\nG1 X1 E5\n"
+      for line in [line for line, _ in _MALFORMED_WORDS + _NON_ASCII_NUMBERS + _LONG_BAD_NUMBERS]
+      + ["N M117 hi", "M117 hi*x", "M117 (x*1x", "M117 5 * 3 = 15"] + _PLAIN_CANDIDATES),
+]
 
 
 def test_audit_of_text_holds_no_command_per_line():

@@ -21,7 +21,7 @@ from dm_stegkit import (
 )
 from dm_stegkit import meshcore
 from dm_stegkit.meshcore import SliceLoops, _binary_stl_corners, _dedup_vertices, \
-    is_binary_stl, parse_integer, slice_levels, stl_header
+    _first_occurrence_ids, is_binary_stl, parse_integer, slice_levels, stl_header
 from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_vector
 from dm_stegkit.errors import (
     BadLine,
@@ -222,6 +222,79 @@ def test_dedup_matches_unique_reference(pool, ncorners, seed):
     assert inverse.dtype == np.int64
     assert np.array_equal(inverse, ref_inverse)
     assert np.array_equal(verts[inverse], corners)
+
+# the numbering as it was before float32 x and y shared one sort key: one
+# lexsort key per column, and two N-length cumsums
+def _first_occurrence_ids_reference(rows):
+    rows = rows.reshape(-1, rows.shape[-1])
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    order = np.lexsort(rows.T[::-1])
+    head = np.zeros(len(order), dtype=bool)
+    head[0] = True
+    for k in range(rows.shape[1]):
+        col = rows[order, k]
+        head[1:] |= col[1:] != col[:-1]
+    firsts = order[head]
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[firsts] = True
+    index = np.cumsum(is_first) - 1
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = index[firsts][np.cumsum(head) - 1]
+    return np.nonzero(is_first)[0], ids
+
+
+def _assert_numbering_matches_reference(rows):
+    firsts, ids = _first_occurrence_ids(rows)
+    ref_firsts, ref_ids = _first_occurrence_ids_reference(rows)
+    assert firsts.dtype == ids.dtype == np.int64
+    assert np.array_equal(firsts, ref_firsts)
+    assert np.array_equal(ids, ref_ids)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(width=32), min_size=1, max_size=5),
+       st.sampled_from(["float32", "float64", "int64"]), st.integers(0, 300),
+       st.integers(1, 4), st.integers(0, 2 ** 31))
+def test_first_occurrence_ids_match_the_reference(pool, dtype, nrows, ncols, seed):
+    # rows drawn from a small pool repeat whole and in part; -0.0 and +0.0
+    # differ in their bits, and so does every NaN from a number
+    rng = np.random.default_rng(seed)
+    values = np.array(pool, dtype=np.float32)
+    values = values.view(np.int32).astype(np.int64) if dtype == "int64" else values.astype(dtype)
+    rows = values[rng.integers(0, len(values), size=(nrows, ncols))]
+    bits = rows.view(f"u{rows.itemsize}") if dtype != "int64" else rows
+    _assert_numbering_matches_reference(bits)
+
+
+@pytest.mark.parametrize("rows", [
+    np.zeros((0, 3), dtype=np.uint32),
+    np.zeros((0, 1), dtype=np.int64),
+    np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0]],
+             dtype=np.float32).view(np.uint32),
+    np.array([[0.0], [-0.0], [0.0], [-0.0]]).view(np.uint64),
+    np.array([[7], [3], [7], [7], [-1], [3]], dtype=np.int64),
+    np.ones((500, 3), dtype=np.uint32),                      # one group
+    np.arange(600, dtype=np.uint32).reshape(-1, 3) % 5,      # a few groups, many times
+], ids=["empty-u4", "empty-1-column", "signed-zeros-f32", "signed-zeros-1-column",
+        "1-column", "all-duplicates", "duplicate-heavy"])
+def test_first_occurrence_ids_edge_cases_match_the_reference(rows):
+    _assert_numbering_matches_reference(rows)
+
+
+def test_first_occurrence_ids_read_a_record_view_in_c_order():
+    # the corners of a binary STL are a strided (T, 3, 3) view of its records
+    data = _torus_stl(12, 9)
+    corners = _binary_stl_corners(data)
+    assert not corners.flags.c_contiguous
+    bits = corners.view(np.uint32)
+    _assert_numbering_matches_reference(bits)
+    firsts, ids = _first_occurrence_ids(bits)
+    assert np.array_equal(ids, _first_occurrence_ids(bits.reshape(-1, 3).copy())[1])
+    verts, tris = _dedup_vertices(corners)
+    assert verts.tobytes() == corners.reshape(-1, 3)[firsts].astype(np.float64).tobytes()
+    assert np.array_equal(tris, ids)
+
 
 def test_parse_xyz_separators_and_comments():
     cloud = parse_xyz("0 0 0\n1,2,3")
@@ -627,6 +700,37 @@ def test_signed_volume_sign_flips_with_orientation():
     assert signed_volume(flipped) == pytest.approx(-8.0)
 
 
+def _signed_volume_reference(mesh):
+    """The volume as one einsum over all triangles formed it."""
+    if not len(mesh.triangles):
+        return 0.0
+    p = mesh.triangle_points
+    return float(np.einsum("ij,ij->", p[:, 0], np.cross(p[:, 1], p[:, 2])) / 6.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 200), st.sampled_from([1, 7, 64, 1 << 12]),
+       st.floats(-3, 3), st.booleans(), st.integers(0, 2 ** 31))
+def test_signed_volume_has_the_bits_of_one_einsum(nverts, ntris, chunk, scale, rounded, seed):
+    # T need not be a multiple of the chunk; rounded vertices give zero and
+    # tied products, and so exercise the sign of zero
+    rng = np.random.default_rng(seed)
+    vertices = rng.normal(size=(nverts, 3)) * 10.0 ** scale
+    if rounded:
+        vertices = np.round(vertices)
+    mesh = TriMesh(vertices, rng.integers(0, nverts, size=(ntris, 3)))
+    expected = np.float64(_signed_volume_reference(mesh)).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshcore, "_VOLUME_CHUNK", chunk)
+        assert np.float64(signed_volume(mesh)).tobytes() == expected
+
+
+def test_signed_volume_of_a_large_mesh_has_the_bits_of_one_einsum():
+    mesh = parse_stl(_torus_stl(100, 70))       # 14000 triangles, over three chunks
+    assert len(mesh.triangles) % meshcore._VOLUME_CHUNK
+    assert signed_volume(mesh) == _signed_volume_reference(mesh)
+
+
 def test_point_cloud_requires_points():
     with pytest.raises(EmptyCloud):
         PointCloud(np.zeros((0, 3)))
@@ -677,6 +781,38 @@ def test_binary_parse_peak_memory_is_bounded():
         tracemalloc.stop()
     assert len(mesh.vertices) == 20000
     assert peak < 4.5 * len(data)
+
+
+@pytest.fixture(scope="module")
+def torus_200k():
+    return _torus_stl(400, 250)                 # 200k triangles, 10 MB
+
+
+def test_binary_parse_holds_at_most_two_and_a_half_files(torus_200k):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        mesh = parse_stl(torus_200k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mesh.triangles) == 200_000
+    # the record view is not copied, and the sort keys go before the ids
+    assert peak <= 2.5 * len(torus_200k)
+
+
+def test_signed_volume_holds_a_chunk_and_one_float_per_triangle(torus_200k):
+    import tracemalloc
+
+    mesh = parse_stl(torus_200k)
+    tracemalloc.start()
+    try:
+        signed_volume(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * len(torus_200k)
 
 
 def test_parse_xyz_peak_memory_is_bounded():
@@ -795,6 +931,8 @@ def test_a_long_bad_number_fails_in_linear_time(read, text, error):
     ("\u00a01 2 3\u2028 4 5 6", [[1, 2, 3], [4, 5, 6]]),
     ("1 2 3\n# c\n4\u00a05 6\n7 8 9", [[1, 2, 3], [4, 5, 6], [7, 8, 9]]),   # plain head
     ("# \u00e9\n1 2 3", [[1, 2, 3]]),
+    ("\ufeff1 2 3\n4 5 6", [[1, 2, 3], [4, 5, 6]]),       # one byte order mark is skipped
+    ("\ufeff\n1 2 3", [[1, 2, 3]]),
 ])
 def test_parse_xyz_plain_and_other_line_grammars(text, points):
     assert parse_xyz(text).points.tolist() == points
@@ -812,6 +950,8 @@ def test_parse_xyz_plain_and_other_line_grammars(text, points):
     ("1 2 inf\n1 2\n", 1, "non-finite coordinate"),
     ("1 2 x\n1 2\n", 1, "not a number"),
     ("1 2 3\n\u0661 2 3\n", 2, "not a number"),
+    ("\ufeff\ufeff1 2 3\n", 1, "not a number"),             # only one mark is skipped
+    ("1 2 3\n\ufeff4 5 6\n", 2, "not a number"),
 ])
 def test_parse_xyz_errors_name_their_line(text, line, message):
     with pytest.raises(BadLine, match=message) as err:

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dm_stegkit import (
@@ -173,10 +173,21 @@ def test_capacity_law_exact_boundary():
 
 @settings(max_examples=30, deadline=None)
 @given(st.binary(min_size=0, max_size=40), st.integers(1, 9))
+@example(bytes(39), 1)                         # 400 slots: fits exactly
+@example(bytes(40), 1)                         # 408 slots: does not fit
 def test_roundtrip_property(payload, digits):
     text = vrml_scene(triples=400, seed=9)
+    stream = parse_vrml(text)
+    assert len(stream.color_green_slots) == 400
     params = ChannelParams(digits_per_value=digits)
-    out = embed_green_digits(parse_vrml(text), payload, params)
+    # one slot per digit of the framed payload's bits
+    needed = -(-(len(payload) + FRAME_OVERHEAD) * 8 // digits)
+    if needed > 400:
+        with pytest.raises(InsufficientSlots) as err:
+            embed_green_digits(stream, payload, params)
+        assert (err.value.needed, err.value.available) == (needed, 400)
+        return
+    out = embed_green_digits(stream, payload, params)
     assert extract_green_digits(out, params) == payload
 
 
