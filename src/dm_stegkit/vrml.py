@@ -1,14 +1,19 @@
-"""Span-preserving VRML97 tokenizer and the green-intensity digit channel.
+"""Span-preserving VRML97 scanner and the green-intensity digit channel.
 
 Payload bits become the literal fractional digits of the second (green)
 component of each RGB triple inside ``Color { color [ ... ] }`` nodes.
-Re-emission splices rewritten tokens into the original text, so every
-byte outside the rewritten spans is preserved.
+One pass over the text counts the tokens and records where each green
+slot lies; re-emission splices rewritten numbers into the original text at
+those spans, so every byte outside them is preserved. Token objects are
+built only when ``VrmlTokenStream.tokens`` is indexed.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -17,17 +22,25 @@ from .stego import FRAME_OVERHEAD, frame_payload, unframe_payload
 
 VRML_HEADER = "#VRML V2.0"
 
-# separators (unnamed) first, any other character last; no DOTALL, so a
-# string escape never spans a newline; [0-9], as \d and float take any Unicode digit
+# one match per token: the separators before it, then the token itself,
+# which is the match's last group. The first five kinds start with distinct
+# characters, numbers (the commonest) first; any other character is a
+# one-character token, and the end of the text (\Z) takes the trailing
+# separators in one match without a group, so no match backtracks. No
+# DOTALL, so a string escape never spans a newline; a comment ends at a CR
+# or LF as in VRML97; [0-9], as \d and float take any Unicode digit
 _TOKEN_RE = re.compile(
     r"""
-    [\s,]+
-  | (?P<comment>\#[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][-+]?[0-9]+)?)
-  | (?P<punct>[{}\[\]])
-  | (?P<keyword>[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<other>[\s\S])
+    [\s,]*
+    (?:
+        (?P<number>[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][-+]?[0-9]+)?)
+      | (?P<punct>[{}\[\]])
+      | (?P<keyword>[A-Za-z_][A-Za-z0-9_\-]*)
+      | (?P<comment>\#[^\n\r]*)
+      | (?P<string>"(?:[^"\\]|\\.)*")
+      | (?P<other>[^\s,])
+      | \Z
+    )
     """,
     re.VERBOSE,
 )
@@ -43,12 +56,46 @@ class Token(NamedTuple):
     value: float | None = None
 
 
+class _TokenView(Sequence):
+    """The tokens of a text whose count is known: built on first element access."""
+
+    def __init__(self, text: str, count: int):
+        self._text = text
+        self._count = count
+        self._tokens: list[Token] | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if self._tokens is None:
+            self._tokens = _tokenize(self._text)
+        return self._tokens[index]
+
+
 @dataclass
 class VrmlTokenStream:
+    """A parsed scene.
+
+    ``tokens`` is a ``_TokenView``: its length is the scan's token count and
+    its elements are built from ``text`` on first access. Each entry of
+    ``color_green_slots`` is a slot's token index; ``slot_spans`` holds the
+    slots' start and end offsets in turn.
+    """
+
     text: str
-    tokens: list[Token]
+    tokens: Sequence[Token]
     color_green_slots: list[int] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    slot_spans: array = field(default_factory=lambda: array("q"))
+
+    def _span(self, index: int) -> tuple[int, int]:
+        """Start and end offsets of token ``index``, from the scan for a slot."""
+        k = bisect_left(self.color_green_slots, index)
+        if k < len(self.color_green_slots) and self.color_green_slots[k] == index:
+            return self.slot_spans[2 * k], self.slot_spans[2 * k + 1]
+        tok = self.tokens[index]
+        return tok.start, tok.end
 
     def emit(self, replacements: dict[int, str] | None = None) -> str:
         """Rebuild the file text, substituting tokens listed by index."""
@@ -57,10 +104,10 @@ class VrmlTokenStream:
         parts = []
         pos = 0
         for idx in sorted(replacements):
-            tok = self.tokens[idx]
-            parts.append(self.text[pos:tok.start])
+            start, end = self._span(idx)
+            parts.append(self.text[pos:start])
             parts.append(replacements[idx])
-            pos = tok.end
+            pos = end
         parts.append(self.text[pos:])
         return "".join(parts)
 
@@ -78,12 +125,17 @@ class ChannelParams:
 
 
 def parse_vrml(text: str) -> VrmlTokenStream:
-    """Tokenize a VRML97 subset and locate the rewritable green slots."""
+    """Scan a VRML97 subset once: count its tokens and locate the green slots.
+
+    No token objects are built; ``tokens`` of the result builds them on first
+    access. Raises UnbalancedBrackets and NonAsciiDigit as described in
+    ``_scan``.
+    """
     if not text.startswith(VRML_HEADER):
         raise MissingHeader(f"expected a {VRML_HEADER!r} header line")
-    tokens = _tokenize(text)
-    stream = VrmlTokenStream(text=text, tokens=tokens, color_green_slots=_walk_brackets(tokens))
-    if not stream.color_green_slots:
+    count, slots, spans = _scan(text)
+    stream = VrmlTokenStream(text, _TokenView(text, count), slots, slot_spans=spans)
+    if not slots:
         stream.warnings.append("no Color node with usable RGB triples found")
     return stream
 
@@ -93,60 +145,90 @@ def _tokenize(text: str) -> list[Token]:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
-            continue
+            break                           # trailing separators, the end of the text
+        start, end = m.span(kind)
+        tok = m[kind]
         if kind == "other":
             kind = "punct"                  # unknown byte: kept so nothing is ever dropped
-        tok = m.group()
-        tokens.append(Token(kind, m.start(), m.end(), tok,
-                            float(tok) if kind == "number" else None))
+        tokens.append(Token(kind, start, end, tok, float(tok) if kind == "number" else None))
     return tokens
 
 
 _BRACKET_PAIR = {"}": "{", "]": "["}
 
 
-def _walk_brackets(tokens: list[Token]) -> list[int]:
-    """Check bracket nesting and digits and return the green slots, in one pass.
+def _scan(text: str) -> tuple[int, list[int], array]:
+    """Count the tokens, check bracket nesting and digits, find the green slots.
 
-    A slot is the second number of each triple of numbers that are direct
-    children of a ``[`` opened right after the keyword ``color``, where that
-    ``[`` sits directly inside a ``{`` opened right after the keyword
-    ``Color``, and whose value lies in [0, 1]. Comments are skipped, so one
-    may sit between a keyword and its bracket.
+    Returns the token count, each slot's token index and the slots' start
+    and end offsets in turn. A slot is the second number of each triple of
+    numbers that are direct children of a ``[`` opened right after the
+    keyword ``color``, where that ``[`` sits directly inside a ``{`` opened
+    right after the keyword ``Color``, and whose value lies in [0, 1].
+    Comments are skipped, so one may sit between a keyword and its bracket.
+    Only the second number of a triple is converted with ``float``.
 
     A non-ASCII digit that touches a number raises NonAsciiDigit: the
-    number would stop short of it and could be rewritten as a slot.
+    number would stop short of it and could be rewritten as a slot. The
+    digit is checked against the number before it when the digit is read
+    and against the number after it when that number is read; nothing read
+    in between can raise, so the error raised is the first in the text.
     """
-    slots = []
-    stack = []      # (open token, opens a Color node, color list's partial triple or None)
-    prev = ""       # text of the previous non-comment token
-    for i, tok in enumerate(tokens):
-        if tok.kind == "number":
-            triple = stack[-1][2] if stack else None
-            if triple is not None:
-                triple.append(i)
-                if len(triple) == 3:
-                    if 0.0 <= tokens[triple[1]].value <= 1.0:
-                        slots.append(triple[1])
-                    triple.clear()
-        elif tok.kind == "punct" and tok.text in "{[":
-            in_node = bool(stack) and stack[-1][1]
-            stack.append((tok, tok.text == "{" and prev == "Color",
-                          [] if tok.text == "[" and prev == "color" and in_node else None))
-        elif tok.kind == "punct" and tok.text in "}]":
-            if not stack or stack[-1][0].text != _BRACKET_PAIR[tok.text]:
-                raise UnbalancedBrackets(tok.start, f"unexpected {tok.text!r}")
-            stack.pop()
-        elif tok.kind == "punct" and tok.text.isdecimal():
-            if (i and tokens[i - 1].kind == "number" and tokens[i - 1].end == tok.start
-                    or i + 1 < len(tokens) and tokens[i + 1].kind == "number"
-                    and tokens[i + 1].start == tok.end):
-                raise NonAsciiDigit(tok.start, tok.text)
-        if tok.kind != "comment":
-            prev = tok.text
+    slots: list[int] = []
+    spans = array("q")
+    stack = []              # per open bracket: its match and the enclosing bracket's state
+    node = False            # the innermost bracket opens a Color node
+    colours = False         # it is the color list directly inside one
+    seen = 0                # numbers of its running triple read so far
+    green = None            # the triple's second number: (token index, match)
+    word, word_at = "", -2  # the last keyword, and its index carried over comments
+    number_at = -2          # index of the last number
+    digit = None            # a non-ASCII digit with no number right before it
+    digit_at = -2           # the index right after that digit
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        kind = m.lastgroup
+        if kind == "number":
+            if i == digit_at and m.start() == m.start(kind):
+                raise NonAsciiDigit(digit.start("other"), digit["other"])
+            number_at = i
+            if colours:
+                seen += 1
+                if seen == 2:
+                    green = i, m
+                elif seen == 3:
+                    seen = 0
+                    at, g = green
+                    if 0.0 <= float(g[kind]) <= 1.0:
+                        slots.append(at)
+                        spans.extend(g.span(kind))
+        elif kind == "punct":
+            ch = m[kind]
+            if ch == "{" or ch == "[":
+                after = word if word_at == i - 1 else ""
+                stack.append((m, node, colours, seen, green))
+                colours = ch == "[" and after == "color" and node
+                node = ch == "{" and after == "Color"
+                seen = 0
+            elif not stack or stack[-1][0][kind] != _BRACKET_PAIR[ch]:
+                raise UnbalancedBrackets(m.start(kind), f"unexpected {ch!r}")
+            else:
+                _, node, colours, seen, green = stack.pop()
+        elif kind == "keyword":
+            word, word_at = m[kind], i
+        elif kind == "comment":
+            if word_at == i - 1:
+                word_at = i
+        elif kind == "other":
+            if m[kind].isdecimal():
+                if number_at == i - 1 and m.start() == m.start(kind):
+                    raise NonAsciiDigit(m.start(kind), m[kind])
+                digit, digit_at = m, i + 1
+        elif kind is None:
+            break                           # trailing separators, the end of the text
     if stack:
-        raise UnbalancedBrackets(stack[-1][0].start, f"unclosed {stack[-1][0].text!r}")
-    return slots
+        m = stack[-1][0]
+        raise UnbalancedBrackets(m.start("punct"), f"unclosed {m['punct']!r}")
+    return i, slots, spans                  # the end of the text matched last, after i tokens
 
 
 def _slot_capacity_bits(stream: VrmlTokenStream, params: ChannelParams) -> int:
@@ -169,14 +251,15 @@ def embed_green_digits(stream: VrmlTokenStream, payload: bytes,
     bits = frame_payload(payload)
     k = params.digits_per_value
     needed = -(-len(bits) // k)
-    slots = stream.color_green_slots[params.start_slot:]
-    if needed > len(slots):
-        raise InsufficientSlots(needed, len(slots))
+    slots = stream.color_green_slots
+    available = max(0, len(slots) - params.start_slot)
+    if needed > available:
+        raise InsufficientSlots(needed, available)
     replacements = {}
     for g in range(needed):
         group = bits[g * k:(g + 1) * k]
         digits = "".join(str(b) for b in group).ljust(k, "0")
-        replacements[slots[g]] = "0." + digits
+        replacements[slots[params.start_slot + g]] = "0." + digits
     return stream.emit(replacements)
 
 
@@ -184,12 +267,13 @@ def extract_green_digits(text: str, params: ChannelParams = ChannelParams()) -> 
     """Read green fractional digits from ``start_slot`` on and unframe them.
 
     Digit collection stops at the first non-binary fractional digit, since
-    an embedded region is contiguous.
+    an embedded region is contiguous. Each slot is read at its span in the
+    text; no token objects are built.
     """
-    stream = parse_vrml(text)
+    spans = parse_vrml(text).slot_spans
     digits = []
-    for idx in stream.color_green_slots[params.start_slot:]:
-        m = _BINARY_FRACTION_RE.match(stream.tokens[idx].text)
+    for k in range(2 * params.start_slot, len(spans), 2):
+        m = _BINARY_FRACTION_RE.match(text, spans[k], spans[k + 1])
         if m is None:
             break
         digits.append(m[1])

@@ -1,9 +1,12 @@
 """The ingest parsers against the line-by-line parsers they replaced.
 
 ``parse_gcode`` reads plain lines with one regex match, ``parse_xyz``
-converts the tokens of all its lines in one call and VRML tokens are named
-tuples. On every input the result must equal the reference's, or both must
-raise the same exception type with the same message and line. The
+converts the tokens of all its lines in one call and ``parse_vrml`` counts
+the tokens and finds the green slots in one scan, building no tokens; its
+reference tokenizes into dataclasses, with separators matched on their
+own, then walks the tokens. On every input the result must equal the
+reference's, or both must raise the same exception type with the same
+message and line (for VRML, offset). The
 references read numbers with ``float``, which also takes PEP 515
 underscores and non-ASCII digits, so the generated inputs hold neither;
 those cases have their own tests in test_gcode.py and test_meshcore.py.
@@ -21,16 +24,19 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dm_stegkit import TriMesh, audit, parse_gcode, parse_xyz, write_stl_binary
+from dm_stegkit import TriMesh, audit, parse_gcode, parse_vrml, parse_xyz, write_stl_binary
 from dm_stegkit.errors import (BadLine, EmptyCloud, MalformedAscii, MalformedNumber,
-                               NonFiniteCoordinate, StegkitError)
+                               NonAsciiDigit, NonFiniteCoordinate, StegkitError,
+                               UnbalancedBrackets)
 from dm_stegkit.meshcore import _ascii_floats, _dedup_vertices, _parse_stl_ascii
 from dm_stegkit.qr3d import EmbedParams, grid_to_spheres, spheres_to_mesh, unit_vector
-from dm_stegkit.vrml import _TOKEN_RE, _tokenize
+from dm_stegkit.vrml import _tokenize
 from conftest import random_code_grid, vrml_scene
+from test_vrml import NESTED_COLOR
 
 
 # --- the replaced parsers, kept as references ------------------------------------
@@ -151,9 +157,24 @@ class _DataclassToken:
     value: float | None = None
 
 
+# a separator run is a match of its own, before the token alternatives
+_SEPARATE_TOKEN_RE = re.compile(
+    r"""
+    [\s,]+
+  | (?P<comment>\#[^\n\r]*)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<number>[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][-+]?[0-9]+)?)
+  | (?P<punct>[{}\[\]])
+  | (?P<keyword>[A-Za-z_][A-Za-z0-9_\-]*)
+  | (?P<other>[\s\S])
+    """,
+    re.VERBOSE,
+)
+
+
 def _tokenize_reference(text):
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _SEPARATE_TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
             continue
@@ -163,6 +184,52 @@ def _tokenize_reference(text):
         tokens.append(_DataclassToken(kind, m.start(), m.end(), tok,
                                       float(tok) if kind == "number" else None))
     return tokens
+
+
+_BRACKET_PAIR = {"}": "{", "]": "["}
+
+
+def _walk_brackets(tokens):
+    """Check bracket nesting and digits and return the green slots, in one pass."""
+    slots = []
+    stack = []      # (open token, opens a Color node, color list's partial triple or None)
+    prev = ""       # text of the previous non-comment token
+    for i, tok in enumerate(tokens):
+        if tok.kind == "number":
+            triple = stack[-1][2] if stack else None
+            if triple is not None:
+                triple.append(i)
+                if len(triple) == 3:
+                    if 0.0 <= tokens[triple[1]].value <= 1.0:
+                        slots.append(triple[1])
+                    triple.clear()
+        elif tok.kind == "punct" and tok.text in "{[":
+            in_node = bool(stack) and stack[-1][1]
+            stack.append((tok, tok.text == "{" and prev == "Color",
+                          [] if tok.text == "[" and prev == "color" and in_node else None))
+        elif tok.kind == "punct" and tok.text in "}]":
+            if not stack or stack[-1][0].text != _BRACKET_PAIR[tok.text]:
+                raise UnbalancedBrackets(tok.start, f"unexpected {tok.text!r}")
+            stack.pop()
+        elif tok.kind == "punct" and tok.text.isdecimal():
+            if (i and tokens[i - 1].kind == "number" and tokens[i - 1].end == tok.start
+                    or i + 1 < len(tokens) and tokens[i + 1].kind == "number"
+                    and tokens[i + 1].start == tok.end):
+                raise NonAsciiDigit(tok.start, tok.text)
+        if tok.kind != "comment":
+            prev = tok.text
+    if stack:
+        raise UnbalancedBrackets(stack[-1][0].start, f"unclosed {stack[-1][0].text!r}")
+    return slots
+
+
+def _parse_vrml_reference(text):
+    """Token count, slot indices, spans and texts, and warnings."""
+    tokens = _tokenize_reference(text)
+    slots = _walk_brackets(tokens)
+    return (len(tokens), slots, [(tokens[i].start, tokens[i].end) for i in slots],
+            [tokens[i].text for i in slots],
+            [] if slots else ["no Color node with usable RGB triples found"])
 
 
 # --- comparison -----------------------------------------------------------------
@@ -316,6 +383,28 @@ def _fields(tokens):
 
 
 _VRML_ALPHABET = st.sampled_from(list('#"\\\n\r\t ,{}[]0123456789.eE+-aZColr~@\x00é'))
+# whole words, numbers and nested nodes and lists, so that Color nodes,
+# color lists and triples occur; lone brackets are rare
+_VRML_PIECES = st.sampled_from(
+    ["0.5", "0.25", "1", "1.5", "-0.5", ".75", "2e-1", "0."] * 4 + [" ", ", "] * 8
+    + ["Color", "color", "Shape", "\n", "\r", "# c ", "# [\r", '"s]"', "\u0661", "\u0665",
+       "~", "[ 0.9 0.9 0.9 ]", "{ 0.8 }", "Color { color [ 0.1 0.5 0.1 ] }",
+       "Color # c\r { color [ ", " ] }", "{", "]"])
+# nested nodes and lists, each opened after one of these words
+_VRML_LEAVES = st.sampled_from(["0.5", "0.25", "1", "1.5", "-0.5", ".75", "0.", "\u0661",
+                                "~", '"s]"', "# c\r", "# [\n", "color", "Color"])
+_VRML_WORDS = st.sampled_from(["Color", "color", "Shape", "", "Color # c\n", "color #\r"])
+
+
+def _vrml_nest(inner):
+    body = st.lists(inner, max_size=8).map(" ".join)
+    return st.tuples(_VRML_WORDS, st.sampled_from(["{}", "[]"]), body).map(
+        lambda t: f"{t[0]} {t[1][0]} {t[2]} {t[1][1]}")
+
+
+_VRML_TEXTS = (st.text(_VRML_ALPHABET, max_size=80)
+               | st.lists(_VRML_PIECES, max_size=60).map("".join)
+               | st.recursive(_VRML_LEAVES, _vrml_nest, max_leaves=40))
 
 
 @settings(max_examples=300, deadline=None)
@@ -329,6 +418,51 @@ def test_tokenize_matches_reference_on_a_scene():
     tokens = _tokenize(text)
     assert _fields(tokens) == _fields(_tokenize_reference(text))
     assert tokens[0] == ("comment", 0, len(text.split("\n")[0]), text.split("\n")[0], None)
+
+
+def _vrml_outcome(fn, text):
+    """The value, or the exception's type, message and offset."""
+    try:
+        return "ok", fn(text)
+    except (UnbalancedBrackets, NonAsciiDigit) as exc:
+        return type(exc).__name__, str(exc), exc.offset
+
+
+def _parse_vrml_new(text):
+    stream = parse_vrml(text)
+    spans = list(zip(stream.slot_spans[::2], stream.slot_spans[1::2]))
+    return (len(stream.tokens), stream.color_green_slots, spans,
+            [text[a:b] for a, b in spans], stream.warnings)
+
+
+def _assert_scan_matches_reference(text):
+    new = _vrml_outcome(_parse_vrml_new, text)
+    assert new == _vrml_outcome(_parse_vrml_reference, text)
+    return new
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VRML_TEXTS)
+def test_parse_vrml_matches_tokenize_and_walk(body):
+    head = "#VRML V2.0 utf8\nShape { color Color { color [ "
+    _assert_scan_matches_reference("#VRML V2.0 utf8\n" + body)
+    _assert_scan_matches_reference(head + body)
+    _assert_scan_matches_reference(head + body + " ] } }")
+
+
+@pytest.mark.parametrize("text", [
+    NESTED_COLOR, NESTED_COLOR.replace("\n", "\r"), vrml_scene(300),
+    "#VRML V2.0 utf8\nShape { color Color { color [ 0.\u0661 0.\u0665 0.\u0662 ] } }",
+    "#VRML V2.0 utf8\nShape { color Color { color [ \u0661.5 0.5 0.2 ] } }",
+    "#VRML V2.0 utf8\nColor { color [ 0.1 0.5 0.1 \u0661 0.2 0.5 0.2, 0.3\u0665 ] }",
+    "#VRML V2.0 utf8\nColor { color [ 0.1 0.5 0.1 ] } ] \u0661.5",
+    "#VRML V2.0 utf8\nColor { color [ 0.1 0.5 0.1 ] \n",
+    "#VRML V2.0 utf8\nColor # node\r{ color # list\n[ 0.1 1 0.1, 0.2 1.5 0.2 ] }",
+    "#VRML V2.0 utf8\nShape { color [ 0.1 0.5 0.1 ] } color [ 0.2 0.5 0.2 ]",
+    "#VRML V2.0 utf8\nColor { color [ 0.1 0.5 [ 0.9 ] 0.1 { 0.8 } 0.2 0.4 0.2 ] }",
+])
+def test_parse_vrml_matches_tokenize_and_walk_on_scenes(text):
+    _assert_scan_matches_reference(text)
 
 
 # --- STL writer and ASCII STL reader ------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,8 @@ from dm_stegkit.errors import (
     NonAsciiDigit,
     UnbalancedBrackets,
 )
+from dm_stegkit import vrml
+from dm_stegkit.cli import run
 from dm_stegkit.stego import FRAME_OVERHEAD
 from dm_stegkit.vrml import Token, _tokenize
 from conftest import vrml_scene
@@ -200,6 +203,59 @@ def test_crlf_line_endings_preserved():
     assert extract_green_digits(out) == b"crlf"
 
 
+def test_cr_only_line_endings_end_comments():
+    # a comment ends at a CR as at a LF (VRML97): the comment lines of a
+    # CR-only file do not swallow the rest of it
+    text = vrml_scene(triples=80, seed=10)
+    cr_text = text.replace("\n", "\r")
+    stream = parse_vrml(cr_text)
+    assert len(stream.color_green_slots) == len(parse_vrml(text).color_green_slots) == 80
+    assert len(stream.tokens) == len(parse_vrml(text).tokens)
+    assert not stream.warnings
+    assert stream.emit() == cr_text
+    out = embed_green_digits(stream, b"cr only")
+    assert "\n" not in out
+    assert extract_green_digits(out) == b"cr only"
+
+
+def test_parse_holds_little_more_than_the_text():
+    # the scan keeps two offsets and one index per slot, and no tokens
+    text = vrml_scene(triples=100_000, seed=11)
+    tracemalloc.start()
+    try:
+        stream = parse_vrml(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(stream.color_green_slots) == 100_000
+    assert peak <= 8 * len(text)
+
+
+def test_trailing_separators_are_one_match():
+    # were the end of the text not a token alternative, each position in a
+    # trailing separator run would be tried and fail: quadratic in the run
+    assert vrml._TOKEN_RE.match(" ,\n" * 5, 0).span() == (0, 15)
+    text = vrml_scene(triples=50, seed=13)
+    stream = parse_vrml(text + " ,\r\n" * 100_000)
+    assert len(stream.tokens) == len(parse_vrml(text).tokens)
+    assert len(stream.color_green_slots) == 50
+
+
+def test_cli_verbs_build_no_tokens(capsys, monkeypatch, tmp_path):
+    def refuse(text):
+        raise AssertionError("the token list was built")
+
+    monkeypatch.setattr(vrml, "_tokenize", refuse)
+    scene = tmp_path / "scene.wrl"
+    scene.write_text(vrml_scene(triples=200, seed=12))
+    marked = tmp_path / "marked.wrl"
+    assert run(["vrml-embed", str(scene), "--message", "no tokens", "-o", str(marked)]) == 0
+    assert run(["vrml-extract", str(marked)]) == 0
+    assert '"text": "no tokens"' in capsys.readouterr().out
+    with pytest.raises(AssertionError):
+        parse_vrml(scene.read_text()).tokens[0]
+
+
 def test_strings_and_comments_do_not_confuse_tokenizer():
     tricky = (
         "#VRML V2.0 utf8\n"
@@ -216,7 +272,7 @@ def test_strings_and_comments_do_not_confuse_tokenizer():
 
 _REF_TOKEN_RE = re.compile(
     r"""
-    (?P<comment>\#[^\n]*)
+    (?P<comment>\#[^\n\r]*)
   | (?P<string>"(?:[^"\\]|\\.)*")
   | (?P<number>[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][-+]?[0-9]+)?)
   | (?P<punct>[{}\[\]])
