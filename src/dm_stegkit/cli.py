@@ -37,16 +37,11 @@ from .errors import StegkitError
 _READ_BLOCK = 1 << 16
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_bytes(path: str, *parts: bytes):
-    """Write ``parts`` to ``path``, one after another."""
+def _write(path: str, parts):
+    """Write ``parts`` to ``path`` in order: bytes, or str encoded one by one."""
     with open(path, "wb") as fh:
         for part in parts:
-            fh.write(part)
+            fh.write(part.encode("utf-8") if isinstance(part, str) else part)
 
 
 def _payload_repr(data: bytes) -> dict:
@@ -79,22 +74,18 @@ class _Run:
         self.warnings: list[str] = []
 
     def read_bytes(self, path: str) -> bytes:
-        data = _read_bytes(path)
+        with open(path, "rb") as fh:
+            data = fh.read()
         self.inputs[path] = f"{zlib.crc32(data):08x}"
         return data
 
-    def read_text(self, path: str) -> str:
-        return self.read_bytes(path).decode("utf-8")
-
     def stream_text(self, path: str, consume):
-        """``consume(pieces)`` on the UTF-8 text of a file, decoded as an
-        iterator of str pieces, one block of ``_READ_BLOCK`` bytes at a time.
-
-        Outcomes are those of ``consume(self.read_text(path))``: the file's
-        CRC is recorded once every byte has been read, the rest of the file
-        is read after an error of ``consume``, and a file that is not UTF-8
-        raises the UnicodeDecodeError of a whole-file decode, before any
-        error of ``consume``.
+        """``consume(pieces)`` on the file's UTF-8 text, decoded one block of
+        ``_READ_BLOCK`` bytes at a time; a consumer that needs one str passes
+        ``"".join``. The CRC is recorded once every byte has been read, the
+        rest of the file is read after an error of ``consume``, and a file that
+        is not UTF-8 raises the error of a whole-file decode (CRC recorded)
+        before any error of ``consume``.
         """
         with open(path, "rb") as fh:
             decode = codecs.getincrementaldecoder("utf-8")().decode
@@ -115,7 +106,7 @@ class _Run:
                     for _ in blocks:                # the rest: its CRC and decoding
                         pass
             except UnicodeDecodeError:
-                self.read_text(path)                # raises the whole-file error
+                self.read_bytes(path).decode("utf-8")   # raises the whole-file error
                 raise
 
     def envelope(self, result: dict) -> dict:
@@ -158,7 +149,7 @@ def _cmd_header_embed(run: _Run, args) -> dict:
         data = meshcore.write_stl_binary(meshcore.parse_stl(data))
     header = stego.stl_header_frame(message)
     # the cover is not copied: the header, then a view of the rest
-    _write_bytes(args.output, header, memoryview(data)[len(header):])
+    _write(args.output, (header, memoryview(data)[len(header):]))
     return {"output": args.output, "message_bytes": len(message),
             "header_hex": header.hex()}
 
@@ -178,13 +169,11 @@ def _cmd_gcode_audit(run: _Run, args) -> dict:
 
 
 def _cmd_vrml_embed(run: _Run, args) -> dict:
-    text = run.read_text(args.file)
-    stream = vrml.parse_vrml(text)
+    stream = vrml.parse_vrml(run.stream_text(args.file, "".join))
     run.warnings.extend(stream.warnings)
-    params = vrml.ChannelParams(start_slot=args.start_slot,
-                                digits_per_value=args.digits)
-    out_text = vrml.embed_green_digits(stream, args.message.encode("utf-8"), params)
-    _write_bytes(args.output, out_text.encode("utf-8"))
+    params = vrml.ChannelParams(start_slot=args.start_slot, digits_per_value=args.digits)
+    replacements = vrml.green_digit_replacements(stream, args.message.encode("utf-8"), params)
+    _write(args.output, stream.pieces(replacements))
     return {
         "output": args.output,
         "slots_total": len(stream.color_green_slots),
@@ -194,9 +183,8 @@ def _cmd_vrml_embed(run: _Run, args) -> dict:
 
 
 def _cmd_vrml_extract(run: _Run, args) -> dict:
-    text = run.read_text(args.file)
-    params = vrml.ChannelParams(start_slot=args.start_slot,
-                                digits_per_value=args.digits)
+    text = run.stream_text(args.file, "".join)
+    params = vrml.ChannelParams(start_slot=args.start_slot, digits_per_value=args.digits)
     return {"payload": _payload_repr(vrml.extract_green_digits(text, params))}
 
 
@@ -204,19 +192,17 @@ def _cmd_morse_encode(run: _Run, args) -> dict:
     segments = stego.text_to_segments(args.text, stego.MorseParams(d=args.unit))
     doc = stego.segments_to_json(segments)
     if args.output:
-        _write_bytes(args.output, json.dumps(doc).encode("utf-8"))
+        _write(args.output, [json.dumps(doc)])
     return {"segments": doc, "count": len(doc)}
 
 
 def _cmd_morse_decode(run: _Run, args) -> dict:
-    items = json.loads(run.read_text(args.file))
-    segments = stego.segments_from_json(items)
-    text = stego.segments_to_text(segments, stego.MorseParams(d=args.unit))
-    return {"text": text}
+    segments = stego.segments_from_json(json.loads(run.stream_text(args.file, "".join)))
+    return {"text": stego.segments_to_text(segments, stego.MorseParams(d=args.unit))}
 
 
 def _cmd_qr3d_embed(run: _Run, args) -> dict:
-    grid = qr3d.grid_from_pbm(run.read_text(args.grid))
+    grid = qr3d.grid_from_pbm(run.stream_text(args.grid, "".join))
     params = qr3d.EmbedParams(
         pitch=args.pitch,
         direction=_parse_direction(args.direction),
@@ -227,7 +213,7 @@ def _cmd_qr3d_embed(run: _Run, args) -> dict:
     cloud = qr3d.grid_to_spheres(grid, params)
     # the mesh checks --subdivisions, so it is built before any file is written
     mesh = qr3d.spheres_to_mesh(cloud, args.subdivisions) if args.stl else None
-    _write_bytes(args.output, qr3d.cloud_to_xyz(cloud).encode("utf-8"))
+    _write(args.output, [qr3d.cloud_to_xyz(cloud)])
     result = {
         "output": args.output,
         "spheres": int(len(cloud.centers)),
@@ -237,28 +223,28 @@ def _cmd_qr3d_embed(run: _Run, args) -> dict:
         "seed": params.seed,
     }
     if args.stl:
-        _write_bytes(args.stl, meshcore.write_stl_binary(mesh))
+        _write(args.stl, [meshcore.write_stl_binary(mesh)])
         result["stl"] = args.stl
         result["stl_triangles"] = int(len(mesh.triangles))
     return result
 
 
 def _cmd_qr3d_project(run: _Run, args) -> dict:
-    cloud = qr3d.cloud_from_xyz(run.read_text(args.file))
+    cloud = run.stream_text(args.file, qr3d.cloud_from_xyz)
     grid = qr3d.project_to_grid(cloud, _parse_direction(args.direction), args.pitch)
     pbm = qr3d.grid_to_pbm(grid)
     if args.output:
-        _write_bytes(args.output, pbm.encode("utf-8"))
+        _write(args.output, [pbm])
     return {"modules": grid.n, "true_modules": int(grid.bits.sum()), "pbm": pbm}
 
 
 def _cmd_qr3d_search(run: _Run, args) -> dict:
-    cloud = qr3d.cloud_from_xyz(run.read_text(args.file))
+    cloud = run.stream_text(args.file, qr3d.cloud_from_xyz)
     result = qr3d.search_direction(cloud, coarse_step_deg=args.coarse_step,
                                    refine_to_deg=args.refine_to)
     pbm = qr3d.grid_to_pbm(result.grid)
     if args.output:
-        _write_bytes(args.output, pbm.encode("utf-8"))
+        _write(args.output, [pbm])
     if result.score >= qr3d.MISS_SCORE:
         run.warnings.append(f"best lattice score {result.score:.3g} >= {qr3d.MISS_SCORE}: "
                             "no lattice direction was found; direction and grid are "
@@ -274,10 +260,10 @@ def _cmd_qr3d_search(run: _Run, args) -> dict:
 
 
 def _cmd_recon(run: _Run, args) -> dict:
-    cloud = meshcore.parse_xyz(run.read_text(args.file))
+    cloud = run.stream_text(args.file, meshcore.parse_xyz)
     stack = recon.group_layers(cloud, z_tol=args.z_tol)
     mesh = recon.loft_layers(stack, resample_count=args.resample)
-    _write_bytes(args.output, meshcore.write_stl_binary(mesh))
+    _write(args.output, [meshcore.write_stl_binary(mesh)])
     return {
         "output": args.output,
         "points": int(len(cloud.points)),

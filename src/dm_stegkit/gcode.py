@@ -7,14 +7,13 @@ metadata and toolpath disagree.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import AmbiguousClaims, MalformedNumber
-from .meshcore import _is_ascii_digits, parse_decimal
+from .meshcore import _is_ascii_digits, _line_chunks, parse_decimal
 
 _Z_QUANTUM = 1e-3  # mm; Z levels closer than this merge into one layer
 
@@ -53,9 +52,6 @@ class ForensicsReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, pretty: bool = False) -> str:
-        return json.dumps(self.to_dict(), indent=2 if pretty else None)
-
 
 _PAREN_COMMENT = re.compile(r"\([^()]*\)")
 # the code word of an M117 (display) or M118 (echo) message, whose free text
@@ -80,9 +76,6 @@ _PLAIN_LINE = re.compile(r"(?:[Nn][0-9]+)?"
                          r"[ \t]*(?:\*[ \t]*[0-9]+[ \t]*)?(?:;(.*))?")
 
 
-_CHUNK_CHARS = 1 << 16     # characters per str.splitlines call, cut after a "\n"
-
-
 def parse_gcode(text: str) -> GcodeProgram:
     """Parse one command per nonempty line.
 
@@ -101,11 +94,10 @@ def _commands(text: str | Iterable[str]):
     """Yield ``(line_number, code, args, comment)`` for each nonempty line.
 
     ``text`` is one string or the pieces of one, in order, such as the
-    blocks of a file decoded one at a time. Lines are those of the whole
-    text's ``splitlines()``, read in chunks of ``_line_chunks``, each cut
-    just after a ``"\n"`` or a lone ``"\r"``: no cut falls inside a line
-    or a ``"\r\n"``, so the lines and their numbers are those of the whole
-    text, while only one chunk's lines are held.
+    blocks of a file decoded one at a time, read in the chunks of
+    ``_line_chunks``: no cut falls inside a line or a ``"\r\n"``, so the
+    lines and their numbers are those of the whole text's ``splitlines()``,
+    while only one chunk's lines are held.
 
     A plain line (an integer code word and ASCII letter-and-decimal
     arguments each given once, with an optional line number, checksum and
@@ -113,7 +105,7 @@ def _commands(text: str | Iterable[str]):
     ``_parse_line``.
     """
     lineno = 0
-    for chunk in _line_chunks([text] if isinstance(text, str) else text):
+    for chunk in _line_chunks(text):
         for raw in chunk.splitlines():
             lineno += 1
             line = raw.strip()
@@ -135,29 +127,6 @@ def _commands(text: str | Iterable[str]):
                     continue
             cmd = _parse_line(line, lineno)
             yield lineno, cmd.code, cmd.args, cmd.comment
-
-
-def _line_chunks(pieces: Iterable[str]):
-    """The text the pieces join to, in chunks that each end at a line end:
-    a piece is cut after its last ``"\n"``, or after a later ``"\r"`` that
-    another character of the piece follows, and further just after a
-    ``"\n"`` every ``_CHUNK_CHARS`` or more characters. A last chunk holds
-    what follows the last cut."""
-    held = []                               # pieces since the last cut
-    for piece in pieces:
-        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
-        if not cut:
-            held.append(piece)
-            continue
-        text = "".join(held) + piece
-        cut += len(text) - len(piece)
-        start = 0
-        while start < cut:
-            end = text.find("\n", start + _CHUNK_CHARS, cut) + 1 or cut
-            yield text[start:end]
-            start = end
-        held = [text[cut:]]
-    yield "".join(held)
 
 
 def _parse_line(line: str, lineno: int) -> GcodeCommand:

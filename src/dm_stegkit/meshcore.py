@@ -10,6 +10,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -373,53 +374,96 @@ def _unit_normals(v: np.ndarray) -> np.ndarray:
     return np.divide(normals, norms, out=np.zeros_like(normals), where=norms > 0)
 
 
-# --- XYZ point clouds ---------------------------------------------------------
+# --- text lines and XYZ point clouds -------------------------------------------
 
-def parse_xyz(text: str) -> PointCloud:
+_CHUNK_CHARS = 1 << 16     # characters per str.splitlines call, cut after a "\n"
+
+
+def _line_chunks(pieces: str | Iterable[str]):
+    """A text, one string or its pieces in order, in chunks that each end at
+    a line end: a piece is cut after its last ``"\n"``, or after a later
+    ``"\r"`` that another character of the piece follows, and further just
+    after a ``"\n"`` every ``_CHUNK_CHARS`` or more characters. A last chunk
+    holds what follows the last cut."""
+    held = []                               # pieces since the last cut
+    for piece in [pieces] if isinstance(pieces, str) else pieces:
+        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
+        if not cut:
+            held.append(piece)
+            continue
+        text = "".join(held) + piece
+        cut += len(text) - len(piece)
+        start = 0
+        while start < cut:
+            end = text.find("\n", start + _CHUNK_CHARS, cut) + 1 or cut
+            yield text[start:end]
+            start = end
+        held = [text[cut:]]
+    yield "".join(held)
+
+
+def parse_xyz(text: str | Iterable[str], comment=None) -> PointCloud:
     """Parse whitespace/comma separated x y z lines; '#' starts a comment.
 
-    One leading U+FEFF byte order mark is skipped. One pass over
-    ``str.splitlines`` keeps each data line's three tokens and line
-    number, up to the first line with another token count. When
-    the tokens are ASCII without underscores, where ``float`` reads what
-    ``parse_decimal`` reads, they are converted in one call; only when
-    that fails or gives a non-finite value are the kept lines read one by
-    one, so an error names the first line at fault. A line with another
-    token count is reported only after every line before it has passed.
-    """
-    linenos: list[int] = []
-    tokens: list[str] = []
-    bad = None
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 3:
-            bad = BadLine(lineno)
-            break
-        linenos.append(lineno)
-        tokens += parts
-    values = None
-    joined = "".join(tokens)
-    if joined.isascii() and "_" not in joined:
-        try:
-            values = np.fromiter(map(float, tokens), np.float64, len(tokens))
-        except ValueError:
-            pass
-    if values is None or not np.isfinite(values).all():
-        for i, lineno in enumerate(linenos):
+    ``text`` is one string or its pieces in order (a file's blocks, decoded
+    one at a time), read in the chunks of ``_line_chunks``; one leading
+    U+FEFF byte order mark is skipped. A chunk's data lines up to the first
+    with another token count go to ``_xyz_values`` at once; that line is
+    reported after every line before it has passed. ``comment(line, lineno)``,
+    if given, sees each stripped comment line, also those after a data line
+    at fault, so an error it raises comes first."""
+    blocks, error, lineno = [], None, 0
+    for k, chunk in enumerate(_line_chunks(text)):
+        chunk = chunk if k else chunk.removeprefix("\ufeff")
+        first, tokens, comma = lineno, [], "," in chunk
+        for lineno, raw in enumerate(chunk.splitlines(), lineno + 1):
+            parts = raw.split()
+            if parts and parts[0][0] == "#":
+                if comment is not None:
+                    comment(raw.strip(), lineno)
+            elif parts and error is None:
+                if comma:
+                    parts = raw.replace(",", " ").split()
+                if len(parts) == 3:
+                    tokens += parts
+                else:
+                    error = BadLine(lineno)
+        if tokens:
             try:
-                point = [parse_decimal(v) for v in tokens[3 * i:3 * i + 3]]
-            except ValueError:
-                raise BadLine(lineno, "not a number") from None
-            if not all(map(math.isfinite, point)):
-                raise BadLine(lineno, "non-finite coordinate")
-    if bad is not None:
-        raise bad
-    if not tokens:
+                blocks.append(_xyz_values(tokens, chunk, first))
+            except BadLine as exc:          # a line before this chunk's count error
+                error = exc
+        if error is not None and comment is None:
+            break
+    if error is not None:
+        raise error
+    if not blocks:
         raise EmptyCloud("no data lines in XYZ input")
-    return PointCloud(values.reshape(-1, 3))
+    return PointCloud(np.concatenate(blocks).reshape(-1, 3))
+
+
+def _xyz_values(tokens: list[str], chunk: str, lineno: int) -> np.ndarray:
+    """The float64 values of the tokens of ``chunk``'s data lines (its first
+    line follows line ``lineno``), in one ``float`` pass when they are ASCII
+    without underscores, where ``float`` reads what ``parse_decimal`` reads;
+    if that fails or is not finite, BadLine names the first line at fault."""
+    joined = "".join(tokens)
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        if joined.isascii() and "_" not in joined and np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    data = (n for n, raw in enumerate(chunk.splitlines(), lineno + 1)
+            if (parts := raw.split()) and parts[0][0] != "#")
+    for i, n in zip(range(0, len(tokens), 3), data):
+        try:
+            point = [parse_decimal(v) for v in tokens[i:i + 3]]
+        except ValueError:
+            raise BadLine(n, "not a number") from None
+        if not all(map(math.isfinite, point)):
+            raise BadLine(n, "non-finite coordinate")
+    raise AssertionError("no faulty data line")
 
 
 def write_xyz(points: np.ndarray, comments: list[str] | None = None) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -104,10 +105,7 @@ def grid_to_pbm(grid: BitGrid) -> str:
 
 
 def grid_from_pbm(text: str) -> BitGrid:
-    tokens = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
+    tokens = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
     if not tokens or tokens[0] != "P1":
         raise ValueError("expected plain PBM (P1)")
     if len(tokens) < 3:
@@ -656,21 +654,20 @@ def cloud_to_xyz(cloud: SphereCloud) -> str:
     return write_xyz(cloud.centers, comments=[f"radius={cloud.radius:.9g}"])
 
 
-def cloud_from_xyz(text: str) -> SphereCloud:
-    """The sphere cloud of ``parse_xyz(text)``, its radius read from the
-    first ``# radius=`` comment (0 without one); one leading U+FEFF byte
-    order mark is skipped."""
-    radius = 0.0
-    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        s = line.strip()
-        if s.startswith("#") and "radius=" in s:
-            value = s.split("radius=", 1)[1].split()
+def cloud_from_xyz(text: str | Iterable[str]) -> SphereCloud:
+    """The sphere cloud of ``parse_xyz(text)``, its radius from the first ``# radius=``
+    comment (0 without one), read in the same pass; a bad one beats any bad data line."""
+    radii = []
+
+    def radius_comment(line: str, lineno: int):
+        if not radii and "radius=" in line:
+            value = line.split("radius=", 1)[1].split()
             try:
-                radius = parse_decimal(value[0])
+                radii.append(parse_decimal(value[0]))
             except (IndexError, ValueError):
-                radius = math.nan               # refused below with the rest
-            if not 0 <= radius < math.inf:
+                radii.append(math.nan)          # refused below with the rest
+            if not 0 <= radii[0] < math.inf:
                 raise BadLine(lineno, f"radius comment needs a number, finite and >= 0, "
-                                      f"got {s!r}")
-            break
-    return SphereCloud(parse_xyz(text).points, radius)
+                                      f"got {line!r}")
+
+    return SphereCloud(parse_xyz(text, radius_comment).points, radii[0] if radii else 0.0)

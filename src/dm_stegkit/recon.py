@@ -9,7 +9,6 @@ disconnected or open contours mean a broken toolpath.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -427,9 +426,6 @@ class OrientationReport:
             "candidates": [c.to_dict() for c in
                            (self.candidates if top is None else self.candidates[:top])],
         }
-
-    def to_json(self, top: int | None = None, pretty: bool = False) -> str:
-        return json.dumps(self.to_dict(top), indent=2 if pretty else None)
 
 
 def _ring_counts(a: np.ndarray, b: np.ndarray, node_level: np.ndarray, nlevels: int):

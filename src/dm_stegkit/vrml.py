@@ -44,6 +44,7 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_PIECE_CHARS = 1 << 16      # most text characters in one of ``VrmlTokenStream.pieces``
 # a number's fraction: the binary digits that lead it, then the rest
 _BINARY_FRACTION_RE = re.compile(r"[^.]*\.([01]*)(.*)")
 
@@ -79,13 +80,13 @@ class VrmlTokenStream:
 
     ``tokens`` is a ``_TokenView``: its length is the scan's token count and
     its elements are built from ``text`` on first access. Each entry of
-    ``color_green_slots`` is a slot's token index; ``slot_spans`` holds the
-    slots' start and end offsets in turn.
+    ``color_green_slots`` (an ``array('q')``) is a slot's token index;
+    ``slot_spans`` holds the slots' start and end offsets in turn.
     """
 
     text: str
     tokens: Sequence[Token]
-    color_green_slots: list[int] = field(default_factory=list)
+    color_green_slots: array = field(default_factory=lambda: array("q"))
     warnings: list[str] = field(default_factory=list)
     slot_spans: array = field(default_factory=lambda: array("q"))
 
@@ -97,19 +98,21 @@ class VrmlTokenStream:
         tok = self.tokens[index]
         return tok.start, tok.end
 
+    def pieces(self, replacements: dict[int, str]):
+        """The text with the tokens listed by index substituted, in order: each
+        substitute, and the text around them in slices of ``_PIECE_CHARS``."""
+        pos = 0
+        for idx in [*sorted(replacements), None]:
+            start, end = (len(self.text), None) if idx is None else self._span(idx)
+            for i in range(pos, start, _PIECE_CHARS):
+                yield self.text[i:min(i + _PIECE_CHARS, start)]
+            if idx is not None:
+                yield replacements[idx]
+                pos = end
+
     def emit(self, replacements: dict[int, str] | None = None) -> str:
         """Rebuild the file text, substituting tokens listed by index."""
-        if not replacements:
-            return self.text
-        parts = []
-        pos = 0
-        for idx in sorted(replacements):
-            start, end = self._span(idx)
-            parts.append(self.text[pos:start])
-            parts.append(replacements[idx])
-            pos = end
-        parts.append(self.text[pos:])
-        return "".join(parts)
+        return "".join(self.pieces(replacements)) if replacements else self.text
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def _tokenize(text: str) -> list[Token]:
 _BRACKET_PAIR = {"}": "{", "]": "["}
 
 
-def _scan(text: str) -> tuple[int, list[int], array]:
+def _scan(text: str) -> tuple[int, array, array]:
     """Count the tokens, check bracket nesting and digits, find the green slots.
 
     Returns the token count, each slot's token index and the slots' start
@@ -174,8 +177,7 @@ def _scan(text: str) -> tuple[int, list[int], array]:
     and against the number after it when that number is read; nothing read
     in between can raise, so the error raised is the first in the text.
     """
-    slots: list[int] = []
-    spans = array("q")
+    slots, spans = array("q"), array("q")
     stack = []              # per open bracket: its match and the enclosing bracket's state
     node = False            # the innermost bracket opens a Color node
     colours = False         # it is the color list directly inside one
@@ -242,7 +244,13 @@ def channel_capacity_bytes(stream: VrmlTokenStream, params: ChannelParams = Chan
 
 def embed_green_digits(stream: VrmlTokenStream, payload: bytes,
                        params: ChannelParams = ChannelParams()) -> str:
-    """Write a framed payload into green fractional digits; returns new text.
+    """Write a framed payload into green fractional digits; returns new text."""
+    return stream.emit(green_digit_replacements(stream, payload, params))
+
+
+def green_digit_replacements(stream: VrmlTokenStream, payload: bytes,
+                             params: ChannelParams = ChannelParams()) -> dict[int, str]:
+    """The green tokens that carry a framed payload, by token index.
 
     Each rewritten token becomes ``0.<digits>`` where the digits are the
     literal '0'/'1' payload bits, ``digits_per_value`` per token, the last
@@ -260,7 +268,7 @@ def embed_green_digits(stream: VrmlTokenStream, payload: bytes,
         group = bits[g * k:(g + 1) * k]
         digits = "".join(str(b) for b in group).ljust(k, "0")
         replacements[slots[params.start_slot + g]] = "0." + digits
-    return stream.emit(replacements)
+    return replacements
 
 
 def extract_green_digits(text: str, params: ChannelParams = ChannelParams()) -> bytes:

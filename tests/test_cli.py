@@ -79,7 +79,7 @@ def test_header_embed_writes_ascii_cover_as_binary(capsys, tmp_path):
 
 
 def _legacy_envelope(subcommand, path, result, warnings=()):
-    """The envelope as the CLI printed it through report.to_json()."""
+    """The envelope of ``result``, as json.dumps of a report's ``to_dict()`` prints it."""
     return json.dumps({
         "tool": "dm-stegkit", "version": __version__, "subcommand": subcommand,
         "inputs": {str(path): f"{zlib.crc32(path.read_bytes()):08x}"},
@@ -96,7 +96,7 @@ def test_gcode_audit_envelope_matches_to_json(capsys, tmp_path, text):
     path = tmp_path / "part.gcode"
     path.write_text(text)
     report = audit(parse_gcode(text))
-    legacy = json.loads(report.to_json())
+    legacy = json.loads(json.dumps(report.to_dict()))
     legacy.pop("warnings")
     assert run(["gcode-audit", str(path)]) == 0
     out = capsys.readouterr().out
@@ -120,26 +120,37 @@ def test_gcode_audit_reads_the_file_before_the_threshold(capsys, tmp_path, text,
     assert capsys.readouterr().out == _legacy_envelope("gcode-audit", path, result)
 
 
-def _whole_text_audit(monkeypatch, capsys, path):
-    """The gcode-audit output when the file is read and decoded whole."""
+def _outputs(capsys, argv, outputs=()):
+    """The CLI's stdout for ``argv`` and the bytes of each file in
+    ``outputs`` (None for one not written), each file removed after."""
+    run(argv)
+    written = []
+    for path in outputs:
+        written.append(path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    return capsys.readouterr().out, written
+
+
+def _whole_text_outputs(monkeypatch, capsys, argv, outputs=()):
+    """``_outputs`` when each text file is read and decoded whole, here."""
     with monkeypatch.context() as m:
-        m.setattr(cli._Run, "stream_text", lambda run, p, consume: consume(run.read_text(p)))
-        run(["gcode-audit", str(path)])
-    return capsys.readouterr().out
+        m.setattr(cli._Run, "stream_text",
+                  lambda run, p, consume: consume(run.read_bytes(p).decode("utf-8")))
+        return _outputs(capsys, argv, outputs)
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\f"])
 def test_streamed_audit_envelopes_match_the_whole_text_audit(capsys, tmp_path, monkeypatch, brk):
     path = tmp_path / "p.gcode"
+    argv = ["gcode-audit", str(path)]
     for program in AUDIT_PROGRAMS:
         # multi-byte characters, which blocks of 1, 2, 3 and 5 bytes cut
         lines = ["; na\u00efve \u20ac \U0001F600 M117", *program.splitlines()]
         path.write_bytes((brk.join(lines) + brk).encode())
-        whole = _whole_text_audit(monkeypatch, capsys, path)
+        whole = _whole_text_outputs(monkeypatch, capsys, argv)
         for block in (1, 2, 3, 5, 1 << 16) if len(program) < 1000 else (4096,):
             monkeypatch.setattr(cli, "_READ_BLOCK", block)
-            run(["gcode-audit", str(path)])
-            assert capsys.readouterr().out == whole, (program[:80], block)
+            assert _outputs(capsys, argv) == whole, (program[:80], block)
 
 
 @pytest.mark.parametrize("data", [
@@ -153,12 +164,122 @@ def test_streamed_audit_of_invalid_utf8_is_the_whole_file_error(capsys, tmp_path
     # the decode error comes first, even after a malformed line (third case)
     path = tmp_path / "p.gcode"
     path.write_bytes(data)
-    whole = _whole_text_audit(monkeypatch, capsys, path)
-    assert '"error": "UnicodeDecodeError"' in whole
+    argv = ["gcode-audit", str(path)]
+    whole = _whole_text_outputs(monkeypatch, capsys, argv)
+    assert '"error": "UnicodeDecodeError"' in whole[0]
     for block in (1, 2, 3, 1 << 16):
         monkeypatch.setattr(cli, "_READ_BLOCK", block)
-        assert run(["gcode-audit", str(path)]) == 1
-        assert capsys.readouterr().out == whole, block
+        assert run(argv) == 1
+        assert capsys.readouterr().out == whole[0], block
+
+
+# characters of 2, 3 and 4 bytes, which blocks of 1, 2, 3 and 5 bytes cut
+_MULTIBYTE = "na\u00efve \u20ac \U0001F600"
+
+
+def _text_verb_inputs(verb, path, out):
+    """Texts for ``verb``, each with ``_MULTIBYTE`` in it, one it reads and
+    then ones it refuses, and the argv that reads ``path`` and writes ``out``."""
+    from dm_stegkit import qr3d, stego, vrml
+
+    cloud = qr3d.cloud_to_xyz(qr3d.grid_to_spheres(grid_from_pbm(_SMOKE_PBM), qr3d.EmbedParams(
+        pitch=2, direction=unit_vector([0.3, -0.5, 0.8]), seed=7)))
+    radius, centres = cloud.split("\n", 1)
+    cloud = f"{radius}\n# {_MULTIBYTE}\n{centres}"
+    scene = vrml_scene(triples=40, seed=3).replace("\n", f"\n# {_MULTIBYTE}\n", 1)
+    if verb == "recon":
+        t = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+        scan = f"# {_MULTIBYTE}\n" + "".join(f"{5 * np.cos(a):.6f}, {5 * np.sin(a):.6f} {z}\n"
+                                              for z in (0, 0.5, 1) for a in t)
+        texts = [scan, "\ufeff" + scan, scan + "1 2 x\n", scan + "1 2\n# 1 2\n",
+                 scan.replace("5.000000", "1e999", 1) + "1 2\n"]
+        return texts, ["recon", str(path), "--resample", "16", "-o", str(out)]
+    if verb in ("qr3d-search", "qr3d-project"):
+        # a BOM before the radius comment on line 1; a bad radius comment after
+        # a bad data line, which it still comes before
+        texts = [cloud, "\ufeff" + cloud, cloud + "1 2 3 4\n", "\ufeff# radius=nan\n" + centres,
+                 "1 2\n# radius=-1\n" + centres]
+        argv = ([verb, str(path), "-o", str(out)] if verb == "qr3d-search" else
+                [verb, str(path), "--dir", "0.3,-0.5,0.8", "--pitch", "2", "-o", str(out)])
+        return texts, argv
+    if verb == "qr3d-embed":
+        pbm = _SMOKE_PBM.replace("\n", f"\n# {_MULTIBYTE}\n", 1)
+        return [pbm, pbm[:-4]], ["qr3d-embed", "--grid", str(path), "--dir", "0.3,-0.5,0.8",
+                                 "--pitch", "2", "--seed", "7", "-o", str(out)]
+    if verb == "vrml-embed":
+        return [scene, scene.replace("[", "{", 1)], ["vrml-embed", str(path), "--message", "hi",
+                                                     "-o", str(out)]
+    if verb == "vrml-extract":
+        marked = vrml.embed_green_digits(vrml.parse_vrml(scene), b"hi")
+        return [marked, scene], ["vrml-extract", str(path)]
+    sketch = [{**item, "note": _MULTIBYTE} for item in
+              stego.segments_to_json(stego.text_to_segments("SOS 73"))]
+    return ([json.dumps(sketch, indent=1, ensure_ascii=False), json.dumps(sketch)[:-3]],
+            ["morse-decode", str(path)])
+
+
+_TEXT_VERBS = ["recon", "qr3d-search", "qr3d-project", "qr3d-embed", "vrml-embed",
+               "vrml-extract", "morse-decode"]
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\f"])
+@pytest.mark.parametrize("verb", _TEXT_VERBS)
+def test_streamed_text_verbs_match_the_whole_text_read(capsys, tmp_path, monkeypatch, verb, brk):
+    # every text verb besides gcode-audit (above): envelopes and written files
+    path, out = tmp_path / "input", tmp_path / "output"
+    texts, argv = _text_verb_inputs(verb, path, out)
+    statuses = set()
+    for text in texts:
+        path.write_bytes(text.replace("\n", brk).encode())
+        whole = _whole_text_outputs(monkeypatch, capsys, argv, [out])
+        statuses.add('"error"' in whole[0])
+        for block in (1, 2, 3, 5, 1 << 16):
+            monkeypatch.setattr(cli, "_READ_BLOCK", block)
+            assert _outputs(capsys, argv, [out]) == whole, (text[:40], block)
+        monkeypatch.undo()
+    assert statuses == {False, True} or brk == "\f"     # \f is no JSON space, and VRML comments run on
+
+
+@pytest.mark.parametrize("case", [
+    lambda data: b"\xff" + data,
+    lambda data: data + b"\xc3",                                          # cut short at the end
+    lambda data: b"1 2\n" + data + b"\xed\xa0\x80\n",
+    lambda data: data.replace(b"\n", b"\n# \xe2\x82 \n", 1),
+], ids=["first-byte", "cut-short", "after-a-malformed-line", "cut-sequence"])
+@pytest.mark.parametrize("verb", _TEXT_VERBS)
+def test_streamed_text_verbs_of_invalid_utf8_are_the_whole_file_error(capsys, tmp_path,
+                                                                      monkeypatch, verb, case):
+    path, out = tmp_path / "input", tmp_path / "output"
+    texts, argv = _text_verb_inputs(verb, path, out)
+    path.write_bytes(case(texts[0].encode()))
+    whole = _whole_text_outputs(monkeypatch, capsys, argv, [out])
+    assert '"error": "UnicodeDecodeError"' in whole[0] and whole[1] == [None]
+    for block in (1, 2, 3, 1 << 16):
+        monkeypatch.setattr(cli, "_READ_BLOCK", block)
+        assert _outputs(capsys, argv, [out]) == whole, block
+
+
+@pytest.mark.parametrize("read", ["parse_xyz", "cloud_from_xyz"])
+def test_xyz_read_through_stream_text_holds_no_copy_of_the_file(tmp_path, read):
+    import tracemalloc
+
+    from dm_stegkit import qr3d
+
+    rng = np.random.default_rng(8)
+    path = tmp_path / "scan.xyz"
+    path.write_text("# radius=0.5\n" + "".join(f"{x:.6f} {y:.6f} {z:.1f}\n" for x, y, z in
+                                               rng.uniform(-50, 50, size=(100_000, 3))))
+    consume = meshcore.parse_xyz if read == "parse_xyz" else qr3d.cloud_from_xyz
+    tracemalloc.start()
+    try:
+        cloud = cli._Run("recon").stream_text(str(path), consume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(getattr(cloud, "points", None) if read == "parse_xyz" else cloud.centers) == 100_000
+    # the chunks' float64 values and their concatenation; the whole-text
+    # read held the bytes, the str and a str per token
+    assert peak <= 2.5 * path.stat().st_size, peak
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r"])
@@ -203,7 +324,7 @@ def test_orient_scan_envelope_matches_to_json(capsys, tmp_path):
     path.write_bytes(write_stl_binary(two_tower_bridge()))
     report = orientation_scan(parse_stl(path.read_bytes()), 90.0, 0.2)
     assert run(["orient-scan", str(path), "--angle-step", "90", "--top", "5"]) == 0
-    legacy = json.loads(report.to_json(top=5))
+    legacy = json.loads(json.dumps(report.to_dict(top=5)))
     assert capsys.readouterr().out == _legacy_envelope("orient-scan", path, legacy)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dm_stegkit import gcode
+from dm_stegkit import gcode, meshcore
 from dm_stegkit import audit, filament_length, metadata_claims, parse_gcode, z_profile
 from dm_stegkit.errors import AmbiguousClaims, MalformedNumber
 
@@ -210,7 +211,7 @@ def test_audit_ambiguous_claims_warns_not_fails():
 
 
 def test_audit_report_json_fields():
-    doc = audit(_mismatch_scenario()).to_json()
+    doc = json.dumps(audit(_mismatch_scenario()).to_dict())
     for key in ("computed_filament_mm", "declared_filament_mm", "travel_mm",
                 "z_levels", "max_z_mm", "layer_count", "discrepancy_ratio", "verdict"):
         assert key in doc
@@ -452,7 +453,7 @@ _PARITY_PROGRAMS = st.lists(st.tuples(_parity_line(), st.sampled_from(["\n", "\n
 @settings(max_examples=300, deadline=None)
 @given(_PARITY_PROGRAMS)
 def test_audit_of_text_matches_audit_of_parsed_program(text):
-    assert audit(text).to_json() == audit(parse_gcode(text)).to_json()
+    assert json.dumps(audit(text).to_dict()) == json.dumps(audit(parse_gcode(text)).to_dict())
 
 
 def _error(fn):
@@ -473,7 +474,7 @@ def test_audit_of_text_raises_as_the_parser_does(line):
         assert _error(lambda: audit(text)) == _error(lambda: audit(parse_gcode(text)))
         assert _error(lambda: audit(text))[2] == 4
     else:
-        assert audit(text).to_json() == audit(parse_gcode(text)).to_json()
+        assert json.dumps(audit(text).to_dict()) == json.dumps(audit(parse_gcode(text)).to_dict())
 
 
 # every line break str.splitlines knows; "\r\n" is one break
@@ -491,7 +492,7 @@ def test_chunked_reading_keeps_the_lines_of_splitlines(monkeypatch):
     # a chunk of every size from 1 character up puts each break, and each
     # half of every "\r\n", at the end of the first chunk's nominal size
     for size in range(1, len(bad) + 2):
-        monkeypatch.setattr(gcode, "_CHUNK_CHARS", size)
+        monkeypatch.setattr(meshcore, "_CHUNK_CHARS", size)
         assert list(gcode._commands(text)) == whole, size
         with pytest.raises(MalformedNumber) as err:
             audit(bad)

@@ -1009,3 +1009,49 @@ def test_stl_header_accepts_a_repeated_corner_as_parse_stl_does(i, j):
     data[facet + 12 * j + 4:facet + 12 * j + 12] = data[facet + 12 * i + 4:facet + 12 * i + 12]
     assert stl_header(bytes(data)) == bytes(data[:80])
     assert len(parse_stl(bytes(data)).triangles) == 12
+
+
+# --- XYZ text in pieces -----------------------------------------------------------
+
+_XYZ_PIECE_TEXTS = [
+    "# radius=0.5\r\n1 2 3\r\n4,5,6\n\n7 8 9",
+    "\ufeff1 2 3\r4 5 6\r",
+    "1 2 3\n" * 40 + "1 2\n" + "4 5 x\n",                  # a count error, then a bad number
+    "1 2 3\n" * 40 + "4 5 x\n" + "1 2\n",                  # a bad number, then a count error
+    "1 2 3\n" * 40 + "4 5 1e999\n",
+    "1 2 3\u2028" * 30 + "# na\u00efve \u20ac\f4 5 6\x85 7\u00a08 9\n",
+    "# only comments\n\n",
+]
+
+
+def _xyz_outcome(read):
+    try:
+        return "ok", read().points.tobytes()
+    except (BadLine, EmptyCloud) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("text", _XYZ_PIECE_TEXTS)
+def test_parse_xyz_of_pieces_is_that_of_the_whole_text(monkeypatch, text):
+    whole = _xyz_outcome(lambda: parse_xyz(text))
+    for chunk in (1, 2, 3, 7, 1 << 16):
+        monkeypatch.setattr(meshcore, "_CHUNK_CHARS", chunk)
+        for size in (1, 2, 3, 5, len(text) + 1):
+            pieces = (text[i:i + size] for i in range(0, len(text), size))
+            assert _xyz_outcome(lambda: parse_xyz(pieces)) == whole, (chunk, size)
+
+
+def test_parse_xyz_holds_no_token_list(monkeypatch):
+    # each chunk's tokens are converted as the chunk is read: a text in
+    # small chunks never holds more than one chunk's tokens as str
+    monkeypatch.setattr(meshcore, "_CHUNK_CHARS", 1 << 10)
+    held = []
+    real = meshcore._xyz_values
+
+    def values(tokens, chunk, lineno):
+        held.append(len(tokens))
+        return real(tokens, chunk, lineno)
+
+    monkeypatch.setattr(meshcore, "_xyz_values", values)
+    assert len(parse_xyz("1.5 2.5 3.5\n" * 10_000).points) == 10_000
+    assert sum(held) == 30_000 and max(held) < 300        # 86 lines of 12 characters

@@ -18,6 +18,7 @@ advanced by hand. Both readers share ``_ascii_floats``, so mutated texts
 may hold any token.
 """
 
+import json
 import math
 import re
 import struct
@@ -303,7 +304,7 @@ def test_parse_gcode_matches_reference_on_any_text(text):
 def _audit_outcome(source):
     """The report's JSON, or the error's type, message and line."""
     try:
-        return "ok", audit(source() if callable(source) else source).to_json()
+        return "ok", json.dumps(audit(source() if callable(source) else source).to_dict())
     except MalformedNumber as exc:
         return type(exc).__name__, str(exc), exc.line
 
@@ -431,7 +432,7 @@ def _vrml_outcome(fn, text):
 def _parse_vrml_new(text):
     stream = parse_vrml(text)
     spans = list(zip(stream.slot_spans[::2], stream.slot_spans[1::2]))
-    return (len(stream.tokens), stream.color_green_slots, spans,
+    return (len(stream.tokens), list(stream.color_green_slots), spans,
             [text[a:b] for a, b in spans], stream.warnings)
 
 

@@ -22,7 +22,7 @@ from dm_stegkit import (
     spheres_to_mesh,
     unit_vector,
 )
-from dm_stegkit.errors import DegenerateProjection, NonFiniteCoordinate, TooFewSpheres
+from dm_stegkit.errors import BadLine, DegenerateProjection, NonFiniteCoordinate, TooFewSpheres
 from dm_stegkit import qr3d
 from dm_stegkit.qr3d import SplitMix64
 from conftest import random_code_grid, random_unit_direction
@@ -981,3 +981,42 @@ def test_direction_must_be_finite(bad):
         basis_for(bad)
     with pytest.raises(ValueError, match="finite"):
         EmbedParams(pitch=2.0, direction=bad)
+
+
+# --- the radius comment, read in the one pass over the text -----------------------
+
+def test_cloud_from_xyz_splits_its_text_once(monkeypatch):
+    from dm_stegkit import cloud_from_xyz, meshcore
+
+    calls = []
+    real = meshcore._line_chunks
+    monkeypatch.setattr(meshcore, "_line_chunks", lambda text: calls.append(1) or real(text))
+    cloud = cloud_from_xyz("0 0 0\n# radius=0.25\n1 1 1\n")
+    assert cloud.radius == 0.25 and len(cloud.centers) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a bad radius comment comes first, after a bad data line too
+    ("1 2\n# radius=nan\n0 0 0\n", 2, "radius comment"),
+    ("1 x 3\n0 0 0\n# radius=-1\n", 3, "radius comment"),
+    ("0 0 0\n" * 5000 + "1 2\n" + "0 0 0\n" * 5000 + "# radius=\n", 10002, "radius comment"),
+    # only the first radius comment counts
+    ("# radius=0.5\n1 2\n# radius=nan\n", 2, "expected 3 numbers"),
+    ("\ufeff# radius=1_0\n0 0 0\n", 1, "radius comment"),
+])
+def test_cloud_from_xyz_reports_a_bad_radius_before_data_lines(text, line, message):
+    from dm_stegkit import cloud_from_xyz
+
+    for pieces in (text, [text[i:i + 3] for i in range(0, len(text), 3)]):
+        with pytest.raises(BadLine, match=message) as err:
+            cloud_from_xyz(pieces)
+        assert err.value.line == line
+
+
+def test_cloud_from_xyz_reads_the_radius_after_a_byte_order_mark_in_pieces():
+    from dm_stegkit import cloud_from_xyz
+
+    cloud = cloud_from_xyz(iter(["\ufeff# rad", "ius=0.", "5\n1 2 3\n4 5 6"]))
+    assert cloud.radius == 0.5
+    assert cloud.centers.tolist() == [[1, 2, 3], [4, 5, 6]]

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -570,9 +571,8 @@ def test_scan_accepts_decimal_steps_that_divide_360():
 
 
 def test_scan_report_json_shape():
-    import json
     report = orientation_scan(box_mesh(0, 0, 0, 1, 1, 1), angle_step_deg=180)
-    doc = json.loads(report.to_json(top=3))
+    doc = json.loads(json.dumps(report.to_dict(top=3)))
     assert doc["candidate_count"] == 8
     assert len(doc["candidates"]) == 3
     assert set(doc["candidates"][0]) == {
@@ -609,7 +609,7 @@ def test_bottom_layer_area_is_float_without_closed_loops():
         for cand in report.candidates:
             assert type(cand.bottom_layer_area) is float
             assert cand.bottom_layer_area == 0.0
-    assert '"bottom_layer_area": 0.0' in report.to_json(top=1)
+    assert '"bottom_layer_area": 0.0' in json.dumps(report.to_dict(top=1))
     assert report.best().max_open_chains == 0
     assert orientation_scan(open_box, 180, 0.2).best().max_open_chains == 1
 

@@ -350,13 +350,13 @@ _SCENES = st.lists(_NODES, min_size=1, max_size=4).map(
 @settings(max_examples=300, deadline=None)
 @given(_SCENES)
 def test_green_slots_match_reference_on_well_formed_scenes(text):
-    assert parse_vrml(text).color_green_slots == _slots_reference(text)
+    assert list(parse_vrml(text).color_green_slots) == _slots_reference(text)
 
 
 def test_green_slots_match_reference_on_conftest_scenes():
     for seed in range(30):
         text = vrml_scene(triples=10 + 7 * seed, seed=seed, extras=bool(seed % 2))
-        assert parse_vrml(text).color_green_slots == _slots_reference(text)
+        assert list(parse_vrml(text).color_green_slots) == _slots_reference(text)
 
 
 @settings(max_examples=300, deadline=None)
@@ -373,7 +373,7 @@ def test_one_dropped_or_added_bracket_reports_as_reference(text, data):
         broken = text[:at] + data.draw(st.sampled_from("{}[]")) + " " + text[at:]
     expected = _outcome(_slots_reference, broken)
     assert expected[0] == "UnbalancedBrackets"
-    assert _outcome(lambda t: parse_vrml(t).color_green_slots, broken) == expected
+    assert _outcome(lambda t: list(parse_vrml(t).color_green_slots), broken) == expected
 
 
 # --- G-code replay -------------------------------------------------------------------

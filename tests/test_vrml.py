@@ -44,7 +44,7 @@ def test_two_triples_give_two_slots():
 
 def test_file_without_color_node_warns():
     stream = parse_vrml("#VRML V2.0 utf8\nShape { geometry Box { size 1 2 3 } }\n")
-    assert stream.color_green_slots == []
+    assert list(stream.color_green_slots) == []
     assert stream.warnings
 
 
@@ -74,7 +74,7 @@ def test_multiple_color_nodes_collect_in_order():
         "{ color [ 0.1 0.2 0.3 ] } } }\n", 1)
     stream = parse_vrml(text)
     assert len(stream.color_green_slots) == 3
-    assert stream.color_green_slots == sorted(stream.color_green_slots)
+    assert list(stream.color_green_slots) == sorted(stream.color_green_slots)
 
 
 def test_embed_digit_mapping():
@@ -362,3 +362,51 @@ def test_numbers_in_a_bracket_nested_in_a_color_list_are_not_colours():
             "{ 0.8 0.8 0.8 } 0.2 0.4 0.2 ] }\n")
     stream = parse_vrml(text)
     assert [stream.tokens[i].text for i in stream.color_green_slots] == ["0.5", "0.4"]
+
+
+def test_slot_indices_are_an_int64_array():
+    stream = parse_vrml(TWO_TRIPLES)
+    assert stream.color_green_slots.typecode == "q"
+    assert [stream.tokens[i].text for i in stream.color_green_slots] == ["0.5", "0.4"]
+
+
+def test_pieces_join_to_the_spliced_text_in_bounded_slices(monkeypatch):
+    text = vrml_scene(triples=300, seed=14)
+    stream = parse_vrml(text)
+    params = ChannelParams(start_slot=7, digits_per_value=4)
+    replacements = vrml.green_digit_replacements(stream, b"in pieces", params)
+    spliced, pos = [], 0
+    for idx in sorted(replacements):
+        tok = stream.tokens[idx]
+        spliced += [text[pos:tok.start], replacements[idx]]
+        pos = tok.end
+    spliced = "".join(spliced) + text[pos:]
+    assert embed_green_digits(stream, b"in pieces", params) == stream.emit(replacements) == spliced
+    for size in (1, 5, 64, 1 << 16):
+        monkeypatch.setattr(vrml, "_PIECE_CHARS", size)
+        pieces = list(stream.pieces(replacements))
+        assert "".join(pieces) == spliced
+        assert all(len(p) <= size or p in replacements.values() for p in pieces)
+
+
+def test_cli_verbs_hold_one_copy_of_the_scene(capsys, monkeypatch, tmp_path):
+    def refuse(self, replacements=None):
+        raise AssertionError("the marked scene was joined")
+
+    monkeypatch.setattr(vrml.VrmlTokenStream, "emit", refuse)
+    scene, marked = tmp_path / "scene.wrl", tmp_path / "marked.wrl"
+    scene.write_text(vrml_scene(triples=40_000, seed=15))
+    for argv in (["vrml-embed", str(scene), "--message", "one copy", "-o", str(marked)],
+                 ["vrml-extract", str(marked)]):
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text and, while it is joined, its pieces; then the slots' indices
+        # and spans, 24 bytes a slot (0.9 times this text); the marked text is
+        # written a piece at a time
+        assert peak <= 2.5 * scene.stat().st_size, (argv[0], peak)
+    assert '"text": "one copy"' in capsys.readouterr().out
+    assert marked.read_bytes() != scene.read_bytes()
