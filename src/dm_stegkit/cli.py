@@ -261,12 +261,14 @@ def _cmd_qr3d_search(run: _Run, args) -> dict:
 
 def _cmd_recon(run: _Run, args) -> dict:
     cloud = run.stream_text(args.file, meshcore.parse_xyz)
+    points = len(cloud.points)
     stack = recon.group_layers(cloud, z_tol=args.z_tol)
+    del cloud       # the stack's layers view their own sorted copy of the points
     mesh = recon.loft_layers(stack, resample_count=args.resample)
     _write(args.output, [meshcore.write_stl_binary(mesh)])
     return {
         "output": args.output,
-        "points": int(len(cloud.points)),
+        "points": points,
         "layer_count": stack.layer_count,
         "median_spacing": stack.median_spacing,
         "volume_mm3": meshcore.mesh_volume(mesh),

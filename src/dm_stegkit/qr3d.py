@@ -386,8 +386,11 @@ def lattice_score(cloud: SphereCloud | np.ndarray, v) -> tuple[float, float]:
     return float(score[0]), float(pitch[0])
 
 
-def _polish_direction(points: np.ndarray, v: np.ndarray,
-                      iterations: int = 3) -> np.ndarray:
+# Newton steps the polish takes from a direction inside the basin
+_POLISH_ITERATIONS = 3
+
+
+def _polish_direction(points: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Newton-style alignment once a direction is inside the true basin.
 
     With the direction off by a small in-plane error e, each center's
@@ -397,7 +400,7 @@ def _polish_direction(points: np.ndarray, v: np.ndarray,
     score valley. Directions outside the basin (score >= 0.25, where
     snapping is ambiguous) are returned unchanged.
     """
-    for _ in range(iterations):
+    for _ in range(_POLISH_ITERATIONS):
         score, pitch, phi, res_u, res_w = _score_frames(points, v[None, :])
         if not np.isfinite(score[0]) or score[0] >= MISS_SCORE:
             return v

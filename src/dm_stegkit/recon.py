@@ -52,7 +52,6 @@ MAX_RESAMPLE_COUNT = 1 << 16
 @dataclass
 class LayerStack:
     layers: list                            # [(z, (k, 2) xy array), ...], z ascending
-    mean_spacing: float
     median_spacing: float
 
     @property
@@ -76,30 +75,23 @@ def group_layers(cloud: PointCloud, z_tol: float | None = None) -> LayerStack:
     """Partition points into layers; a z gap above z_tol starts a new layer.
 
     Default z_tol is half the median positive adjacent-z gap, which adapts
-    to whatever layer height the scan used.
+    to whatever layer height the scan used. The cloud is sorted by z once
+    (stably) and each layer's xy is a view of that one sorted copy.
     """
     pts = cloud.points
     if not len(pts):
         raise EmptyCloud("cannot group an empty cloud")
-    order = np.argsort(pts[:, 2], kind="stable")
-    pts = pts[order]
-    z = pts[:, 2]
-    gaps = np.diff(z)
+    pts = pts[np.argsort(pts[:, 2], kind="stable")]
+    gaps = np.diff(pts[:, 2])
     if z_tol is None:
         positive = gaps[gaps > 0]
         z_tol = float(np.median(positive)) / 2.0 if len(positive) else 1e-6
     if not 0 < z_tol < math.inf:                    # NaN fails too
         raise ValueError("z_tol must be positive and finite")
     breaks = np.nonzero(gaps > z_tol)[0] + 1
-    layers = []
-    for chunk in np.split(np.arange(len(pts)), breaks):
-        members = pts[chunk]
-        layers.append((float(members[:, 2].mean()), members[:, :2].copy()))
-    zs = [z for z, _ in layers]
-    spacing = np.diff(zs)
-    mean_sp = float(spacing.mean()) if len(spacing) else 0.0
-    median_sp = float(np.median(spacing)) if len(spacing) else 0.0
-    return LayerStack(layers, mean_sp, median_sp)
+    layers = [(float(layer[:, 2].mean()), layer[:, :2]) for layer in np.split(pts, breaks)]
+    spacing = np.diff([z for z, _ in layers])
+    return LayerStack(layers, float(np.median(spacing)) if len(spacing) else 0.0)
 
 
 # Pairs of points compared per vectorized block: the nearest-neighbour
@@ -277,7 +269,9 @@ def layer_outline(points: np.ndarray, z: float = 0.0) -> OutlinePolygon:
     med_nn = _nearest_neighbor_median(pts)
     jump_limit = 2.0 * med_nn
 
-    start = int(np.lexsort((pts[:, 0], pts[:, 1]))[0])
+    # np.unique sorts the rows by (x, y): the first row of least y is the
+    # lowest (y, x) point
+    start = int(np.argmin(pts[:, 1]))
     chain = _greedy_chain(pts, start, jump_limit)
 
     scale = max(np.ptp(pts, axis=0).max(), 1e-12)
@@ -291,15 +285,12 @@ def layer_outline(points: np.ndarray, z: float = 0.0) -> OutlinePolygon:
         method = "convex_hull"
         if len(ring) < 3:
             # collinear cloud: keep a zero-area ring over the sorted points
-            ring = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+            ring = pts
     else:
         method = "chained"
 
     if polygon_area(ring) < 0:
         ring = ring[::-1]
-    keep = np.ones(len(ring), dtype=bool)
-    keep[1:] = np.any(ring[1:] != ring[:-1], axis=1)
-    ring = ring[keep]
     degenerate = abs(polygon_area(ring)) <= area_floor
     return OutlinePolygon(z=z, ring=ring, method=method, degenerate=degenerate)
 

@@ -88,6 +88,84 @@ def test_group_layers_partition_property(nlayers, spacing, seed):
     assert all(b > a for a, b in zip(zs, zs[1:]))
 
 
+def _group_layers_reference(cloud, z_tol=None):
+    """The grouping that copied each layer through an index split: the
+    layers and the median spacing."""
+    pts = cloud.points
+    order = np.argsort(pts[:, 2], kind="stable")
+    pts = pts[order]
+    z = pts[:, 2]
+    gaps = np.diff(z)
+    if z_tol is None:
+        positive = gaps[gaps > 0]
+        z_tol = float(np.median(positive)) / 2.0 if len(positive) else 1e-6
+    breaks = np.nonzero(gaps > z_tol)[0] + 1
+    layers = []
+    for chunk in np.split(np.arange(len(pts)), breaks):
+        members = pts[chunk]
+        layers.append((float(members[:, 2].mean()), members[:, :2].copy()))
+    spacing = np.diff([z for z, _ in layers])
+    return layers, float(np.median(spacing)) if len(spacing) else 0.0
+
+
+@st.composite
+def _layered_clouds(draw):
+    """Shuffled layered clouds: runs of equal z, z noise within a layer or
+    none, one layer or many, and an explicit z_tol or the default."""
+    seed = draw(st.integers(0, 2 ** 31))
+    nlayers = draw(st.integers(1, 8))
+    spacing = draw(st.sampled_from([0.2, 1.0, 0.1 + 2 ** -30, 3.7]))
+    noise = draw(st.sampled_from([0.0, 0.0, spacing / 8]))
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 30, size=nlayers)
+    z = np.repeat(np.arange(nlayers) * spacing, counts)
+    z += rng.uniform(-noise, noise, size=len(z))
+    xy = np.round(rng.normal(size=(len(z), 2)), draw(st.integers(0, 6)))
+    pts = np.column_stack([xy, z])[rng.permutation(len(z))]
+    z_tol = draw(st.sampled_from([None, spacing / 2, spacing / 4, 10 * spacing]))
+    return PointCloud(pts), z_tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layered_clouds())
+@example((PointCloud(np.array([[1.0, 2.0, 3.0]])), None))
+@example((PointCloud(np.array([[0.0, 0, 1], [1, 0, 1], [2, 0, 1]])), 0.5))
+def test_group_layers_matches_index_split_reference(case):
+    cloud, z_tol = case
+    before = cloud.points.tobytes()
+    stack = group_layers(cloud, z_tol=z_tol)
+    ref_layers, ref_median = _group_layers_reference(cloud, z_tol=z_tol)
+    assert cloud.points.tobytes() == before
+    assert stack.layer_count == len(ref_layers)
+    for (z, xy), (ref_z, ref_xy) in zip(stack.layers, ref_layers):
+        assert np.float64(z).tobytes() == np.float64(ref_z).tobytes()
+        assert xy.shape == ref_xy.shape and xy.tobytes() == ref_xy.tobytes()
+    assert np.float64(stack.median_spacing).tobytes() == np.float64(ref_median).tobytes()
+
+
+def test_group_layers_holds_one_sorted_copy():
+    # 20 layers of 10^4 points, shuffled; the index split held the sorted
+    # copy, the order, an index and a copy of every layer at once (2.7x)
+    rng = np.random.default_rng(32)
+    t = rng.uniform(0, 2 * math.pi, size=(20, 10_000))
+    z = np.repeat(np.arange(20) * 0.2, 10_000).reshape(20, 10_000)
+    pts = np.stack([20 * np.cos(t), 20 * np.sin(t), z], -1).reshape(-1, 3)
+    cloud = PointCloud(pts[rng.permutation(len(pts))])
+    group_layers(PointCloud(cloud.points[:1000]))     # np.median imports numpy.ma once
+    tracemalloc.start()
+    try:
+        stack = group_layers(cloud)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stack.layer_count == 20
+    # every layer's xy views one array of all the points
+    base = stack.layers[0][1].base
+    assert base is not None and base.nbytes == cloud.points.nbytes
+    assert all(xy.base is base for _, xy in stack.layers)
+    assert peak <= 1.5 * cloud.points.nbytes
+
+
 # --- outlines ----------------------------------------------------------------------
 
 def test_outline_unit_square_corners():
