@@ -380,25 +380,32 @@ _CHUNK_CHARS = 1 << 16     # characters per str.splitlines call, cut after a "\n
 
 
 def _line_chunks(pieces: str | Iterable[str]):
-    """A text, one string or its pieces in order, in chunks that each end at
-    a line end: a piece is cut after its last ``"\n"``, or after a later
-    ``"\r"`` that another character of the piece follows, and further just
-    after a ``"\n"`` every ``_CHUNK_CHARS`` or more characters. A last chunk
-    holds what follows the last cut."""
-    held = []                               # pieces since the last cut
+    """A text, one string or its pieces in order, in chunks of at least
+    ``_CHUNK_CHARS`` characters that each end at a line end: pieces are held
+    until they hold that many characters and the last piece can be cut, after
+    its last ``"\n"`` or after a later ``"\r"`` that another character of the
+    piece follows; the held text is then cut just after the first ``"\n"``
+    that ends a chunk that long, or at that last cut. A last chunk holds what
+    follows the last cut."""
+    held, size = [], 0                      # pieces since the last cut, their length
     for piece in [pieces] if isinstance(pieces, str) else pieces:
+        held.append(piece)
+        size += len(piece)
         cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
-        if not cut:
-            held.append(piece)
+        if size < _CHUNK_CHARS or not cut:
             continue
-        text = "".join(held) + piece
-        cut += len(text) - len(piece)
+        cut += size - len(piece)
+        text = "".join(held)
+        del held[:], piece                  # hold the text once
         start = 0
-        while start < cut:
-            end = text.find("\n", start + _CHUNK_CHARS, cut) + 1 or cut
-            yield text[start:end]
+        while cut - start >= _CHUNK_CHARS:
+            end = text.find("\n", start + _CHUNK_CHARS - 1, cut) + 1 or cut
+            chunk = text[start:end]
+            if cut - end < _CHUNK_CHARS:    # the last chunk: keep only the rest
+                text, cut, end = text[end:], cut - end, 0
             start = end
-        held = [text[cut:]]
+            yield chunk
+        held, size = [text[start:]], len(text) - start
     yield "".join(held)
 
 

@@ -389,13 +389,30 @@ _LONG_BAD_NUMBERS = [
 
 
 @pytest.mark.parametrize("line, letter", _LONG_BAD_NUMBERS)
-def test_a_long_bad_number_fails_in_linear_time(line, letter):
+@pytest.mark.parametrize("read", [parse_gcode, audit])
+def test_a_long_bad_number_fails_in_linear_time(read, line, letter):
     # a number grammar that can split a digit run two ways tries every
     # split before it fails: minutes for 200k digits instead of milliseconds
     start = time.perf_counter()
     with pytest.raises(MalformedNumber, match=f"bad number for {letter}"):
-        parse_gcode(line)
+        read(line)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("line, x", [("G1 X0." + "0" * 100_000 + "1 E1", 0.0),
+                                     ("G1 X2 E1 ;" + "c" * 100_000, 2.0)],
+                         ids=["long number", "long comment"])
+@pytest.mark.parametrize("read", [parse_gcode, audit])
+def test_a_long_number_or_comment_reads_in_linear_time(read, line, x):
+    # the columnar reader steps through at most 15 digits of a number; one
+    # digit step per digit of the longest number would be quadratic
+    text = ";filament used = 1mm\nM83\n" + line + "\nG1 X3 E2\n"
+    start = time.perf_counter()
+    result = read(text)
+    assert time.perf_counter() - start < 2.0
+    report = result if read is audit else audit(result)
+    expected = audit(f";filament used = 1mm\nM83\nG1 X{x} E1\nG1 X3 E2\n")
+    assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
 
 
 _PLAIN_CANDIDATES = [
@@ -507,6 +524,47 @@ def test_chunked_reading_keeps_the_lines_of_splitlines(monkeypatch):
         assert err.value.line == len(bad.splitlines())
 
 
+# a replay whose position, E, travel, filament or Z level in microns is not
+# finite names the first line after which it is not
+_OVERFLOWS = [
+    ("G1 Z" + "9" * 306 + " E1", 1, "Z level overflows"),      # Z / 0.001 overflows
+    ("G91\nG1 X" + "9" * 308 + "\nG1 X" + "9" * 308, 3, "position overflows"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", _OVERFLOWS)
+def test_a_replay_that_overflows_names_its_line(text, line, message):
+    for source in (text, parse_gcode(text)):
+        with pytest.raises(MalformedNumber, match=message) as err:
+            audit(source)
+        assert err.value.line == line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("G20\nG92 X" + "9" * 307, 2, "position overflows"),
+    ("G20\nG92 E" + "9" * 307 + "\nG1 E1", 2, "E overflows"),
+    ("M83\nG1 X1 E" + "9" * 308 + "\nG1 X2 E" + "9" * 308, 3, "E overflows"),
+    ("G1 X-" + "9" * 308 + "\nG1 X" + "9" * 308, 2, "travel overflows"),
+    ("M82\nG1 E-" + "9" * 308 + "\nG1 E" + "9" * 308, 3, "filament overflows"),
+    (";filament used = 1mm\nG1 X1 E1\nG1 Z" + "9" * 306 + " E2\nG1 X1_0\n", 3, "Z level"),
+])
+def test_each_measure_that_overflows_names_its_line(text, line, message):
+    # the first faulty line is reported, malformed or overflowing
+    for source in (text, text.splitlines(keepends=True)):
+        with pytest.raises(MalformedNumber, match=message) as err:
+            audit(source)
+        assert err.value.line == line
+
+
+def test_a_hand_built_program_with_a_nan_argument_is_refused():
+    # the replay reads NaN as a word not given; parse_gcode never yields one
+    program = gcode.GcodeProgram([gcode.GcodeCommand(1, "G1", {"X": 1.0}),
+                                  gcode.GcodeCommand(2, "G1", {"X": math.nan, "E": 1.0})])
+    with pytest.raises(MalformedNumber, match="non-finite value for X") as err:
+        audit(program)
+    assert err.value.line == 2
+
+
 # every program above whose audit the command line can report: the CLI tests
 # audit each, with other line breaks, as a file read in blocks
 AUDIT_PROGRAMS = [
@@ -521,7 +579,29 @@ AUDIT_PROGRAMS = [
     *(";filament used = 5mm\nG21\n\n" + line + "\nG1 X1 E5\n"
       for line in [line for line, _ in _MALFORMED_WORDS + _NON_ASCII_NUMBERS + _LONG_BAD_NUMBERS]
       + ["N M117 hi", "M117 hi*x", "M117 (x*1x", "M117 5 * 3 = 15"] + _PLAIN_CANDIDATES),
+    *(text for text, _, _ in _OVERFLOWS),
 ]
+
+
+def test_audit_of_an_open_file_reads_chunks_of_the_chunk_size(monkeypatch, tmp_path):
+    # an open file yields one line at a time; the lines are held until a
+    # chunk of _CHUNK_CHARS characters can be cut
+    path = tmp_path / "p.gcode"
+    path.write_text(_SLICER_TEXT + "\n" + "".join(f"G1 X{k % 90} Y{k % 70} E0.1 ; wall\n"
+                                                 for k in range(12_000)))
+    lengths = []
+    real = gcode._line_chunks
+
+    def chunks(pieces):
+        for chunk in real(pieces):
+            lengths.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(gcode, "_line_chunks", chunks)
+    with open(path, newline="") as fh:
+        report = audit(fh)
+    assert len(lengths) > 2 and min(lengths[:-1]) >= meshcore._CHUNK_CHARS
+    assert json.dumps(report.to_dict()) == json.dumps(audit(path.read_text()).to_dict())
 
 
 def test_audit_of_text_holds_no_command_per_line():

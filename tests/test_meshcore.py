@@ -1041,6 +1041,48 @@ def test_parse_xyz_of_pieces_is_that_of_the_whole_text(monkeypatch, text):
             assert _xyz_outcome(lambda: parse_xyz(pieces)) == whole, (chunk, size)
 
 
+def _scan_file(path, points):
+    rng = np.random.default_rng(8)
+    path.write_text("".join(f"{x:.6f} {y:.6f} {z:.3f}\n"
+                            for x, y, z in rng.uniform(-50, 50, size=(points, 3))))
+    return path
+
+
+def test_parse_xyz_of_an_open_file_reads_chunks_of_the_chunk_size(monkeypatch, tmp_path):
+    # an open file yields one line at a time; the lines are held until a
+    # chunk of _CHUNK_CHARS characters can be cut
+    path = _scan_file(tmp_path / "scan.xyz", 20_000)
+    lengths = []
+    real = meshcore._line_chunks
+
+    def chunks(pieces):
+        for chunk in real(pieces):
+            lengths.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(meshcore, "_line_chunks", chunks)
+    with open(path) as fh:
+        points = parse_xyz(fh).points
+    assert len(lengths) > 2 and min(lengths[:-1]) >= meshcore._CHUNK_CHARS
+    assert points.tobytes() == parse_xyz(path.read_text()).points.tobytes()
+
+
+def test_parse_xyz_of_an_open_file_peaks_within_twice_the_file(tmp_path):
+    import tracemalloc
+
+    path = _scan_file(tmp_path / "scan.xyz", 100_000)
+    with open(path) as fh:
+        tracemalloc.start()
+        try:
+            cloud = parse_xyz(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(cloud.points) == 100_000
+    # 5.9 times the file when each line was a chunk and a float64 block
+    assert peak <= 2 * path.stat().st_size, peak
+
+
 def test_parse_xyz_holds_no_token_list(monkeypatch):
     # each chunk's tokens are converted as the chunk is read: a text in
     # small chunks never holds more than one chunk's tokens as str

@@ -1,6 +1,7 @@
 """The ingest parsers against the line-by-line parsers they replaced.
 
-``parse_gcode`` reads plain lines with one regex match, ``parse_xyz``
+``parse_gcode`` decodes plain lines as numpy columns, a slice of text at
+a time, and sends every other line to the word parser; ``parse_xyz``
 converts the tokens of all its lines in one call and ``parse_vrml`` counts
 the tokens and finds the green slots in one scan, building no tokens; its
 reference tokenizes into dataclasses, with separators matched on their

@@ -3,8 +3,9 @@ replaced: the qr3d regression polish (which re-derived the lattice frame of
 ``_score_frames``), the icosphere's midpoint numbering (a dict cache in place
 of ``meshcore._first_occurrence_ids``), the VRML bracket check plus green
 slot finder (two walks that read nesting differently) and the G-code replay
-(a stateful toolpath class fed one command at a time, in place of one loop
-over locals). Outputs must be identical bit for bit, and on well-formed VRML
+(a stateful toolpath class fed one command at a time, in place of array
+operations over each run of moves, from text and from parsed programs).
+Outputs must be identical bit for bit, and on well-formed VRML
 the slots and on singly broken VRML the ``UnbalancedBrackets`` offset and
 message must match."""
 
@@ -16,11 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dm_stegkit import EmbedParams, grid_to_spheres, parse_vrml, unit_vector
-from dm_stegkit import audit, filament_length, parse_gcode, qr3d, z_profile
+from dm_stegkit import audit, filament_length, gcode, meshcore, parse_gcode, qr3d, z_profile
 from dm_stegkit.errors import UnbalancedBrackets
 from dm_stegkit.gcode import _Z_QUANTUM, GcodeCommand, GcodeProgram
 from dm_stegkit.vrml import _tokenize
 from conftest import random_code_grid, random_unit_direction, vrml_scene
+from test_parser_reference import _parse_gcode_reference
 
 
 # --- the replaced code, kept as references -------------------------------------
@@ -416,3 +418,49 @@ def test_replay_matches_reference(text):
     assert filament_length(program).hex() == state.extruded.hex()
     assert audit(program).travel_mm.hex() == state.travel.hex()
     assert repr(z_profile(program)) == repr(_z_levels_reference(state))
+
+
+# numbers on both sides of the columnar reader's exact path (15 and 16
+# significant digits), signed zeros, bare points and leading zeros
+_TEXT_VALUES = st.one_of(_GCODE_VALUES, st.sampled_from([
+    "12345678901.2345", "123456789012.3456", "0.00000000000001", "0.000000000000001",
+    "999999999999999", "9999999999999999", "-0", "-0.0", "-.0", ".5", "5.", "+.5", "-.25",
+    "007.50", "000000000000000.5"]))
+
+
+@st.composite
+def _text_program(draw):
+    """G-code text: upper- and lower-case letters, words with and without
+    spaces, LF, CRLF and CR line ends and, in some programs, a comment on
+    every line."""
+    commented = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 60))):
+        letters = [letter for letter in "XYZE" if draw(st.booleans())]
+        letters += draw(st.lists(st.sampled_from("FIJS"), unique=True, max_size=2))
+        words = [draw(st.sampled_from([letter, letter.lower()])) + draw(_TEXT_VALUES)
+                 for letter in draw(st.permutations(letters))]
+        line = draw(st.sampled_from([" ", "", "\t"])).join([draw(_GCODE_CODES), *words])
+        if commented or draw(st.integers(0, 5)) == 0:
+            line += draw(st.sampled_from([" ; wall", ";", ";filament used = 3mm", " ;c;d"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_text_program())
+@example("G1 X12345678901.2345 Y123456789012.3456 E.5\r\nG1X-0Y5.E+.5 ; wall\nG01 X007.50 e1\n")
+@example("M83\nG1 X1 E2\nG92 E0\nG91\nG1 X1 E2\nG20\nG1 Z0.2 E1\nM82\nG1 X3 E5\nG90\nG1 X0 E6\n")
+def test_text_replay_matches_reference(text):
+    # the mode and G92 state carry across chunk, slice and run cuts
+    program = GcodeProgram([GcodeCommand(*command) for command in _parse_gcode_reference(text)])
+    state = _replay_reference(program)
+    levels = _z_levels_reference(state)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        for chunk, decode in ((1 << 16, 1 << 14), (1, 1), (7, 3), (64, 20), (200, 1 << 14)):
+            patch.setattr(meshcore, "_CHUNK_CHARS", chunk)
+            patch.setattr(gcode, "_DECODE_CHARS", decode)
+            report = audit(text)
+            assert report.computed_filament_mm.hex() == state.extruded.hex(), chunk
+            assert report.travel_mm.hex() == state.travel.hex(), chunk
+            assert report.z_levels == levels, chunk
