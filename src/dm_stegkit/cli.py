@@ -94,7 +94,9 @@ class _Run:
                 crc = 0
                 while block := fh.read(_READ_BLOCK):
                     crc = zlib.crc32(block, crc)
-                    yield decode(block)
+                    piece = decode(block)
+                    del block               # no read block is held while consume works
+                    yield piece
                 yield decode(b"", final=True)
                 self.inputs[path] = f"{crc:08x}"
 

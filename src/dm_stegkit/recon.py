@@ -94,36 +94,80 @@ def group_layers(cloud: PointCloud, z_tol: float | None = None) -> LayerStack:
     return LayerStack(layers, float(np.median(spacing)) if len(spacing) else 0.0)
 
 
-# Pairs of points compared per vectorized block: the nearest-neighbour
-# search's pairwise working set stays near 1 MB, and a small call is one block.
+# Pairs of points compared per vectorized block: the neighbour searches'
+# pairwise working set stays near 1 MB, and a small call is one block.
 _PAIR_BLOCK = 1 << 15
+# Points per batch of layers whose outlines are traced together; a layer
+# above it is a batch of its own. A batch peaks near 400 bytes per point
+# under tracemalloc, so this bounds the outline pass near 6.5 MB
+_OUTLINE_BATCH_POINTS = 1 << 14
+# Entries of a point's list of near points, nearest first: however tight a
+# cluster, the lists hold O(n) entries. A chain that finds every entry of a
+# cut list visited takes the nearest unvisited point from a pass over the layer
+_NEAR_LIST = 8
 
 
-def _brute_nearest(coords: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and squared distance of the nearest other point in its row (the
-    lowest index on ties) of each point ``far`` numbers in the (D, M, N)
-    coordinates ``coords``, comparing every pair, in blocks of bounded size."""
-    n = coords.shape[2]
-    idx = np.empty(len(far), dtype=np.int64)
-    out = np.empty(len(far))
-    step = max(1, _PAIR_BLOCK // n)
-    for s in range(0, len(far), step):
-        row, col = np.divmod(far[s:s + step], n)
+def _visit_pairs(flat: np.ndarray, who: np.ndarray, first: np.ndarray, counts: np.ndarray,
+                 order: np.ndarray | None, visit) -> None:
+    """Compare each point ``who[q]`` of the (D, P) coordinates ``flat`` with
+    its candidates: the points ``order[first[q, k]:first[q, k] +
+    counts[q, k]]`` for each k, in that order (the positions themselves when
+    ``order`` is None).
+
+    Calls ``visit(block, seg, cuts, i, j, d2)`` for runs ``who[block]`` whose
+    pairs fit in about ``_PAIR_BLOCK`` (one point at least): pair e joins
+    i[e] = who[block][seg[e]] to j[e], each point's pairs start at ``cuts``,
+    and d2 has the bits of ``((p_i - p_j) ** 2).sum(-1)``. A block's arrays
+    are released before the next is formed.
+    """
+    r = first.shape[1]
+    bounds = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+    first, counts = first.ravel(), counts.ravel()
+    start = 0
+    while start < len(who):
+        stop = max(start + 1, int(np.searchsorted(
+            bounds, bounds[start] + _PAIR_BLOCK, side="right")) - 1)
+        cnt = counts[r * start:r * stop]
+        pos = np.repeat(first[r * start:r * stop] - (np.cumsum(cnt) - cnt), cnt)
+        pos += np.arange(len(pos))
+        seg = np.repeat(np.arange(stop - start), np.diff(bounds[start:stop + 1]))
+        i = who[start:stop][seg]
+        j = pos if order is None else order[pos]
         # the terms of ((p_i - p_j) ** 2).sum(-1) in its order
-        d2 = (coords[0, row, col, None] - coords[0, row]) ** 2
-        for c in coords[1:]:
-            d2 += (c[row, col, None] - c[row]) ** 2
-        d2[np.arange(len(col)), col] = np.inf
-        idx[s:s + step] = np.argmin(d2, axis=1)
-        out[s:s + step] = d2[np.arange(len(col)), idx[s:s + step]]
-    return idx, out
+        d2 = (flat[0, i] - flat[0, j]) ** 2
+        for c in flat[1:]:
+            d2 += (c[i] - c[j]) ** 2
+        visit(slice(start, stop), seg, bounds[start:stop] - bounds[start], i, j, d2)
+        start = stop
 
 
-def _nearest_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index and squared distance, (M, N) each, of the nearest other point
-    of each point in each row of the (M, N, D) float64 stack ``pts``. Ties
-    go to the lowest index, as ``np.argmin`` gives them, and each distance
-    has the bits of ``((p_i - p_j) ** 2).sum(-1)``.
+def _nearest_among(flat: np.ndarray, who: np.ndarray, first: np.ndarray, counts: np.ndarray,
+                   order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance of the nearest other point (the lowest
+    index on ties) of each point ``who[q]`` among its candidates, as
+    ``_visit_pairs`` lists them; inf and the point itself where it has none."""
+    idx = np.empty(len(who), dtype=np.int64)
+    best = np.empty(len(who))
+
+    def nearest(block, seg, cuts, i, j, d2):
+        d2[i == j] = np.inf
+        best[block] = low = np.minimum.reduceat(d2, cuts)
+        idx[block] = np.minimum.reduceat(np.where(d2 == low[seg], j, flat.shape[1]), cuts)
+
+    _visit_pairs(flat, who, first, counts, order, nearest)
+    return idx, best
+
+
+def _nearest_neighbours(pts: np.ndarray, sizes: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Index and squared distance of the nearest other point of each point
+    in its row. Rows are those of the (M, N, D) float64 stack ``pts``, and
+    the results are (M, N); or, given ``sizes``, consecutive runs of
+    ``sizes[r] >= 1`` points of the (P, D) ``pts``, and the results are
+    (P,). Indices count from the row's first point. Ties go to the lowest
+    index, as ``np.argmin`` gives them, and each distance has the bits of
+    ``((p_i - p_j) ** 2).sum(-1)``; a row's results do not depend on the
+    other rows.
 
     Each row is bucketed into its own grid of about one point per cell
     (Bentley, Stanat & Williams' fixed-radius search, Inf. Proc. Letters 6
@@ -132,67 +176,65 @@ def _nearest_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nearest candidate at most one side away is exact; only the points whose
     nearest candidate lies farther are compared with every point of their
     row. One stable argsort orders the cells of all rows, and pairs are
-    compared in blocks of about ``_PAIR_BLOCK``: working memory is O(M N 3^D).
+    compared in blocks of about ``_PAIR_BLOCK``: working memory is O(P 3^D).
     """
-    m, n, dim = pts.shape
-    coords = np.ascontiguousarray(np.moveaxis(pts, 2, 0))      # (D, M, N)
-    flat = coords.reshape(dim, m * n)
-    lo = pts.min(axis=1)
+    if sizes is None:
+        m, n, dim = pts.shape
+        idx, best = _nearest_neighbours(pts.reshape(m * n, dim), np.full(m, n))
+        return idx.reshape(m, n), best.reshape(m, n)
+    total, dim = pts.shape
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    flat = np.ascontiguousarray(pts.T)                          # (D, P)
+    lo = np.minimum.reduceat(pts, starts, axis=0)
     # about one point per cell in the span of the k widest axes, for the k
     # that gives the widest cell: at most n + 1 cells along any axis, O(n) in all
-    wide = np.cumprod(-np.sort(lo - pts.max(axis=1), axis=1), axis=1)
-    side = ((wide / n) ** (1.0 / np.arange(1, dim + 1))).max(axis=1)
-    cells = ((pts - lo[:, None]) / np.where(side > 0, side, 1.0)[:, None, None])
+    wide = np.cumprod(-np.sort(lo - np.maximum.reduceat(pts, starts, axis=0), axis=1), axis=1)
+    side = ((wide / sizes[:, None]) ** (1.0 / np.arange(1, dim + 1))).max(axis=1)
+    cells = (pts - lo[row]) / np.where(side > 0, side, 1.0)[row, None]
     cells = cells.astype(np.int64) + 1          # floor; neighbour cells stay >= 0
-    dims = cells.max(axis=1) + 2
-    strides = np.ones((m, dim), dtype=np.int64)
+    dims = np.maximum.reduceat(cells, starts, axis=0) + 2
+    strides = np.ones((len(sizes), dim), dtype=np.int64)
     for k in range(dim - 2, -1, -1):
         strides[:, k] = strides[:, k + 1] * dims[:, k + 1]
     size = strides[:, 0] * dims[:, 0]           # cells of each row's grid
-    key = np.einsum("mnd,md->mn", cells, strides) + (np.cumsum(size) - size)[:, None]
-    order = np.argsort(key, axis=None, kind="stable")
+    key = (cells * strides[row]).sum(axis=1) + (np.cumsum(size) - size)[row]
+    order = np.argsort(key, kind="stable")
     # the points of cell c are order[cell_first[c]:cell_first[c + 1]]
-    cell_first = np.concatenate([[0], np.cumsum(np.bincount(key.ravel(), minlength=size.sum()))])
+    cell_first = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=size.sum()))])
     shifts = np.indices((3,) * dim).reshape(dim, -1).T - 1
-    near = (key[:, :, None] + np.einsum("kd,md->mk", shifts, strides)[:, None, :]).ravel()
+    # each point's 3^D cells, and then the cells after them, in one array
+    near = (strides @ shifts.T)[row]
+    near += key[:, None]
     first = cell_first[near]
-    counts = cell_first[near + 1] - first
-    blk = len(shifts)
-    # pairs of each point, from bounds[p] to bounds[p + 1]; >= 1 (itself)
-    bounds = np.concatenate([[0], np.cumsum(counts.reshape(m * n, blk).sum(axis=1))])
-    idx = np.empty(m * n, dtype=np.int64)
-    best = np.empty(m * n)
-    start = 0
-    while start < m * n:
-        # as many points as fit in one block of pairs, at least one
-        stop = max(start + 1, int(np.searchsorted(
-            bounds, bounds[start] + _PAIR_BLOCK, side="right")) - 1)
-        cnt = counts[blk * start:blk * stop]
-        pos = np.repeat(first[blk * start:blk * stop] - (np.cumsum(cnt) - cnt), cnt)
-        pos += np.arange(len(pos))
-        seg = np.repeat(np.arange(stop - start), np.diff(bounds[start:stop + 1]))
-        i = seg + start
-        j = order[pos]
-        # the terms of ((p_i - p_j) ** 2).sum(-1) in its order
-        d2 = (flat[0, i] - flat[0, j]) ** 2
-        for c in flat[1:]:
-            d2 += (c[i] - c[j]) ** 2
-        d2[i == j] = np.inf
-        cuts = bounds[start:stop] - bounds[start]
-        best[start:stop] = low = np.minimum.reduceat(d2, cuts)
-        idx[start:stop] = np.minimum.reduceat(np.where(d2 == low[seg], j, m * n), cuts)
-        start = stop
-    idx -= np.repeat(n * np.arange(m), n)       # index within the row
+    near += 1
+    counts = cell_first[near]
+    counts -= first
+    del near
+    idx, best = _nearest_among(flat, np.arange(total), first, counts, order)
     # a candidate within the block is nearest only if no cell outside the
     # block can be closer; the margin absorbs rounding in the cell index
-    far = np.nonzero(~(best <= np.repeat((side * (1.0 - 1e-6)) ** 2, n)))[0]
-    idx[far], best[far] = _brute_nearest(coords, far)
-    return idx.reshape(m, n), best.reshape(m, n)
+    far = np.nonzero(~(best <= ((side * (1.0 - 1e-6)) ** 2)[row]))[0]
+    idx[far], best[far] = _nearest_among(flat, far, starts[row[far], None], sizes[row[far], None])
+    return idx - starts[row], best
+
+
+def _nearest_neighbor_medians(pts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Median distance from each point to its nearest other point, per row
+    of ``_nearest_neighbours(pts, sizes)``: the square root of the median
+    squared distance, with ``np.median``'s bits."""
+    d2 = _nearest_neighbours(pts, sizes)[1]
+    d2 = d2[np.lexsort((d2, np.repeat(np.arange(len(sizes)), sizes)))]
+    starts = np.cumsum(sizes) - sizes
+    lo, hi = starts + (sizes - 1) // 2, starts + sizes // 2
+    # np.median: the middle value, or the mean of the middle two
+    return np.sqrt(np.where(lo == hi, d2[lo], (d2[lo] + d2[hi]) / 2))
 
 
 def _nearest_neighbor_median(pts: np.ndarray) -> float:
     """Median distance from each point to its nearest other point."""
-    return float(np.sqrt(np.median(_nearest_neighbours(pts[None])[1][0])))
+    return float(_nearest_neighbor_medians(pts, np.array([len(pts)]))[0])
 
 
 def _convex_hull(pts: np.ndarray) -> np.ndarray:
@@ -215,84 +257,202 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def _greedy_chain(pts: np.ndarray, start: int, jump_limit: float) -> list:
-    """Nearest-neighbour walk from ``start``: step to the nearest unvisited
-    point (lowest index on equal squared distance) until it is farther than
-    ``jump_limit`` or none is left.
+def _near_lists(pts: np.ndarray, layer: np.ndarray, starts: np.ndarray, jump: np.ndarray):
+    """For each of the distinct (P, 2) points ``pts``, held layer by layer
+    (point p in layer ``layer[p]``, layer k from ``starts[k]``), the other
+    points of its layer within ``jump[k]``, nearest first (the lowest index
+    on equal squared distance), at most ``_NEAR_LIST`` of them.
 
-    Unvisited points sit in grid buckets of side >= jump_limit, so every
-    point within jump_limit of the current one lies in its 3x3 block of
-    buckets and only those are searched; visited points leave their bucket.
+    Returns memoryviews (bounds, near, cut): point p's list is
+    ``near[bounds[p]:bounds[p + 1]]``, and ``cut[p]`` is set where it left
+    points out. Each layer's grid has cells of side >= its jump (Bentley,
+    Stanat & Williams' fixed-radius search), so every point within reach
+    lies in the 3x3 block of a point's cell. A column of that block is a run
+    of consecutive cell keys, found by ``np.searchsorted`` in the sorted
+    keys, and pairs are compared in blocks of about ``_PAIR_BLOCK``.
     """
-    extent = float(np.ptp(pts, axis=0).max())
+    lo = np.minimum.reduceat(pts, starts, axis=0)
+    extent = (np.maximum.reduceat(pts, starts, axis=0) - lo).max(axis=1)
     # the margin absorbs rounding in the cell index; the extent term keeps
-    # the grid at most ~2**20 cells wide however small the jumps are
-    side = max(jump_limit * (1.0 + 1e-6), extent * 2.0 ** -20)
-    cells = np.floor((pts - pts.min(axis=0)) / side).astype(np.int64).tolist()
-    buckets = {}
-    for i, cell in enumerate(cells):
-        buckets.setdefault(tuple(cell), []).append(i)
-    xy = pts.tolist()
+    # a grid at most ~2**20 cells wide however small the jumps are
+    side = np.maximum(jump * (1.0 + 1e-6), extent * 2.0 ** -20)
+    cells = np.floor((pts - lo[layer]) / side[layer, None]).astype(np.int64) + 1
+    # a layer's keys follow the last layer's; a blank cell pads every side
+    height = np.maximum.reduceat(cells[:, 1], starts) + 2
+    span = (np.maximum.reduceat(cells[:, 0], starts) + 2) * height
+    column = height[layer]
+    key = (np.cumsum(span) - span)[layer] + cells[:, 0] * column + cells[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    mid = key[:, None] + column[:, None] * np.array([-1, 0, 1])
+    first = np.searchsorted(sorted_key, mid - 1, side="left")
+    counts = np.searchsorted(sorted_key, mid + 1, side="right") - first
+    reach = jump[layer]
+    near, length, cut = [], [], []
+
+    def within_reach(block, seg, cuts, i, j, d2):
+        keep = (i != j) & (np.sqrt(d2) <= reach[i])
+        seg, j, d2 = seg[keep], j[keep], d2[keep]
+        j = j[np.lexsort((j, d2, seg))]
+        within = np.bincount(seg, minlength=block.stop - block.start)
+        rank = np.arange(len(j)) - np.repeat(np.cumsum(within) - within, within)
+        near.append(j[rank < _NEAR_LIST])
+        length.append(np.minimum(within, _NEAR_LIST))
+        cut.append(within > _NEAR_LIST)
+
+    _visit_pairs(np.ascontiguousarray(pts.T), np.arange(len(pts)), first, counts, order,
+                 within_reach)
+    bounds = np.concatenate([[0], np.cumsum(np.concatenate(length))])
+    return memoryview(bounds), memoryview(np.concatenate(near)), memoryview(np.concatenate(cut))
+
+
+def _chain_walk(pts: np.ndarray, layer: slice, start: int, jump_limit: float, lists,
+                visited: bytearray) -> list:
+    """Nearest-neighbour walk from ``start`` through the points ``pts[layer]``:
+    step to the nearest unvisited point (lowest index on equal squared
+    distance) until it is farther than ``jump_limit`` or none is left.
+
+    ``lists`` are ``_near_lists`` of the layer with this jump limit, and
+    ``visited`` marks the points of ``pts`` the walk has passed. The first
+    unvisited entry of a point's list is the step; a list with none ends the
+    chain, unless it was cut, when every point of the layer is compared.
+    """
+    bounds, near, cut = lists
     chain = []
     cur = start
     while True:
         chain.append(cur)
-        cx, cy = cells[cur]
-        buckets[cx, cy].remove(cur)
-        x, y = xy[cur]
-        best_d2 = math.inf
-        nxt = -1
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for j in buckets.get((gx, gy), ()):
-                    dx = xy[j][0] - x
-                    dy = xy[j][1] - y
-                    d2 = dx * dx + dy * dy
-                    if d2 < best_d2 or (d2 == best_d2 and j < nxt):
-                        best_d2 = d2
-                        nxt = j
-        if nxt < 0 or math.sqrt(best_d2) > jump_limit:
-            return chain
+        visited[cur] = True
+        for nxt in near[bounds[cur]:bounds[cur + 1]]:
+            if not visited[nxt]:
+                break
+        else:
+            nxt = _nearest_unvisited(pts, layer, cur, jump_limit, visited) if cut[cur] else -1
+            if nxt < 0:
+                return chain
         cur = nxt
+
+
+def _nearest_unvisited(pts: np.ndarray, layer: slice, cur: int, jump_limit: float,
+                       visited: bytearray) -> int:
+    """The unvisited point of ``pts[layer]`` nearest ``pts[cur]`` (lowest
+    index on equal squared distance), from one pass over the layer; -1 if it
+    is farther than ``jump_limit`` or none is left."""
+    d2 = ((pts[layer] - pts[cur]) ** 2).sum(axis=1)
+    d2[np.frombuffer(visited, dtype=np.bool_)[layer]] = np.inf
+    k = int(np.argmin(d2))
+    return -1 if math.sqrt(d2[k]) > jump_limit else layer.start + k
+
+
+def _greedy_chain(pts: np.ndarray, start: int, jump_limit: float) -> list:
+    """``_chain_walk`` from ``start`` through one layer of distinct points."""
+    n = len(pts)
+    lists = _near_lists(pts, np.zeros(n, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                        np.array([jump_limit]))
+    return _chain_walk(pts, slice(0, n), start, jump_limit, lists, bytearray(n))
+
+
+def _outline_batch(layers: list):
+    """The outlines of a batch of (z, (k, 2) float64 xy) layers, in order,
+    as ``_layer_outlines`` traces them."""
+    sizes = [len(xy) for _, xy in layers]
+    pts = np.concatenate([xy for _, xy in layers])
+    layer = np.repeat(np.arange(len(layers)), sizes)
+    order = np.lexsort((pts[:, 1], pts[:, 0], layer))
+    pts, layer = pts[order], layer[order]
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = (layer[1:] != layer[:-1]) | (pts[1:] != pts[:-1]).any(axis=1)
+    # np.unique keeps either of two rows that differ only in the sign of a
+    # zero; a layer where such rows met takes its rows from np.unique itself
+    kept = np.maximum.accumulate(np.where(new, np.arange(len(new)), 0))
+    signed = np.unique(layer[(pts.view(np.int64) != pts[kept].view(np.int64)).any(axis=1)])
+    pts, layer = pts[new], layer[new]
+    counts = np.bincount(layer, minlength=len(layers))
+    starts = np.cumsum(counts) - counts
+    for k in signed.tolist():
+        pts[starts[k]:starts[k] + counts[k]] = np.unique(layers[k][1], axis=0)
+    few = np.flatnonzero(counts < 3)
+    traced = int(few[0]) if len(few) else len(layers)
+    if traced:
+        end = int(starts[traced]) if traced < len(layers) else len(pts)
+        yield from _trace_outlines(pts[:end], layer[:end], counts[:traced],
+                                   [z for z, _ in layers[:traced]])
+    if traced < len(layers):
+        raise TooFewPoints(f"outline needs >= 3 distinct points, got {counts[traced]}")
+
+
+def _trace_outlines(pts: np.ndarray, layer: np.ndarray, counts: np.ndarray, zs: list):
+    """The outlines of the layers of at least 3 distinct points ``pts``,
+    sorted by (layer, x, y), layer k at height ``zs[k]``."""
+    starts = np.cumsum(counts) - counts
+    jump = 2.0 * _nearest_neighbor_medians(pts, counts)
+    lists = _near_lists(pts, layer, starts, jump)
+    # the chain starts at the lowest (y, x) point: the first of least y
+    y = pts[:, 1]
+    lowest = np.where(y == np.minimum.reduceat(y, starts)[layer], np.arange(len(y)), len(y))
+    begins = np.minimum.reduceat(lowest, starts).tolist()
+    visited = bytearray(len(pts))
+    spans = [slice(a, a + n) for a, n in zip(starts.tolist(), counts.tolist())]
+    chains = [_chain_walk(pts, span, begin, limit, lists, visited)
+              for span, begin, limit in zip(spans, begins, jump.tolist())]
+    # vecdot is the dot product np.linalg.norm takes of a single vector
+    gap = pts[[c[-1] for c in chains]] - pts[[c[0] for c in chains]]
+    closes = (np.sqrt(np.vecdot(gap, gap)) <= jump).tolist()
+    scale = np.maximum((np.maximum.reduceat(pts, starts, axis=0)
+                        - np.minimum.reduceat(pts, starts, axis=0)).max(axis=1), 1e-12)
+    floors = (1e-12 * scale * scale).tolist()
+    for z, span, chain, close, floor in zip(zs, spans, chains, closes, floors):
+        ring = pts[chain]
+        if (close and len(chain) >= 3 and len(chain) >= 0.9 * (span.stop - span.start)
+                and abs(area := polygon_area(ring)) > floor):
+            method = "chained"
+        else:
+            ring = _convex_hull(pts[span])
+            method = "convex_hull"
+            if len(ring) < 3:
+                # collinear cloud: keep a zero-area ring over the sorted points
+                ring = pts[span].copy()
+            area = polygon_area(ring)
+        if area < 0:
+            ring = ring[::-1]
+            area = polygon_area(ring)
+        yield OutlinePolygon(z=z, ring=ring, method=method, degenerate=abs(area) <= floor)
+
+
+def _layer_outlines(layers):
+    """The outline of each (z, xy) layer of ``layers``, in order, as
+    ``layer_outline`` traces one; TooFewPoints is raised where the first
+    layer of fewer than 3 distinct points would be.
+
+    Layers are traced in batches of about ``_OUTLINE_BATCH_POINTS`` points
+    (a larger layer is a batch of its own). Each batch is deduplicated by one
+    stable lexsort on (layer, x, y), gets every layer's median
+    nearest-neighbour distance from one ``_nearest_neighbours`` call over
+    ragged rows, and every point's ``_near_lists`` from one fixed-radius
+    pass; only the chain walks and the per-ring areas run layer by layer.
+    """
+    batch, size = [], 0
+    for z, xy in layers:
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        if batch and size + len(xy) > _OUTLINE_BATCH_POINTS:
+            yield from _outline_batch(batch)
+            batch, size = [], 0
+        batch.append((z, xy))
+        size += len(xy)
+    if batch:
+        yield from _outline_batch(batch)
 
 
 def layer_outline(points: np.ndarray, z: float = 0.0) -> OutlinePolygon:
     """Trace one closed outline through a layer's points.
 
-    Greedy nearest-neighbor chaining from the lowest (y, x) point; if the
-    chain strands points or fails to close, the convex hull is used
-    instead and the result notes which method produced it.
+    The distinct points, in (x, y) order, are chained from the lowest (y, x)
+    one: each step goes to the nearest unvisited point (lowest index on equal
+    distance) while it is within twice the median nearest-neighbour
+    distance. If the chain strands points or fails to close, the convex hull
+    is used instead and the result notes which method produced it.
     """
-    pts = np.unique(np.asarray(points, dtype=np.float64).reshape(-1, 2), axis=0)
-    if len(pts) < 3:
-        raise TooFewPoints(f"outline needs >= 3 distinct points, got {len(pts)}")
-    med_nn = _nearest_neighbor_median(pts)
-    jump_limit = 2.0 * med_nn
-
-    # np.unique sorts the rows by (x, y): the first row of least y is the
-    # lowest (y, x) point
-    start = int(np.argmin(pts[:, 1]))
-    chain = _greedy_chain(pts, start, jump_limit)
-
-    scale = max(np.ptp(pts, axis=0).max(), 1e-12)
-    area_floor = 1e-12 * scale * scale
-
-    closes = np.linalg.norm(pts[chain[-1]] - pts[chain[0]]) <= jump_limit
-    ring = pts[chain]
-    if not (closes and len(chain) >= 3 and len(chain) >= 0.9 * len(pts)
-            and abs(polygon_area(ring)) > area_floor):
-        ring = _convex_hull(pts)
-        method = "convex_hull"
-        if len(ring) < 3:
-            # collinear cloud: keep a zero-area ring over the sorted points
-            ring = pts
-    else:
-        method = "chained"
-
-    if polygon_area(ring) < 0:
-        ring = ring[::-1]
-    degenerate = abs(polygon_area(ring)) <= area_floor
-    return OutlinePolygon(z=z, ring=ring, method=method, degenerate=degenerate)
+    return next(_layer_outlines([(z, points)]))
 
 
 def _resample_ring(ring: np.ndarray, m: int) -> np.ndarray:
@@ -317,12 +477,15 @@ def _resample_ring(ring: np.ndarray, m: int) -> np.ndarray:
 def loft_layers(stack: LayerStack, resample_count: int = 128) -> TriMesh:
     """Join per-layer outlines into a closed surface.
 
-    Adjacent rings are resampled to the same count and connected with quad
-    strips (each split along its shorter diagonal); the bottom and top
-    rings are capped with centroid fans, so the result is watertight by
-    construction. Layers whose outline has no area raise DegenerateLayer; a
-    ``resample_count`` outside [3, ``MAX_RESAMPLE_COUNT``] raises ValueError
-    before any outline is traced.
+    Outlines are those of ``layer_outline``, traced by ``_layer_outlines``
+    in batches of layers of about ``_OUTLINE_BATCH_POINTS`` points, which
+    bounds the pass's working memory. Adjacent rings are resampled to the
+    same count and connected with quad strips (each split along its shorter
+    diagonal); the bottom and top rings are capped with centroid fans, so
+    the result is watertight by construction. The first layer, in z order,
+    whose outline has no area raises DegenerateLayer, or TooFewPoints if it
+    has fewer than 3 distinct points; a ``resample_count`` outside [3,
+    ``MAX_RESAMPLE_COUNT``] raises ValueError before any outline is traced.
     """
     if stack.layer_count < 2:
         raise ValueError("lofting needs at least 2 layers")
@@ -332,11 +495,10 @@ def loft_layers(stack: LayerStack, resample_count: int = 128) -> TriMesh:
         raise ValueError(f"resample_count {resample_count} is above the limit of "
                          f"{MAX_RESAMPLE_COUNT}")
     rings = []
-    for z, pts in stack.layers:
-        outline = layer_outline(pts, z=z)
+    for outline in _layer_outlines(stack.layers):
         if outline.degenerate:
-            raise DegenerateLayer(z)
-        rings.append((z, _resample_ring(outline.ring, resample_count)))
+            raise DegenerateLayer(outline.z)
+        rings.append((outline.z, _resample_ring(outline.ring, resample_count)))
 
     m = resample_count
     verts = np.vstack([np.column_stack([ring, np.full(len(ring), z)])

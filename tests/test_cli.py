@@ -302,6 +302,33 @@ def test_streamed_audit_holds_no_copy_of_the_file(capsys, tmp_path, brk):
     assert peak <= 0.75 * path.stat().st_size, peak
 
 
+def test_stream_text_holds_no_read_block_while_consume_works(tmp_path):
+    # each block's bytes go once they are decoded: while the consumer works
+    # on a piece, nothing allocated where stream_text reads a block is live
+    import inspect
+    import tracemalloc
+
+    lines, first = inspect.getsourcelines(cli._Run.stream_text)
+    read_line = first + next(k for k, line in enumerate(lines) if "fh.read(" in line)
+    path = tmp_path / "text.txt"
+    path.write_bytes(b"x" * (5 * cli._READ_BLOCK // 2))
+    live = []
+
+    def consume(pieces):
+        for piece in pieces:
+            traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, cli.__file__, read_line)])
+            live.append((len(piece), sum(stat.size for stat in traces.statistics("lineno"))))
+
+    tracemalloc.start()
+    try:
+        cli._Run("recon").stream_text(str(path), consume)
+    finally:
+        tracemalloc.stop()
+    block = cli._READ_BLOCK
+    assert live == [(block, 0), (block, 0), (block // 2, 0), (0, 0)]
+
+
 def test_header_embed_holds_one_copy_of_the_cover(capsys, tmp_path):
     import tracemalloc
 

@@ -315,6 +315,72 @@ def test_greedy_chain_matches_brute_force_reference(kind, n, seed, reach):
     assert recon._greedy_chain(pts, start, jump_limit) == _chain_reference(pts, start, jump_limit)
 
 
+# a lattice layer whose chain finds every entry of a cut list visited, so it
+# takes the nearest unvisited point from a pass over the layer
+_CUT_LATTICE = ("lattice", 498, 33)
+
+
+@st.composite
+def _ragged_stacks(draw):
+    """Layers of mixed kinds and sizes, each of at least 3 distinct points,
+    with the cut-list lattice layer among them."""
+    specs = draw(st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(3, 600),
+                                    st.integers(0, 2 ** 31)), min_size=1, max_size=6))
+    specs.insert(draw(st.integers(0, len(specs))), _CUT_LATTICE)
+    layers = [_layer_points(*spec) for spec in specs]
+    return [(0.25 * k, pts) for k, pts in enumerate(layers) if len(np.unique(pts, axis=0)) >= 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ragged_stacks())
+def test_batched_outlines_match_brute_force_reference(layers):
+    # one batch, one layer per batch, and batches of a few layers
+    refs = [_outline_reference(pts) for _, pts in layers]
+    for budget, batches in ((recon._OUTLINE_BATCH_POINTS, 1), (1, len(layers)), (700, None)):
+        with mock.patch.object(recon, "_OUTLINE_BATCH_POINTS", budget), \
+                mock.patch.object(recon, "_outline_batch", wraps=recon._outline_batch) as batch, \
+                mock.patch.object(recon, "_nearest_unvisited",
+                                  wraps=recon._nearest_unvisited) as fallback:
+            outlines = list(recon._layer_outlines(layers))
+        assert batches is None or batch.call_count == batches
+        assert fallback.call_count >= 1
+        assert len(outlines) == len(layers)
+        for (z, _), o, (ring, method, degenerate) in zip(layers, outlines, refs):
+            assert o.z == z
+            assert o.ring.tobytes() == ring.tobytes()
+            assert (o.method, o.degenerate) == (method, degenerate)
+
+
+def test_outline_points_that_differ_in_a_zero_sign_keep_np_unique_bits():
+    # (x, 0.0) and (x, -0.0) are one point, and np.unique keeps either row;
+    # a collinear layer's ring holds every distinct point with those bits
+    rng = np.random.default_rng(0)
+    x = rng.integers(-5, 6, size=60).astype(np.float64)
+    pts = np.column_stack([x, np.where(rng.random(60) < 0.5, 0.0, -0.0)])
+    layers = [(0.0, pts), (1.0, circle_layer(0.0)[:, :2]), (2.0, pts[::-1].copy())]
+    for (_, xy), o in zip(layers, recon._layer_outlines(layers)):
+        ring, method, degenerate = _outline_reference(xy)
+        assert o.ring.tobytes() == ring.tobytes()
+        assert (o.method, o.degenerate) == (method, degenerate)
+
+
+def test_batched_outlines_fail_at_the_layer_that_would_fail_first():
+    # one batch: the outlines before a layer of 2 distinct points are
+    # traced, and lofting meets a degenerate layer before it as it did
+    good = circle_layer(0.0)[:, :2]
+    line = np.column_stack([np.linspace(0, 1, 10), np.zeros(10)])
+    pair = np.array([[0.0, 0], [1, 1], [1, 1]])
+    outlines = recon._layer_outlines([(0.0, good), (1.0, line), (2.0, pair), (3.0, good)])
+    assert [next(outlines).method, next(outlines).degenerate] == ["chained", True]
+    with pytest.raises(TooFewPoints, match="got 2"):
+        next(outlines)
+    for layers, error in (([line, pair], DegenerateLayer), ([pair, line], TooFewPoints)):
+        cloud = np.vstack([np.column_stack([xy, np.full(len(xy), 0.5 * k)])
+                           for k, xy in enumerate([good, *layers, good])])
+        with pytest.raises(error):
+            loft_layers(group_layers(PointCloud(cloud)))
+
+
 def test_nn_median_far_points_fall_back_exactly():
     # cells of side 1 on this line: from x = 1.95 the nearest point in the
     # 3x3 block is 1.45 away, but x = 3.1, two cells over, is nearer (1.15)
@@ -393,6 +459,17 @@ def test_nearest_neighbours_of_a_row_do_not_depend_on_its_batch(dim, block, monk
         for other_idx, other_d2 in ((alone_idx[0], alone_d2[0]), (rev_idx[-1 - r], rev_d2[-1 - r])):
             assert other_idx.tobytes() == idx[r].tobytes()
             assert other_d2.tobytes() == d2[r].tobytes()
+    # ragged rows, one of a single point, in one call: the bits of each
+    # row's own call
+    rows = [_row_points(kind, n, dim, rng) for kind, n in
+            zip(_ROW_KINDS * 2, [1, 7, 250, 31, 120, 2, 64, 300, 9, 180])]
+    sizes = [len(row) for row in rows]
+    idx, d2 = recon._nearest_neighbours(np.concatenate(rows), sizes)
+    cuts = np.cumsum(sizes)[:-1]
+    for row, row_idx, row_d2 in zip(rows, np.split(idx, cuts), np.split(d2, cuts)):
+        alone_idx, alone_d2 = recon._nearest_neighbours(row[None])
+        assert row_idx.tobytes() == alone_idx[0].tobytes()
+        assert row_d2.tobytes() == alone_d2[0].tobytes()
 
 
 def test_outline_memory_is_linear_in_layer_size():
@@ -1067,7 +1144,7 @@ def test_orientation_scan_layer_height_must_be_positive_and_finite(layer_height)
 def test_loft_refuses_sample_counts_above_the_limit():
     stack = group_layers(cylinder_cloud(height=2.0))
     limit = recon.MAX_RESAMPLE_COUNT
-    with mock.patch.object(recon, "layer_outline", side_effect=AssertionError("traced")):
+    with mock.patch.object(recon, "_layer_outlines", side_effect=AssertionError("traced")):
         for count in (limit + 1, 10 ** 12):
             with pytest.raises(ValueError, match=f"above the limit of {limit}"):
                 loft_layers(stack, resample_count=count)
