@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import json
 import os
 import sys
@@ -285,6 +286,7 @@ def _cmd_orient_scan(run: _Run, args) -> dict:
     return report.to_dict(top=args.top)
 
 
+@functools.cache                            # built once, at the first run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dm-stegkit",

@@ -202,7 +202,7 @@ def _format_code_number(number: str, lineno: int, letter: str) -> str:
 _SPACE, _BREAK, _LETTER, _SIGN, _DOT, _DIGIT, _SEMI, _OTHER, _WIDE = range(9)
 _MAX_DIGITS = 15        # m / 10**k is float(text) for m and 10**k below 2**53 (Clinger)
 _POW10 = 10.0 ** np.arange(_MAX_DIGITS + 1)
-_DECODE_CHARS = 16384     # characters decoded at once, cut after a "\n"
+_DECODE_CHARS = 16384     # characters of a chunk of _line_chunks decoded at once
 
 
 def _class_table() -> bytes:
@@ -236,43 +236,32 @@ class _Columns(NamedTuple):
     word_value: np.ndarray                  # float64 argument value
     comment_start: np.ndarray               # int64 start of each comment in text; -1 for none
     comment_end: np.ndarray                 # int64 end of each comment (its line) in text
-    text: str                               # the piece, "\r\n" folded to "\n"
+    text: str                               # the piece
     parsed: dict                            # command index -> GcodeCommand of _parse_line
     claimable: list[str]                    # the comments that may hold a claim, in order
     error: MalformedNumber | None           # raised by the line after the last command
 
 
 def _chunk_columns(text: str | Iterable[str]):
-    """The ``_Columns`` of ``text`` in order: each chunk of ``_line_chunks``,
-    ``"\r\n"`` folded, is decoded about ``_DECODE_CHARS`` characters at a
-    time, cut after a ``"\n"`` or a lone ``"\r"``, so only the arrays of one
-    such slice are held."""
+    """The ``_Columns`` of ``text`` in order, one for each nonempty chunk of
+    ``_line_chunks`` at ``_DECODE_CHARS`` characters, so only the arrays of
+    one chunk are held."""
     lineno = 0
-    for chunk in _line_chunks(text):
-        lone_cr = "\r" in chunk
-        if lone_cr:
-            chunk = chunk.replace("\r\n", "\n")
-            lone_cr = "\r" in chunk
-        start = 0
-        while start < len(chunk):
-            at = start + _DECODE_CHARS - 1
-            end = chunk.find("\n", at) + 1
-            if lone_cr:
-                cr = chunk.find("\r", at) + 1
-                end = min(end, cr) if end and cr else end or cr
-            end = end or len(chunk)
-            cols, lines = _decode(chunk[start:end], lineno)
+    for chunk in _line_chunks(text, _DECODE_CHARS):
+        if chunk:
+            cols, lines = _decode(chunk, lineno)
             lineno += lines
-            start = end
             yield cols
-            del cols                        # before the next slice is decoded
+            del cols                        # before the next chunk is decoded
 
 
 def _decode(text: str, lineno: int) -> tuple[_Columns, int]:
-    """The commands of ``text`` (nonempty, with no "\r\n"), whose first line
-    follows line ``lineno``, and its line count. Plain lines are read with
-    array operations, every other nonempty line by ``_parse_line``; at the
-    first malformed line the columns stop and hold its error."""
+    """The commands of ``text`` (nonempty, not cut inside a ``"\r\n"``),
+    whose first line follows line ``lineno``, and its line count. A ``"\n"`` after
+    a ``"\r"`` is read as a space, so the lines and their numbers are those
+    of ``str.splitlines``. Plain lines are read with array operations, every
+    other nonempty line by ``_parse_line``; at the first malformed line the
+    columns stop and hold its error."""
     ascii_text = text.isascii()
     if ascii_text:
         raw = text.encode("ascii")
@@ -285,6 +274,8 @@ def _decode(text: str, lineno: int) -> tuple[_Columns, int]:
     raw = b"\n" + raw if raw[-1] in b"\n\r\v\f\x1c\x1d\x1e\x85" else b"\n" + raw + b"\n"
     codes = np.frombuffer(raw, np.uint8)
     cls = np.frombuffer(bytearray(raw).translate(_CLASSES), np.uint8)
+    if b"\r\n" in raw:                       # one line end: the "\n" is a space
+        cls[1:][(codes[1:] == 10) & (codes[:-1] == 13)] = _SPACE
     breaks = (cls == _BREAK).nonzero()[0]
     starts, ends = breaks[:-1] + 1, breaks[1:]                 # of each line's characters
     lines = len(ends)
@@ -320,7 +311,7 @@ def _decode(text: str, lineno: int) -> tuple[_Columns, int]:
     bad[ends.searchsorted(wrong.nonzero()[0])] = True
     for i in bad.nonzero()[0].tolist():
         cls[starts[i]:ends[i]] = _SPACE
-    del semis, first, edges, inside, is_letter, number, wrong   # a slice's arrays are its peak
+    del semis, first, edges, inside, is_letter, number, wrong   # a chunk's arrays are its peak
 
     # the words of the other lines: a letter, then a number up to its last character
     letters = (cls == _LETTER).nonzero()[0]
@@ -606,7 +597,7 @@ def _replay(source: str | Iterable[str] | GcodeProgram) -> _Replay:
     The replay starts from the origin in absolute XYZ and E and millimetres;
     codes other than G0-G3, G20/G21, G90/G91, M82/M83 and G92 change
     nothing. Each comment gives at most one claim, from the first of
-    ``_CLAIM_PATTERNS`` that it matches. Text is decoded a slice at a time
+    ``_CLAIM_PATTERNS`` that it matches. Text is decoded a chunk at a time
     into ``_Columns`` and a program is turned into one; ``_Toolpath.feed``
     replays each with array operations whose sums run in file order, so no
     command is kept and every figure has the bits of a replay command by

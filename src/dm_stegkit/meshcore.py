@@ -376,36 +376,34 @@ def _unit_normals(v: np.ndarray) -> np.ndarray:
 
 # --- text lines and XYZ point clouds -------------------------------------------
 
-_CHUNK_CHARS = 1 << 16     # characters per str.splitlines call, cut after a "\n"
+_CHUNK_CHARS = 1 << 16     # characters per str.splitlines call in parse_xyz
+# a line end that no later character can extend: "\r\n", "\n", or a "\r"
+# that a character other than "\n" follows
+_LINE_END = re.compile(r"\r\n|\n|\r(?=.)")
 
 
-def _line_chunks(pieces: str | Iterable[str]):
+def _line_chunks(pieces: str | Iterable[str], size: int):
     """A text, one string or its pieces in order, in chunks of at least
-    ``_CHUNK_CHARS`` characters that each end at a line end: pieces are held
-    until they hold that many characters and the last piece can be cut, after
-    its last ``"\n"`` or after a later ``"\r"`` that another character of the
-    piece follows; the held text is then cut just after the first ``"\n"``
-    that ends a chunk that long, or at that last cut. A last chunk holds what
-    follows the last cut."""
-    held, size = [], 0                      # pieces since the last cut, their length
+    ``size`` characters that each end at a line end: each chunk ends just
+    after the first ``"\r\n"``, ``"\n"`` or ``"\r"`` that makes it that long,
+    and no cut falls inside a ``"\r\n"``. Pieces are held until they hold
+    that many characters and the last one holds a line end; a last chunk,
+    perhaps empty, holds what follows the last cut."""
+    held, length = [], 0                    # pieces since the last cut, their length
     for piece in [pieces] if isinstance(pieces, str) else pieces:
         held.append(piece)
-        size += len(piece)
-        cut = max(piece.rfind("\n"), piece.rfind("\r", 0, len(piece) - 1)) + 1
-        if size < _CHUNK_CHARS or not cut:
-            continue
-        cut += size - len(piece)
+        length += len(piece)
+        if length < size or not ("\n" in piece or "\r" in piece or held[0].endswith("\r")):
+            continue                        # no new line end: a held "\r" may now end one
         text = "".join(held)
         del held[:], piece                  # hold the text once
         start = 0
-        while cut - start >= _CHUNK_CHARS:
-            end = text.find("\n", start + _CHUNK_CHARS - 1, cut) + 1 or cut
-            chunk = text[start:end]
-            if cut - end < _CHUNK_CHARS:    # the last chunk: keep only the rest
-                text, cut, end = text[end:], cut - end, 0
-            start = end
+        while match := _LINE_END.search(text, start + size - 1):
+            chunk, start = text[start:match.end()], match.end()
+            if len(text) - start < size:    # the last chunk here: keep only the rest
+                text, start = text[start:], 0
             yield chunk
-        held, size = [text[start:]], len(text) - start
+        held, length = [text[start:]], len(text) - start
     yield "".join(held)
 
 
@@ -420,7 +418,7 @@ def parse_xyz(text: str | Iterable[str], comment=None) -> PointCloud:
     if given, sees each stripped comment line, also those after a data line
     at fault, so an error it raises comes first."""
     blocks, error, lineno = [], None, 0
-    for k, chunk in enumerate(_line_chunks(text)):
+    for k, chunk in enumerate(_line_chunks(text, _CHUNK_CHARS)):
         chunk = chunk if k else chunk.removeprefix("\ufeff")
         first, tokens, comma = lineno, [], "," in chunk
         for lineno, raw in enumerate(chunk.splitlines(), lineno + 1):

@@ -599,6 +599,21 @@ def test_usage_error_exits_2(capsys):
     assert err.value.code == 2
 
 
+def test_a_usage_error_leaves_the_next_run_as_it_was(capsys, cube_stl):
+    # the parser is built once per process: a run after usage errors parses
+    # its verb as the first run did
+    _, before = invoke(capsys, "stl-info", str(cube_stl))
+    for argv in (["no-such-command"], ["stl-info"], ["header-embed", str(cube_stl), "-o", "x.stl"],
+                 ["orient-scan", str(cube_stl), "--top", "1_0"]):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+    capsys.readouterr()
+    status, after = invoke(capsys, "stl-info", str(cube_stl))
+    assert status == 0 and after == before
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_missing_file_is_domain_error(capsys):
     status, doc = invoke(capsys, "stl-info", "/nonexistent/path.stl")
     assert status == 1

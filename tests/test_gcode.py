@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dm_stegkit import gcode, meshcore
+from dm_stegkit import gcode
 from dm_stegkit import audit, filament_length, metadata_claims, parse_gcode, z_profile
 from dm_stegkit.errors import AmbiguousClaims, MalformedNumber
 
@@ -509,7 +509,7 @@ def test_chunked_reading_keeps_the_lines_of_splitlines(monkeypatch):
     # a chunk of every size from 1 character up puts each break, and each
     # half of every "\r\n", at the end of the first chunk's nominal size
     for size in range(1, len(bad) + 2):
-        monkeypatch.setattr(meshcore, "_CHUNK_CHARS", size)
+        monkeypatch.setattr(gcode, "_DECODE_CHARS", size)
         assert list(gcode._commands(text)) == whole, size
         with pytest.raises(MalformedNumber) as err:
             audit(bad)
@@ -585,22 +585,22 @@ AUDIT_PROGRAMS = [
 
 def test_audit_of_an_open_file_reads_chunks_of_the_chunk_size(monkeypatch, tmp_path):
     # an open file yields one line at a time; the lines are held until a
-    # chunk of _CHUNK_CHARS characters can be cut
+    # chunk of _DECODE_CHARS characters can be cut
     path = tmp_path / "p.gcode"
     path.write_text(_SLICER_TEXT + "\n" + "".join(f"G1 X{k % 90} Y{k % 70} E0.1 ; wall\n"
                                                  for k in range(12_000)))
     lengths = []
     real = gcode._line_chunks
 
-    def chunks(pieces):
-        for chunk in real(pieces):
+    def chunks(pieces, size):
+        for chunk in real(pieces, size):
             lengths.append(len(chunk))
             yield chunk
 
     monkeypatch.setattr(gcode, "_line_chunks", chunks)
     with open(path, newline="") as fh:
         report = audit(fh)
-    assert len(lengths) > 2 and min(lengths[:-1]) >= meshcore._CHUNK_CHARS
+    assert len(lengths) > 2 and min(lengths[:-1]) >= gcode._DECODE_CHARS
     assert json.dumps(report.to_dict()) == json.dumps(audit(path.read_text()).to_dict())
 
 
@@ -622,3 +622,19 @@ def test_audit_of_text_holds_no_command_per_line():
     assert report.declared_filament_mm == 4000.0
     # a parsed program of these lines peaks at about 72 MB
     assert peak <= 2 * 2 ** 20, peak
+
+
+def test_audit_of_cr_only_text_holds_no_copy_of_it():
+    # a text whose lines end in a lone "\r" is cut into chunks as one with
+    # "\n" is; a whole-text chunk of this 2 MB string peaked at 2.6 MB
+    lines = [";filament used = 1000mm", "M83"] + [f"G1 X{k % 200} Y{k % 150} E0.01"
+                                                 for k in range(99_998)]
+    text = "\r".join(lines) + "\r"
+    tracemalloc.start()
+    try:
+        report = audit(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.dumps(report.to_dict()) == json.dumps(audit(text.replace("\r", "\n")).to_dict())
+    assert peak < 2 ** 20, peak

@@ -1055,8 +1055,8 @@ def test_parse_xyz_of_an_open_file_reads_chunks_of_the_chunk_size(monkeypatch, t
     lengths = []
     real = meshcore._line_chunks
 
-    def chunks(pieces):
-        for chunk in real(pieces):
+    def chunks(pieces, size):
+        for chunk in real(pieces, size):
             lengths.append(len(chunk))
             yield chunk
 
@@ -1097,3 +1097,49 @@ def test_parse_xyz_holds_no_token_list(monkeypatch):
     monkeypatch.setattr(meshcore, "_xyz_values", values)
     assert len(parse_xyz("1.5 2.5 3.5\n" * 10_000).points) == 10_000
     assert sum(held) == 30_000 and max(held) < 300        # 86 lines of 12 characters
+
+
+def test_parse_xyz_of_cr_only_text_peaks_as_its_lf_twin():
+    # lines that end in a lone "\r" are cut into chunks as those ending in
+    # "\n" are; one whole-text chunk peaked at 5.2 times the "\n" text
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    lf = "".join(f"{x:.9g} {y:.9g} {z:.9g}\n" for x, y, z in rng.normal(size=(100_000, 3)))
+    clouds, peaks = [], []
+    for text in (lf, lf.replace("\n", "\r")):
+        tracemalloc.start()
+        try:
+            clouds.append(parse_xyz(text).points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert clouds[0].tobytes() == clouds[1].tobytes()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@st.composite
+def _broken_text(draw):
+    """Text of "a" characters with mixed "\n", "\r" and "\r\n" line ends,
+    and a chunk size from 1 up."""
+    text = "".join(draw(st.lists(st.sampled_from(["a", "aaa", "\n", "\r", "\r\n"]), max_size=80)))
+    return text, draw(st.integers(1, len(text) + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_broken_text())
+def test_line_chunks_cut_after_line_ends_only(drawn):
+    text, size = drawn
+    chunks = list(meshcore._line_chunks(text, size))
+    assert "".join(chunks) == text
+    for chunk in chunks[:-1]:
+        assert len(chunk) >= size and chunk[-1] in "\r\n"
+        # cut just after the first line end that makes the chunk that long
+        assert not any(chunk[p] == "\n" or chunk[p] == "\r" and chunk[p + 1] != "\n"
+                       for p in range(size - 1, len(chunk) - 1)), (chunk, size)
+    ends = np.cumsum([len(chunk) for chunk in chunks[:-1]], dtype=int)
+    assert not any(text[end - 1:end + 1] == "\r\n" for end in ends)
+    # the pieces of a text decoded block by block are cut where the text is
+    for piece in range(1, len(text) + 2):
+        pieces = (text[i:i + piece] for i in range(0, len(text), piece))
+        assert list(meshcore._line_chunks(pieces, size)) == chunks, piece

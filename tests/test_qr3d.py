@@ -990,7 +990,7 @@ def test_cloud_from_xyz_splits_its_text_once(monkeypatch):
 
     calls = []
     real = meshcore._line_chunks
-    monkeypatch.setattr(meshcore, "_line_chunks", lambda text: calls.append(1) or real(text))
+    monkeypatch.setattr(meshcore, "_line_chunks", lambda text, size: calls.append(1) or real(text, size))
     cloud = cloud_from_xyz("0 0 0\n# radius=0.25\n1 1 1\n")
     assert cloud.radius == 0.25 and len(cloud.centers) == 2
     assert len(calls) == 1

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dm_stegkit import EmbedParams, grid_to_spheres, parse_vrml, unit_vector
-from dm_stegkit import audit, filament_length, gcode, meshcore, parse_gcode, qr3d, z_profile
+from dm_stegkit import audit, filament_length, gcode, parse_gcode, qr3d, z_profile
 from dm_stegkit.errors import UnbalancedBrackets
 from dm_stegkit.gcode import _Z_QUANTUM, GcodeCommand, GcodeProgram
 from dm_stegkit.vrml import _tokenize
@@ -452,15 +452,14 @@ def _text_program(draw):
 @example("G1 X12345678901.2345 Y123456789012.3456 E.5\r\nG1X-0Y5.E+.5 ; wall\nG01 X007.50 e1\n")
 @example("M83\nG1 X1 E2\nG92 E0\nG91\nG1 X1 E2\nG20\nG1 Z0.2 E1\nM82\nG1 X3 E5\nG90\nG1 X0 E6\n")
 def test_text_replay_matches_reference(text):
-    # the mode and G92 state carry across chunk, slice and run cuts
+    # the mode and G92 state carry across chunk and run cuts
     program = GcodeProgram([GcodeCommand(*command) for command in _parse_gcode_reference(text)])
     state = _replay_reference(program)
     levels = _z_levels_reference(state)[0]
     with pytest.MonkeyPatch.context() as patch:
-        for chunk, decode in ((1 << 16, 1 << 14), (1, 1), (7, 3), (64, 20), (200, 1 << 14)):
-            patch.setattr(meshcore, "_CHUNK_CHARS", chunk)
+        for decode in (1 << 14, 1, 3, 7, 20, 64, 200):
             patch.setattr(gcode, "_DECODE_CHARS", decode)
             report = audit(text)
-            assert report.computed_filament_mm.hex() == state.extruded.hex(), chunk
-            assert report.travel_mm.hex() == state.travel.hex(), chunk
-            assert report.z_levels == levels, chunk
+            assert report.computed_filament_mm.hex() == state.extruded.hex(), decode
+            assert report.travel_mm.hex() == state.travel.hex(), decode
+            assert report.z_levels == levels, decode
